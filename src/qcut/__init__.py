@@ -6,81 +6,24 @@ at the receiver.  The package provides the protocol simulation, the
 closed-form average fidelities for pure, entangled and mixed inputs, exact
 moment-integral derivations of the same values, and seeded Monte Carlo
 estimators that reproduce them.
+
+The names below are the documented API (see README); everything else is
+importable from its submodule.
 """
 
-from .channel import (
-    ChannelState,
-    ClassicalMessage,
-    ProtocolRun,
-    full_protocol,
-    make_channel,
-    teleport,
-    weyl_operator,
-)
+from .channel import full_protocol, teleport
 from .experiments import (
     ExperimentConfig,
     FidelityEstimate,
     analytic_entangled,
-    analytic_n_to_1,
     analytic_pure,
     analytic_state_estimation,
-    composition_check,
-    exact_entangled_via_moments,
-    exact_pure_via_moments,
-    horodecki_bound,
-    mc_entangled,
-    mc_mixed,
-    mc_pure,
-    mc_state_estimation,
-    relation_check,
     run_experiment,
 )
-from .fidelity import (
-    bures_fidelity,
-    overlap_fidelity,
-    per_outcome_mixed_fidelity,
-    purify,
-    uhlmann_fidelity,
-)
-from .haar import (
-    HypersphericalPoint,
-    MomentSpec,
-    exact_moment,
-    exact_moment_fraction,
-    jacobian,
-    measure_density,
-    point_to_state,
-    sample_point,
-    sample_state,
-    sample_state_gaussian,
-    sample_states,
-    sample_states_gaussian,
-    total_surface_measure,
-)
-from .linalg import (
-    BipartitePureState,
-    DensityMatrix,
-    PureState,
-    SchmidtDecomposition,
-    eigh,
-    matrix_sqrt,
-    partial_trace,
-    schmidt_decompose,
-    tensor_product,
-)
-from .povm import (
-    CutPovm,
-    MeasurementOutcome,
-    SubsetIndex,
-    apply_cut_density,
-    completeness_check,
-    element_matrix,
-    outcome_probability,
-    project_bipartite,
-    project_pure,
-    sample_outcome,
-    subsets,
-)
+from .fidelity import bures_fidelity, overlap_fidelity, uhlmann_fidelity
+from .haar import sample_state, sample_states
+from .linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt, partial_trace
+from .povm import CutPovm, sample_outcome
 from .rng import stream
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fidelity import overlap_fidelity
-from .linalg import BipartitePureState, PureState
+from .linalg import BipartitePureState, PureState, rebuild
 from .povm import CutPovm, MeasurementOutcome, sample_outcome
 
 
@@ -92,20 +92,6 @@ def _bell_tensor(m: int) -> np.ndarray:
     return bell
 
 
-def _as_matrix(state) -> tuple[np.ndarray, bool]:
-    if isinstance(state, PureState):
-        return state.amps.reshape(state.dim, 1), False
-    if isinstance(state, BipartitePureState):
-        return state.matrix, True
-    raise TypeError("teleport expects a PureState or BipartitePureState")
-
-
-def _rebuild(coeffs: np.ndarray, bipartite: bool):
-    if bipartite:
-        return BipartitePureState(coeffs.shape[0], coeffs.shape[1], coeffs.ravel())
-    return PureState(coeffs.shape[0], coeffs[:, 0])
-
-
 def teleport(
     state,
     channel: ChannelState,
@@ -121,7 +107,7 @@ def teleport(
     every outcome.
     """
     m = channel.m
-    c, bipartite = _as_matrix(state)
+    c = state.matrix
     if c.shape[0] != m:
         raise ValueError(f"input system dimension {c.shape[0]} != channel m={m}")
 
@@ -144,7 +130,7 @@ def teleport(
 
     bob = projected[a, b] / math.sqrt(probs[a, b])
     corrected = weyl_operator(m, a, b) @ bob
-    return ClassicalMessage(a, b), _rebuild(corrected, bipartite)
+    return ClassicalMessage(a, b), rebuild(state, corrected)
 
 
 def full_protocol(state, m: int, rng: np.random.Generator) -> ProtocolRun:
@@ -155,23 +141,11 @@ def full_protocol(state, m: int, rng: np.random.Generator) -> ProtocolRun:
     The end-to-end fidelity to the original input equals the cut's
     single-shot fidelity because the teleport step is lossless.
     """
-    if isinstance(state, PureState):
-        n = state.dim
-    elif isinstance(state, BipartitePureState):
-        n = state.dim_sys
-    else:
-        raise TypeError("full_protocol expects a PureState or BipartitePureState")
-    povm = CutPovm(n, m)
-    outcome = sample_outcome(povm, state, rng)
+    outcome = sample_outcome(CutPovm(state.matrix.shape[0], m), state, rng)
     idx = list(outcome.subset.indices)
-
-    post_c, bipartite = _as_matrix(outcome.post_state)
-    compressed = _rebuild(post_c[idx, :], bipartite)
-
-    message, received = teleport(compressed, make_channel(m), rng)
-
-    rec_c, _ = _as_matrix(received)
+    post_c = outcome.post_state.matrix
+    message, received = teleport(rebuild(state, post_c[idx]), make_channel(m), rng)
     final_c = np.zeros_like(post_c)
-    final_c[idx, :] = rec_c
-    final = _rebuild(final_c, bipartite)
+    final_c[idx] = received.matrix
+    final = rebuild(state, final_c)
     return ProtocolRun(outcome, message, final, overlap_fidelity(state, final))

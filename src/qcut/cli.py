@@ -32,6 +32,18 @@ from .rng import stream
 _DECIMALS = 12
 
 
+class _UsageError(Exception):
+    """Bad command-line input: reported through the parser, exit code 2."""
+
+
+def _checked(build, *args, **kwargs):
+    """Call ``build`` on command-line values; a ValueError it raises is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
+
+
 def _round(value):
     return None if value is None else round(float(value), _DECIMALS)
 
@@ -43,10 +55,6 @@ def _format_fraction(value: Fraction, places: int = _DECIMALS) -> str:
         return str((Decimal(value.numerator) / Decimal(value.denominator)).quantize(quantum))
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("QCUT_SEED", "0"))
-
-
 def _emit(text: str, path: str | None):
     if path:
         with open(path, "w") as handle:
@@ -55,16 +63,18 @@ def _emit(text: str, path: str | None):
 
 
 def cmd_estimate(args) -> int:
-    mode = args.mode.replace("-", "_")
-    config = experiments.ExperimentConfig(
+    config = _checked(
+        experiments.ExperimentConfig,
         n=args.n,
         m=args.m,
         r=args.r,
-        mode=mode,
+        mode=args.mode.replace("-", "_"),
         samples=args.samples,
         seed=args.seed,
         shards=args.shards,
     )
+    if args.threads < 1:
+        raise _UsageError("need at least one thread")
     start = time.perf_counter()
     estimate = experiments.run_experiment(config, threads=args.threads, verify_bures=args.verify_bures)
     elapsed = time.perf_counter() - start
@@ -97,10 +107,10 @@ def cmd_estimate(args) -> int:
         buffer.write(",".join(str(v) for v in flat.values()) + "\n")
         text = buffer.getvalue()
     _emit(text, args.output)
-    return 0 if abs(estimate.z_score) < 5.0 else 1
+    return 0 if estimate.z_score is not None and abs(estimate.z_score) < 5.0 else 1
 
 
-def _verify_checks(max_n: int, max_r: int, perturb_norm: float):
+def _verify_checks(max_n: int, max_r: int):
     """Yield (name, tolerance, worst residual, worst case) for every sweep."""
     worst = lambda items: max(items, key=lambda t: t[0])
 
@@ -149,19 +159,19 @@ def _verify_checks(max_n: int, max_r: int, perturb_norm: float):
     ]
     yield ("horodecki", 0.0, *worst(residuals))
 
-    residuals = []
-    for n in range(1, max_n + 1):
-        for m in range(1, n + 1):
-            povm = CutPovm(n, m)
-            norm = povm.norm_const + perturb_norm if perturb_norm else povm.norm_const
-            dev = float(_max_completeness_deviation(n, m, norm, cap=10**6))
-            residuals.append((dev, (n, m)))
+    residuals = [
+        (float(_max_completeness_deviation(n, m, cap=10**6)), (n, m))
+        for n in range(1, max_n + 1)
+        for m in range(1, n + 1)
+    ]
     yield ("completeness", 1e-12, *worst(residuals))
 
 
 def cmd_verify(args) -> int:
+    if args.max_n < 2 or args.max_r < 1:
+        raise _UsageError("verify needs --max-n >= 2 and --max-r >= 1")
     failed = False
-    for name, tol, residual, case in _verify_checks(args.max_n, args.max_r, args.perturb_norm):
+    for name, tol, residual, case in _verify_checks(args.max_n, args.max_r):
         ok = residual <= tol
         failed = failed or not ok
         status = "PASS" if ok else f"FAIL at {case}"
@@ -171,6 +181,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.r < 1:
+        raise _UsageError("auxiliary dimension must be >= 1")
     lines = ["n,m,r,fidelity"]
     for n in range(1, args.n_max + 1):
         for m in range(1, n + 1):
@@ -184,7 +196,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_teleport_demo(args) -> int:
-    rng = stream(args.seed)
+    _checked(CutPovm, args.n, args.m)
+    rng = _checked(stream, args.seed)
     state = sample_state(args.n, rng)
     run = full_protocol(state, args.m, rng)
     relabel = ", ".join(f"{level}<-{basis}" for level, basis in enumerate(run.outcome.subset.indices))
@@ -229,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the exact verification sweeps")
     ver.add_argument("--max-n", type=int, default=12)
     ver.add_argument("--max-r", type=int, default=6)
-    ver.add_argument("--perturb-norm", type=float, default=0.0, help=argparse.SUPPRESS)
     ver.set_defaults(func=cmd_verify)
 
     tab = sub.add_parser("table", help="emit analytic fidelity tables as CSV")
@@ -248,10 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _checked(int, os.environ.get("QCUT_SEED", "0"))
+        return args.func(args)
+    except _UsageError as err:
+        parser.error(str(err))
 
 
 def run():

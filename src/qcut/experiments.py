@@ -8,10 +8,12 @@ and seeded Monte Carlo estimators for four input scenarios:
   mixed             density matrices induced by tracing those out
   state_estimation  best classical guess from one cut outcome
 
-Estimator shards draw from independent RNG streams, per-shot fidelities go
-through the actual projection pipeline rather than the norm_const * p
-shortcut, and all reductions use exactly rounded summation so the result
-is independent of thread count and shard order.
+All four scenarios run through one estimator, ``run_experiment``, driven
+by a mode table.  Every input is a Haar-random state on N x R (pure states
+are R = 1); estimator shards draw from independent RNG streams, per-shot
+fidelities go through the actual projection pipeline rather than the
+norm_const * p shortcut, and all reductions use exactly rounded summation
+so the result is independent of thread count and shard order.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from typing import Callable, NamedTuple
 
 from .fidelity import bures_fidelity
 from .haar import MomentSpec, exact_moment_fraction, sample_states
-from .linalg import BipartitePureState, PureState, partial_trace
+from .linalg import BipartitePureState, partial_trace
 from .povm import CutPovm, sample_outcome
-from .rng import stream
+from .rng import check_seed, stream
 
-MODES = ("pure", "entangled", "mixed", "state_estimation")
 DEFAULT_SHARDS = 16
 
 
@@ -35,9 +38,9 @@ DEFAULT_SHARDS = 16
 class ExperimentConfig:
     """One estimator run: scenario dimensions, sample budget and seeding.
 
-    ``r`` is the auxiliary dimension (1 means plain pure states).  The
-    shard count fixes how samples split across RNG streams; together with
-    the seed it pins the estimate bit for bit.
+    ``r`` is the auxiliary dimension; the pure and state-estimation modes
+    need r = 1.  The shard count fixes how samples split across RNG
+    streams; together with the seed it pins the estimate bit for bit.
     """
 
     n: int
@@ -46,7 +49,6 @@ class ExperimentConfig:
     mode: str = "pure"
     samples: int = 1
     seed: int = 0
-    method: str = "montecarlo"
     shards: int = DEFAULT_SHARDS
 
     def __post_init__(self):
@@ -54,19 +56,24 @@ class ExperimentConfig:
             raise ValueError("need 1 <= m <= n")
         if self.r < 1:
             raise ValueError("auxiliary dimension must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        if self.mode not in _MODES:
+            raise ValueError(f"mode must be one of {tuple(_MODES)}")
+        if self.r != 1 and not _MODES[self.mode].takes_aux:
+            raise ValueError(f"mode {self.mode} needs r = 1")
         if self.samples < 1:
             raise ValueError("need at least one sample")
-        if self.method not in ("montecarlo", "analytic", "exact_moments"):
-            raise ValueError("unknown method")
         if self.shards < 1:
             raise ValueError("need at least one shard")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
 class FidelityEstimate:
-    """Monte Carlo mean with its standard error and analytic reference."""
+    """Monte Carlo mean with its standard error and analytic reference.
+
+    ``z_score`` is None when it is undefined: a zero standard error with
+    the mean off the target.
+    """
 
     mean: float
     stderr: float
@@ -199,46 +206,50 @@ def _shard_sizes(samples: int, shards: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
-def _pure_shard(config: ExperimentConfig, count: int, shard: int):
-    rng = stream(config.seed, shard)
-    povm = CutPovm(config.n, config.m)
-    rows = sample_states(config.n, count, rng)
-    fs = [
-        sample_outcome(povm, PureState._trusted(config.n, rows[i]), rng).shot_fidelity
-        for i in range(count)
-    ]
-    return math.fsum(fs), math.fsum(f * f for f in fs), None
+def _cut_fidelity(state, outcome) -> float:
+    return outcome.shot_fidelity
 
 
-def _entangled_shard(config: ExperimentConfig, count: int, shard: int, verify_bures: bool):
+def _guess_fidelity(state, outcome) -> float:
+    # Guess the smallest basis index of the outcome; isotropy makes any
+    # fixed choice equivalent, which the tests check.
+    return abs(state.amps[outcome.subset.indices[0]]) ** 2
+
+
+def _estimation_target(n: int, m: int, r: int) -> float:
+    return analytic_state_estimation(n, m)
+
+
+class _Mode(NamedTuple):
+    target: Callable[[int, int, int], float]  # closed form of (n, m, r)
+    shot: Callable  # per-shot value of (input state, outcome)
+    takes_aux: bool  # whether r > 1 is allowed
+
+
+_MODES = {
+    "pure": _Mode(analytic_entangled, _cut_fidelity, False),
+    "entangled": _Mode(analytic_entangled, _cut_fidelity, True),
+    "mixed": _Mode(analytic_entangled, _cut_fidelity, True),
+    "state_estimation": _Mode(_estimation_target, _guess_fidelity, False),
+}
+
+
+def _shard(config: ExperimentConfig, count: int, shard: int, verify_bures: bool):
+    n, r = config.n, config.r
     rng = stream(config.seed, shard)
-    povm = CutPovm(config.n, config.m)
-    rows = sample_states(config.n * config.r, count, rng)
+    povm = CutPovm(n, config.m)
+    shot = _MODES[config.mode].shot
     fs = []
     max_dev = 0.0
-    for i in range(count):
-        state = BipartitePureState._trusted(config.n, config.r, rows[i])
+    for row in sample_states(n * r, count, rng):
+        state = BipartitePureState._trusted(n, r, row)
         outcome = sample_outcome(povm, state, rng)
-        fs.append(outcome.shot_fidelity)
+        fs.append(shot(state, outcome))
         if verify_bures:
             rho = partial_trace(state, over="aux")
             rho_cut = partial_trace(outcome.post_state, over="aux")
-            dev = abs(outcome.shot_fidelity - bures_fidelity(rho, rho_cut))
-            max_dev = max(max_dev, dev)
+            max_dev = max(max_dev, abs(fs[-1] - bures_fidelity(rho, rho_cut)))
     return math.fsum(fs), math.fsum(f * f for f in fs), max_dev if verify_bures else None
-
-
-def _estimation_shard(config: ExperimentConfig, count: int, shard: int, guess: str):
-    rng = stream(config.seed, shard)
-    povm = CutPovm(config.n, config.m)
-    rows = sample_states(config.n, count, rng)
-    pick = 0 if guess == "smallest" else -1
-    fs = []
-    for i in range(count):
-        state = PureState._trusted(config.n, rows[i])
-        outcome = sample_outcome(povm, state, rng)
-        fs.append(abs(state.amps[outcome.subset.indices[pick]]) ** 2)
-    return math.fsum(fs), math.fsum(f * f for f in fs), None
 
 
 def _reduce(parts, config: ExperimentConfig, target: float) -> FidelityEstimate:
@@ -254,7 +265,7 @@ def _reduce(parts, config: ExperimentConfig, target: float) -> FidelityEstimate:
     if stderr > 0.0:
         z = (mean - target) / stderr
     else:
-        z = 0.0 if mean == target else math.inf
+        z = 0.0 if mean == target else None
     devs = [p[2] for p in parts if p[2] is not None]
     return FidelityEstimate(
         mean=mean,
@@ -267,78 +278,28 @@ def _reduce(parts, config: ExperimentConfig, target: float) -> FidelityEstimate:
     )
 
 
-def _run_shards(kernel, config: ExperimentConfig, threads: int):
-    sizes = _shard_sizes(config.samples, config.shards)
-    jobs = list(enumerate(sizes))
-    if threads <= 1:
-        return [kernel(config, size, shard) for shard, size in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(kernel, config, size, shard) for shard, size in jobs]
-    # Collect in shard order; fsum reductions make any order equivalent.
-    return [f.result() for f in futures]
-
-
-def mc_pure(config: ExperimentConfig, threads: int = 1) -> FidelityEstimate:
-    """Estimate the pure-state average fidelity by sampling cut outcomes."""
-    if config.mode != "pure":
-        raise ValueError("config mode must be 'pure'")
-    parts = _run_shards(_pure_shard, config, threads)
-    return _reduce(parts, config, analytic_pure(config.n, config.m))
-
-
-def mc_entangled(config: ExperimentConfig, threads: int = 1) -> FidelityEstimate:
-    """Estimate the entangled-input average fidelity on system x auxiliary."""
-    if config.mode != "entangled":
-        raise ValueError("config mode must be 'entangled'")
-    kernel = lambda cfg, count, shard: _entangled_shard(cfg, count, shard, False)
-    parts = _run_shards(kernel, config, threads)
-    return _reduce(parts, config, analytic_entangled(config.n, config.m, config.r))
-
-
-def mc_mixed(
-    config: ExperimentConfig, threads: int = 1, verify_bures: bool = False
-) -> FidelityEstimate:
-    """Estimate the mixed-state average fidelity via random purifications.
-
-    Inputs are Haar states on N x R whose partial trace induces the
-    density-matrix distribution; the per-shot fidelity equals the one of
-    the entangled scenario because the purification maximum sits at the
-    identity.  With ``verify_bures`` every shot is recomputed through the
-    matrix square-root formula on the reduced states and the worst
-    disagreement is reported.
-    """
-    if config.mode != "mixed":
-        raise ValueError("config mode must be 'mixed'")
-    kernel = lambda cfg, count, shard: _entangled_shard(cfg, count, shard, verify_bures)
-    parts = _run_shards(kernel, config, threads)
-    return _reduce(parts, config, analytic_entangled(config.n, config.m, config.r))
-
-
-def mc_state_estimation(
-    config: ExperimentConfig, threads: int = 1, guess: str = "smallest"
-) -> FidelityEstimate:
-    """Estimate the best-guess fidelity: guess one basis state of the outcome.
-
-    The guess is the smallest subset index by default; isotropy makes any
-    fixed choice equivalent, which the ``guess='largest'`` variant checks.
-    """
-    if config.mode != "state_estimation":
-        raise ValueError("config mode must be 'state_estimation'")
-    if guess not in ("smallest", "largest"):
-        raise ValueError("guess must be 'smallest' or 'largest'")
-    kernel = lambda cfg, count, shard: _estimation_shard(cfg, count, shard, guess)
-    parts = _run_shards(kernel, config, threads)
-    return _reduce(parts, config, analytic_state_estimation(config.n, config.m))
-
-
 def run_experiment(
     config: ExperimentConfig, threads: int = 1, verify_bures: bool = False
 ) -> FidelityEstimate:
-    """Dispatch an estimator run by mode."""
-    if config.mode == "pure":
-        return mc_pure(config, threads)
-    if config.mode == "entangled":
-        return mc_entangled(config, threads)
-    if config.mode == "mixed":
-        return mc_mixed(config, threads, verify_bures)
-    return mc_state_estimation(config, threads)
+    """Estimate the average fidelity of ``config.mode`` by sampling cut outcomes.
+
+    Pure, entangled and mixed inputs share the shot, the single-shot cut
+    fidelity, and the target (MR+1)/(NR+1); pure is R = 1.  Mixed inputs
+    are the partial traces of the entangled ones: the purification maximum
+    sits at the identity, so the per-shot fidelity is the entangled one.
+    With ``verify_bures`` (mixed mode only) every shot is recomputed
+    through the matrix square-root formula on the reduced states and the
+    worst disagreement is reported.  State estimation scores the weight of
+    one guessed basis state of the outcome against (1 + 1/M)/(N+1).
+    """
+    target = _MODES[config.mode].target(config.n, config.m, config.r)
+    verify = verify_bures and config.mode == "mixed"
+    sizes = _shard_sizes(config.samples, config.shards)
+    shards = range(len(sizes))
+    if threads <= 1:
+        parts = list(map(_shard, repeat(config), sizes, shards, repeat(verify)))
+    else:
+        # map yields in shard order; fsum reductions make any order equivalent.
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(_shard, repeat(config), sizes, shards, repeat(verify)))
+    return _reduce(parts, config, target)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt
+from .linalg import BipartitePureState, DensityMatrix, matrix_sqrt
 from .povm import CutPovm, SubsetIndex, _validate_subset
 
 _CLAMP = 1e-10
@@ -28,15 +28,9 @@ def _clamp_unit(value: float) -> float:
 
 
 def overlap_fidelity(a, b) -> float:
-    """Squared overlap of two pure states (plain or bipartite)."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        if a.dim != b.dim:
-            raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    elif isinstance(a, BipartitePureState) and isinstance(b, BipartitePureState):
-        if (a.dim_sys, a.dim_aux) != (b.dim_sys, b.dim_aux):
-            raise ValueError("bipartite dimension mismatch")
-    else:
-        raise TypeError("overlap_fidelity expects two states of the same kind")
+    """Squared overlap of two pure states with equal (N, R) coefficient shapes."""
+    if a.matrix.shape != b.matrix.shape:
+        raise ValueError(f"dimension mismatch: {a.matrix.shape} vs {b.matrix.shape}")
     return _clamp_unit(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 

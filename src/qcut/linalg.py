@@ -1,9 +1,11 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
 Immutable state containers with validated physical invariants, plus the
-kernels the rest of the package builds on: Kronecker products, partial
-traces, Hermitian eigendecomposition, PSD matrix square roots and Schmidt
-decompositions.
+kernels the rest of the package builds on: partial traces, Hermitian
+eigendecomposition, PSD matrix square roots and Schmidt decompositions.
+
+Both pure-state types expose their amplitudes as an (N, R) coefficient
+matrix: a ``PureState`` is the R = 1 case of a ``BipartitePureState``.
 
 Matrices are plain complex ``numpy`` arrays.  All state containers freeze
 their backing arrays after validation, so values are safe to share between
@@ -20,7 +22,6 @@ NORM_ATOL = 1e-12
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
-KRON_DIM_CAP = 2**20
 
 
 def _frozen_complex_array(values, shape) -> np.ndarray:
@@ -48,6 +49,11 @@ class PureState:
         if abs(norm2 - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm**2 = {norm2} is not 1 within {NORM_ATOL}")
         object.__setattr__(self, "amps", amps)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Amplitudes as a read-only (dim, 1) coefficient matrix."""
+        return self.amps.reshape(self.dim, 1)
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "PureState":
@@ -172,17 +178,16 @@ class SchmidtDecomposition:
             object.__setattr__(self, name, arr)
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray, dim_cap: int = KRON_DIM_CAP) -> np.ndarray:
-    """Kronecker product with a guard against runaway dimensions."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("tensor_product expects matrices")
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > dim_cap or cols > dim_cap:
-        raise ValueError(f"product dimension {rows}x{cols} exceeds cap {dim_cap}")
-    return np.kron(a, b)
+def rebuild(like, coeffs: np.ndarray):
+    """A state of the same type as ``like`` with coefficient matrix ``coeffs``.
+
+    ``coeffs`` must be a freshly built unit-norm (N, R) array; it is frozen
+    and used without revalidation.
+    """
+    amps = coeffs.ravel()
+    if isinstance(like, PureState):
+        return PureState._trusted(len(amps), amps)
+    return BipartitePureState._trusted(coeffs.shape[0], coeffs.shape[1], amps)
 
 
 def partial_trace(state, over: str = "aux", dims: tuple[int, int] | None = None) -> DensityMatrix:

@@ -14,6 +14,9 @@ drawn uniformly among the other N-1.  Each subset is reached once per
 contained pivot, so its total probability is (1/norm_const) * sum of its
 weights, the Born probability of the corresponding element.  A brute-force
 enumeration test discharges this equivalence.
+
+Pure inputs of either type are cut by one kernel acting on their (N, R)
+coefficient matrix; density matrices have the one separate path.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import BipartitePureState, DensityMatrix, PureState
+from .linalg import BipartitePureState, DensityMatrix, PureState, rebuild
 
 ENUMERATION_CAP = 10**6
-_FIDELITY_IDENTITY_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -38,10 +40,10 @@ class SubsetIndex:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(idx) == 0:
+        idx = tuple(map(int, self.indices))
+        if not idx:
             raise ValueError("subset must be nonempty")
-        if idx[0] < 0 or any(b <= a for a, b in zip(idx, idx[1:])):
+        if idx[0] < 0 or list(idx) != sorted(set(idx)):
             raise ValueError("indices must be nonnegative and strictly increasing")
         object.__setattr__(self, "indices", idx)
 
@@ -89,19 +91,15 @@ def _validate_subset(povm: CutPovm, subset: SubsetIndex) -> np.ndarray:
     return np.asarray(subset.indices, dtype=np.intp)
 
 
-def _weights(state) -> np.ndarray:
+def _weights(povm: CutPovm, state) -> np.ndarray:
     """Per-basis-index weights: the diagonal of the state in the cut basis."""
-    if isinstance(state, PureState):
-        return np.abs(state.amps) ** 2
-    if isinstance(state, BipartitePureState):
-        return np.sum(np.abs(state.matrix) ** 2, axis=1)
     if isinstance(state, DensityMatrix):
-        return np.clip(np.real(np.diagonal(state.entries)), 0.0, None)
-    raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
-def _system_dim(state) -> int:
-    return state.dim_sys if isinstance(state, BipartitePureState) else state.dim
+        w = np.clip(np.real(np.diagonal(state.entries)), 0.0, None)
+    else:
+        w = (np.abs(state.matrix) ** 2).sum(axis=1)
+    if len(w) != povm.n:
+        raise ValueError(f"state dimension {len(w)} != povm n={povm.n}")
+    return w
 
 
 def element_matrix(povm: CutPovm, subset: SubsetIndex) -> np.ndarray:
@@ -126,54 +124,43 @@ def outcome_probability(povm: CutPovm, subset: SubsetIndex, state) -> float:
 
     Accepts pure, bipartite (system marginal) and density-matrix inputs.
     """
-    if _system_dim(state) != povm.n:
-        raise ValueError(f"state dimension {_system_dim(state)} != povm n={povm.n}")
-    idx = _validate_subset(povm, subset)
-    return float(_weights(state)[idx].sum() / povm.norm_const)
+    weights = _weights(povm, state)
+    return float(weights[_validate_subset(povm, subset)].sum() / povm.norm_const)
 
 
-def project_pure(povm: CutPovm, subset: SubsetIndex, state: PureState) -> tuple[PureState, float]:
-    """Renormalized projection onto the subset, with its single-shot fidelity.
+def _project(povm: CutPovm, subset: SubsetIndex, state):
+    """Renormalized projection of the system rows onto the subset.
 
-    The fidelity is the squared overlap between input and projected state,
-    computed from the vectors themselves; it must reproduce
-    norm_const * probability, which tests assert.
+    Returns the post-measurement state, of the input's type, and the
+    single-shot fidelity: the squared overlap between input and projected
+    state, computed from the coefficient matrices themselves.
     """
-    if state.dim != povm.n:
-        raise ValueError(f"state dimension {state.dim} != povm n={povm.n}")
+    c = state.matrix
+    if c.shape[0] != povm.n:
+        raise ValueError(f"system dimension {c.shape[0]} != povm n={povm.n}")
     idx = _validate_subset(povm, subset)
     if povm.m == povm.n:
         # The single full subset scales the state by a positive constant.
         return state, 1.0
-    kept = state.amps[idx]
-    kept_weight = float(np.sum(np.abs(kept) ** 2))
+    kept = c[idx]
+    kept_weight = float((np.abs(kept) ** 2).sum())
     if kept_weight <= 0.0:
         raise ValueError(f"outcome {subset.indices} has zero probability")
-    post_amps = np.zeros(povm.n, dtype=complex)
-    post_amps[idx] = kept / math.sqrt(kept_weight)
-    post = PureState._trusted(povm.n, post_amps)
-    fidelity = abs(np.vdot(state.amps, post.amps)) ** 2
-    return post, float(fidelity)
+    post = np.zeros(c.shape, dtype=complex)
+    post[idx] = kept / math.sqrt(kept_weight)
+    return rebuild(state, post), float(abs(np.vdot(c, post)) ** 2)
+
+
+def project_pure(povm: CutPovm, subset: SubsetIndex, state: PureState) -> tuple[PureState, float]:
+    """Cut a pure state: the R = 1 case of the projection kernel."""
+    return _project(povm, subset, state)
 
 
 def project_bipartite(
     povm: CutPovm, subset: SubsetIndex, state: BipartitePureState
 ) -> tuple[BipartitePureState, float]:
-    """Project the system half onto the subset, leaving the auxiliary alone."""
-    if state.dim_sys != povm.n:
-        raise ValueError(f"system dimension {state.dim_sys} != povm n={povm.n}")
-    idx = _validate_subset(povm, subset)
-    if povm.m == povm.n:
-        return state, 1.0
-    c = state.matrix
-    kept_weight = float(np.sum(np.abs(c[idx, :]) ** 2))
-    if kept_weight <= 0.0:
-        raise ValueError(f"outcome {subset.indices} has zero probability")
-    post_c = np.zeros_like(c)
-    post_c[idx, :] = c[idx, :] / math.sqrt(kept_weight)
-    post = BipartitePureState._trusted(state.dim_sys, state.dim_aux, post_c.ravel())
-    fidelity = abs(np.vdot(state.amps, post.amps)) ** 2
-    return post, float(fidelity)
+    """Cut the system half of an entangled state, leaving the auxiliary alone."""
+    return _project(povm, subset, state)
 
 
 def apply_cut_density(
@@ -206,46 +193,38 @@ def sample_outcome(povm: CutPovm, state, rng: np.random.Generator) -> Measuremen
     smallest).  Runs in O(N) per draw for any subset count.
     """
     n, m = povm.n, povm.m
-    if _system_dim(state) != n:
-        raise ValueError(f"state dimension {_system_dim(state)} != povm n={n}")
+    w = _weights(povm, state)
     if m == n:
-        subset = SubsetIndex(tuple(range(n)))
-        probability = outcome_probability(povm, subset, state)
+        chosen = np.arange(n)
     else:
-        w = _weights(state)
         total = float(w.sum())
         if total <= 0.0:
             raise ValueError("state has no weight to measure")
-        edges = np.cumsum(w)
-        pivot = int(np.searchsorted(edges, rng.random() * total, side="right"))
-        pivot = min(pivot, n - 1)
+        pivot = int(np.searchsorted(np.cumsum(w), rng.random() * total, side="right"))
         keys = rng.random(n)
-        keys[pivot] = -1.0
+        keys[min(pivot, n - 1)] = -1.0
         chosen = np.sort(np.argpartition(keys, m - 1)[:m])
-        subset = SubsetIndex(tuple(int(i) for i in chosen))
-        probability = float(w[chosen].sum()) / povm.norm_const
-    if isinstance(state, PureState):
-        post, fidelity = project_pure(povm, subset, state)
-    elif isinstance(state, BipartitePureState):
-        post, fidelity = project_bipartite(povm, subset, state)
-    else:
+    subset = SubsetIndex(chosen.tolist())
+    probability = float(w[chosen].sum()) / povm.norm_const
+    if isinstance(state, DensityMatrix):
         post, probability = apply_cut_density(povm, subset, state)
         fidelity = min(povm.norm_const * probability, 1.0)
-    if abs(fidelity - povm.norm_const * probability) > _FIDELITY_IDENTITY_ATOL:
-        raise AssertionError("shot fidelity violates norm_const * probability")
+    elif isinstance(state, PureState):
+        post, fidelity = project_pure(povm, subset, state)
+    else:
+        post, fidelity = project_bipartite(povm, subset, state)
     return MeasurementOutcome(subset, probability, post, fidelity)
 
 
-def _max_completeness_deviation(n: int, m: int, norm, cap: int):
-    counts = [0] * n
+def _max_completeness_deviation(n: int, m: int, cap: int) -> Fraction:
     if math.comb(n, m) > cap:
         raise ValueError(f"{math.comb(n, m)} subsets exceed the enumeration cap {cap}")
+    counts = [0] * n
     for combo in itertools.combinations(range(n), m):
         for j in combo:
             counts[j] += 1
-    if isinstance(norm, int):
-        return max(abs(Fraction(c, norm) - 1) for c in counts)
-    return max(abs(c / norm - 1.0) for c in counts)
+    norm = math.comb(n - 1, m - 1)
+    return max(abs(Fraction(c, norm) - 1) for c in counts)
 
 
 def completeness_check(povm: CutPovm, cap: int = ENUMERATION_CAP) -> float:
@@ -254,4 +233,4 @@ def completeness_check(povm: CutPovm, cap: int = ENUMERATION_CAP) -> float:
     The sum is diagonal, so the deviation is the worst diagonal entry,
     computed in exact rational arithmetic over an explicit enumeration.
     """
-    return float(_max_completeness_deviation(povm.n, povm.m, povm.norm_const, cap))
+    return float(_max_completeness_deviation(povm.n, povm.m, cap))

@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+
+def check_seed(seed: int) -> int:
+    """Reject seeds outside [0, 2**64), which would alias other seeds."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} outside [0, 2**64)")
+    return seed
 
 
 def stream(seed: int, shard: int = 0) -> np.random.Generator:
     """Return an independent generator for the given seed and shard index."""
     if shard < 0:
         raise ValueError("shard index must be nonnegative")
-    key = np.array([seed & _MASK64, shard & _MASK64], dtype=np.uint64)
+    key = np.array([check_seed(seed), shard], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -19,11 +19,8 @@ from qcut.experiments import (
     exact_entangled_via_moments,
     exact_pure_via_moments,
     horodecki_bound,
-    mc_entangled,
-    mc_mixed,
-    mc_pure,
-    mc_state_estimation,
     relation_check,
+    run_experiment,
 )
 from qcut.fidelity import bures_fidelity, overlap_fidelity, uhlmann_fidelity
 from qcut.haar import MomentSpec, exact_moment, sample_state, sample_states, sample_states_gaussian
@@ -41,7 +38,7 @@ def report(criterion, ok, detail):
 
 def test_criterion_1_pure_state_fidelity():
     start = time.perf_counter()
-    est = mc_pure(ExperimentConfig(n=3, m=2, mode="pure", samples=SAMPLES, seed=1001))
+    est = run_experiment(ExperimentConfig(n=3, m=2, mode="pure", samples=SAMPLES, seed=1001))
     elapsed = time.perf_counter() - start
     ok = (
         abs(est.mean - 0.75) < 3 * est.stderr
@@ -50,7 +47,7 @@ def test_criterion_1_pure_state_fidelity():
     )
     details = [f"(3,2): mean={est.mean:.5f} stderr={est.stderr:.1e} time={elapsed:.1f}s"]
     for n, m in [(2, 1), (4, 2), (5, 3)]:
-        est = mc_pure(ExperimentConfig(n=n, m=m, mode="pure", samples=SAMPLES, seed=1001 + n))
+        est = run_experiment(ExperimentConfig(n=n, m=m, mode="pure", samples=SAMPLES, seed=1001 + n))
         ok = ok and abs(est.mean - analytic_pure(n, m)) < 3 * est.stderr
         details.append(f"({n},{m}): z={est.z_score:+.2f}")
     report(1, ok, "pure-state fidelity (M+1)/(N+1); " + " ".join(details))
@@ -60,7 +57,7 @@ def test_criterion_2_entangled_fidelity():
     details = []
     ok = True
     for n, m, r, target in [(3, 2, 2, 5 / 7), (4, 2, 3, 7 / 13)]:
-        est = mc_entangled(
+        est = run_experiment(
             ExperimentConfig(n=n, m=m, r=r, mode="entangled", samples=SAMPLES, seed=1010 + n)
         )
         ok = ok and abs(est.mean - target) < 3 * est.stderr
@@ -69,9 +66,9 @@ def test_criterion_2_entangled_fidelity():
 
 
 def test_criterion_3_mixed_state_fidelity():
-    est = mc_mixed(ExperimentConfig(n=2, m=1, r=2, mode="mixed", samples=SAMPLES, seed=1020))
+    est = run_experiment(ExperimentConfig(n=2, m=1, r=2, mode="mixed", samples=SAMPLES, seed=1020))
     ok = abs(est.mean - 3 / 5) < 3 * est.stderr
-    verify = mc_mixed(
+    verify = run_experiment(
         ExperimentConfig(n=3, m=2, r=2, mode="mixed", samples=1_000, seed=1021),
         verify_bures=True,
     )
@@ -88,7 +85,7 @@ def test_criterion_4_state_estimation_bound():
     details = []
     ok = True
     for n, m, target in [(2, 1, 2 / 3), (4, 2, 0.3)]:
-        est = mc_state_estimation(
+        est = run_experiment(
             ExperimentConfig(n=n, m=m, mode="state_estimation", samples=SAMPLES, seed=1030 + n)
         )
         ok = ok and abs(est.mean - target) < 3 * est.stderr
@@ -250,11 +247,11 @@ def test_criterion_9_lossless_channel():
 
 def test_criterion_10_determinism():
     config = ExperimentConfig(n=3, m=2, r=2, mode="entangled", samples=20_000, seed=1080)
-    first = mc_entangled(config, threads=2)
-    second = mc_entangled(config, threads=2)
+    first = run_experiment(config, threads=2)
+    second = run_experiment(config, threads=2)
     bitwise = first == second
     spread = max(
-        abs(mc_entangled(config, threads=t).mean - first.mean) for t in (1, 4, 8)
+        abs(run_experiment(config, threads=t).mean - first.mean) for t in (1, 4, 8)
     )
     ok = bitwise and spread < 1e-13
     report(

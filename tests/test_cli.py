@@ -4,12 +4,18 @@ import time
 
 import pytest
 
+import qcut.cli
+from qcut import experiments
 from qcut.cli import main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def reject_constant(token):
+    raise ValueError(f"non-finite number {token} in report")
 
 
 def parse_kv(text):
@@ -101,6 +107,18 @@ class TestEstimate:
         )
         assert json.loads(out)["config"]["seed"] == 99
 
+    def test_undefined_z_score_is_null_in_valid_json(self, capsys):
+        # One sample: zero stderr with the mean off the target.
+        code, out = run_cli(
+            capsys,
+            "estimate", "--n", "3", "--m", "2", "--mode", "pure",
+            "--samples", "1", "--seed", "4",
+        )
+        record = json.loads(out, parse_constant=reject_constant)
+        assert code == 1
+        assert record["estimate"]["stderr"] == 0.0
+        assert record["z_score"] is None
+
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["estimate", "--n", "3", "--m", "2", "--mode", "bogus", "--samples", "10"])
@@ -108,6 +126,54 @@ class TestEstimate:
         with pytest.raises(SystemExit) as err:
             main(["bogus-command"])
         assert err.value.code == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--n", "2", "--m", "3", "--mode", "pure", "--samples", "10"],
+            ["estimate", "--n", "3", "--m", "2", "--mode", "pure", "--samples", "10", "--shards", "0"],
+            ["estimate", "--n", "3", "--m", "2", "--mode", "pure", "--samples", "0"],
+            ["estimate", "--n", "3", "--m", "2", "--r", "0", "--mode", "entangled", "--samples", "10"],
+            ["estimate", "--n", "3", "--m", "2", "--r", "3", "--mode", "pure", "--samples", "10"],
+            ["estimate", "--n", "3", "--m", "2", "--r", "2", "--mode", "state-estimation", "--samples", "10"],
+            ["estimate", "--n", "3", "--m", "2", "--mode", "pure", "--samples", "10", "--seed", "-1"],
+            ["estimate", "--n", "3", "--m", "2", "--mode", "pure", "--samples", "10", "--seed", str(2**64)],
+            ["estimate", "--n", "3", "--m", "2", "--mode", "pure", "--samples", "10", "--threads", "0"],
+            ["teleport-demo", "--n", "2", "--m", "3", "--seed", "1"],
+            ["teleport-demo", "--n", "3", "--m", "2", "--seed", "-1"],
+            ["verify", "--max-n", "0"],
+            ["verify", "--max-r", "0"],
+            ["table", "--n-max", "3", "--r", "0"],
+        ],
+        ids=[
+            "m-above-n", "no-shards", "no-samples", "r-zero", "r-in-pure", "r-in-state-estimation",
+            "negative-seed", "seed-2**64", "no-threads", "teleport-m-above-n",
+            "teleport-negative-seed", "verify-max-n-0", "verify-max-r-0", "table-r-zero",
+        ],
+    )
+    def test_invalid_input_is_a_one_line_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines()[-1].startswith("qcut: error: ")
+
+    def test_invalid_seed_environment_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QCUT_SEED", "seven")
+        with pytest.raises(SystemExit) as err:
+            main(["estimate", "--n", "3", "--m", "2", "--mode", "pure", "--samples", "10"])
+        assert err.value.code == 2
+
+    def test_errors_after_validation_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("estimator failure")
+
+        monkeypatch.setattr(experiments, "run_experiment", broken)
+        with pytest.raises(ValueError, match="estimator failure"):
+            main(["estimate", "--n", "3", "--m", "2", "--mode", "pure", "--samples", "10"])
 
 
 class TestVerify:
@@ -129,10 +195,13 @@ class TestVerify:
         assert code == 0
         assert time.perf_counter() - start < 1.0
 
-    def test_perturbed_normalization_fails(self, capsys):
-        code, out = run_cli(capsys, "verify", "--max-n", "4", "--perturb-norm", "0.5")
+    def test_perturbed_normalization_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(qcut.cli, "_max_completeness_deviation", lambda *args, **kwargs: 0.5)
+        code, out = run_cli(capsys, "verify", "--max-n", "4")
         assert code == 1
-        assert "FAIL" in out
+        completeness = [line for line in out.splitlines() if line.startswith("completeness")]
+        assert len(completeness) == 1 and "FAIL at" in completeness[0]
+        assert out.strip().splitlines()[-1] == "verify: FAIL"
 
 
 class TestTable:

@@ -13,10 +13,6 @@ from qcut.experiments import (
     exact_entangled_via_moments,
     exact_pure_via_moments,
     horodecki_bound,
-    mc_entangled,
-    mc_mixed,
-    mc_pure,
-    mc_state_estimation,
     relation_check,
     run_experiment,
 )
@@ -131,46 +127,46 @@ class TestMomentDerivations:
 
 class TestMonteCarlo:
     def test_pure_converges(self):
-        est = mc_pure(ExperimentConfig(n=3, m=2, mode="pure", samples=20_000, seed=801))
+        est = run_experiment(ExperimentConfig(n=3, m=2, mode="pure", samples=20_000, seed=801))
         assert within_sigma(est)
         assert est.stderr < 5e-3
 
     def test_pure_trivial_cut_is_exact(self):
-        est = mc_pure(ExperimentConfig(n=4, m=4, mode="pure", samples=500, seed=802))
+        est = run_experiment(ExperimentConfig(n=4, m=4, mode="pure", samples=500, seed=802))
         assert est.mean == 1.0
         assert est.stderr == 0.0
         assert est.z_score == 0.0
 
     def test_pure_single_level(self):
-        est = mc_pure(ExperimentConfig(n=5, m=1, mode="pure", samples=20_000, seed=803))
+        est = run_experiment(ExperimentConfig(n=5, m=1, mode="pure", samples=20_000, seed=803))
         assert est.analytic_target == pytest.approx(1 / 3)
         assert within_sigma(est)
 
     def test_entangled_converges(self):
-        est = mc_entangled(
+        est = run_experiment(
             ExperimentConfig(n=3, m=2, r=2, mode="entangled", samples=20_000, seed=804)
         )
         assert est.analytic_target == pytest.approx(5 / 7)
         assert within_sigma(est)
 
     def test_entangled_equal_dims_is_exact(self):
-        est = mc_entangled(
+        est = run_experiment(
             ExperimentConfig(n=2, m=2, r=5, mode="entangled", samples=300, seed=805)
         )
         assert est.mean == 1.0
         assert est.stderr == 0.0
 
     def test_mixed_converges(self):
-        est = mc_mixed(ExperimentConfig(n=2, m=1, r=2, mode="mixed", samples=20_000, seed=806))
+        est = run_experiment(ExperimentConfig(n=2, m=1, r=2, mode="mixed", samples=20_000, seed=806))
         assert est.analytic_target == pytest.approx(3 / 5)
         assert within_sigma(est)
 
     def test_mixed_equal_dims_is_exact(self):
-        est = mc_mixed(ExperimentConfig(n=3, m=3, r=2, mode="mixed", samples=300, seed=807))
+        est = run_experiment(ExperimentConfig(n=3, m=3, r=2, mode="mixed", samples=300, seed=807))
         assert est.mean == 1.0
 
     def test_mixed_bures_verification(self):
-        est = mc_mixed(
+        est = run_experiment(
             ExperimentConfig(n=3, m=2, r=2, mode="mixed", samples=1_000, seed=808),
             verify_bures=True,
         )
@@ -178,18 +174,26 @@ class TestMonteCarlo:
         assert est.bures_max_deviation < 1e-8
 
     def test_state_estimation_converges(self):
-        est = mc_state_estimation(
+        est = run_experiment(
             ExperimentConfig(n=2, m=1, mode="state_estimation", samples=20_000, seed=809)
         )
         assert est.analytic_target == pytest.approx(2 / 3)
         assert within_sigma(est)
 
     def test_guess_choice_is_symmetric(self):
-        config = ExperimentConfig(n=4, m=2, mode="state_estimation", samples=20_000, seed=810)
-        low = mc_state_estimation(config)
-        high = mc_state_estimation(config, guess="largest")
-        combined = math.hypot(low.stderr, high.stderr)
-        assert abs(low.mean - high.mean) < 3 * combined
+        # The estimator guesses the smallest subset index; isotropy makes
+        # the largest one equivalent.
+        rng = stream(810)
+        povm = CutPovm(4, 2)
+        low, high = [], []
+        for _ in range(20_000):
+            state = sample_state(4, rng)
+            indices = sample_outcome(povm, state, rng).subset.indices
+            low.append(abs(state.amps[indices[0]]) ** 2)
+            high.append(abs(state.amps[indices[-1]]) ** 2)
+        combined = math.hypot(*(np.std(g, ddof=1) / math.sqrt(len(g)) for g in (low, high)))
+        assert abs(np.mean(low) - np.mean(high)) < 3 * combined
+        assert abs(np.mean(low) - analytic_state_estimation(4, 2)) < 5 * combined
 
     def test_dispatch_by_mode(self):
         est = run_experiment(ExperimentConfig(n=2, m=1, mode="pure", samples=2_000, seed=811))
@@ -199,22 +203,22 @@ class TestMonteCarlo:
 class TestEstimatorContracts:
     def test_fixed_seed_and_shards_reproduce_bitwise(self):
         config = ExperimentConfig(n=3, m=2, mode="pure", samples=5_000, seed=812)
-        assert mc_pure(config) == mc_pure(config)
+        assert run_experiment(config) == run_experiment(config)
 
     def test_thread_count_does_not_change_the_estimate(self):
         config = ExperimentConfig(n=3, m=2, r=2, mode="entangled", samples=5_000, seed=813)
-        single = mc_entangled(config, threads=1)
+        single = run_experiment(config, threads=1)
         for threads in (2, 4, 8):
-            assert mc_entangled(config, threads=threads) == single
+            assert run_experiment(config, threads=threads) == single
 
     def test_different_shard_count_changes_the_stream(self):
         base = ExperimentConfig(n=3, m=2, mode="pure", samples=5_000, seed=814, shards=16)
         other = ExperimentConfig(n=3, m=2, mode="pure", samples=5_000, seed=814, shards=8)
-        assert mc_pure(base).mean != mc_pure(other).mean
+        assert run_experiment(base).mean != run_experiment(other).mean
 
     def test_stderr_scales_as_inverse_root_samples(self):
-        small = mc_pure(ExperimentConfig(n=3, m=2, mode="pure", samples=10_000, seed=815))
-        large = mc_pure(ExperimentConfig(n=3, m=2, mode="pure", samples=40_000, seed=815))
+        small = run_experiment(ExperimentConfig(n=3, m=2, mode="pure", samples=10_000, seed=815))
+        large = run_experiment(ExperimentConfig(n=3, m=2, mode="pure", samples=40_000, seed=815))
         ratio = small.stderr / large.stderr
         assert 1.8 < ratio < 2.2
 
@@ -238,11 +242,37 @@ class TestEstimatorContracts:
             ExperimentConfig(n=3, m=2, mode="pure", samples=0, seed=0)
         with pytest.raises(ValueError, match="1 <= m <= n"):
             ExperimentConfig(n=2, m=3, mode="pure", samples=10, seed=0)
-        with pytest.raises(ValueError, match="mode"):
-            mc_pure(ExperimentConfig(n=3, m=2, mode="mixed", samples=10, seed=0))
+
+    @pytest.mark.parametrize("mode", ["pure", "state_estimation"])
+    def test_modes_without_auxiliary_reject_r(self, mode):
+        with pytest.raises(ValueError, match="r = 1"):
+            ExperimentConfig(n=3, m=2, r=3, mode=mode, samples=10, seed=0)
+        for r in (1, 3):
+            ExperimentConfig(n=3, m=2, r=r, mode="entangled", samples=10, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_is_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            stream(seed)
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(n=3, m=2, mode="pure", samples=10, seed=seed)
+        stream(2**64 - 1)
+
+    def test_pure_mode_is_entangled_mode_at_r_one(self):
+        pure = run_experiment(ExperimentConfig(n=3, m=2, mode="pure", samples=2_000, seed=818))
+        entangled = run_experiment(
+            ExperimentConfig(n=3, m=2, r=1, mode="entangled", samples=2_000, seed=818)
+        )
+        assert pure == entangled
+
+    def test_zero_stderr_off_target_has_no_z_score(self):
+        est = run_experiment(ExperimentConfig(n=3, m=2, mode="pure", samples=1, seed=819))
+        assert est.stderr == 0.0
+        assert est.mean != est.analytic_target
+        assert est.z_score is None
 
     def test_estimate_fields(self):
-        est = mc_pure(ExperimentConfig(n=3, m=2, mode="pure", samples=4_000, seed=817))
+        est = run_experiment(ExperimentConfig(n=3, m=2, mode="pure", samples=4_000, seed=817))
         assert est.samples == 4_000
         assert est.seed == 817
         assert est.stderr >= 0.0

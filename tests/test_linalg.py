@@ -8,8 +8,8 @@ from qcut.linalg import (
     eigh,
     matrix_sqrt,
     partial_trace,
+    rebuild,
     schmidt_decompose,
-    tensor_product,
 )
 from qcut.haar import sample_states
 from qcut.rng import stream
@@ -43,6 +43,25 @@ class TestStateTypes:
         assert state.amps[1 * 3 + 2] == 1.0
         np.testing.assert_array_equal(state.matrix, c)
 
+    def test_pure_state_is_the_single_column_case(self):
+        state = PureState.basis_state(3, 1)
+        assert state.matrix.shape == (3, 1)
+        np.testing.assert_array_equal(state.matrix[:, 0], state.amps)
+        with pytest.raises(ValueError):
+            state.matrix[0, 0] = 1.0
+
+    def test_rebuild_preserves_the_state_type(self):
+        c = np.zeros((2, 3), dtype=complex)
+        c[0, 1] = 1.0
+        bipartite = rebuild(BipartitePureState(2, 3, c.ravel()), c[:, ::-1].copy())
+        assert isinstance(bipartite, BipartitePureState)
+        assert (bipartite.dim_sys, bipartite.dim_aux) == (2, 3)
+        pure = rebuild(PureState.basis_state(2, 0), np.array([[0.0], [1.0]], dtype=complex))
+        assert isinstance(pure, PureState)
+        np.testing.assert_array_equal(pure.amps, [0.0, 1.0])
+        with pytest.raises(ValueError):
+            pure.amps[0] = 1.0
+
     def test_density_matrix_rejects_nonhermitian(self):
         mat = np.array([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(ValueError, match="Hermitian"):
@@ -64,28 +83,6 @@ class TestStateTypes:
             assert abs(np.trace(rho.entries) - 1.0) < 1e-10
             assert np.max(np.abs(rho.entries - rho.entries.conj().T)) < 1e-10
             assert np.linalg.eigvalsh(rho.entries)[0] >= -1e-10
-
-
-class TestTensorProduct:
-    def test_identity_times_identity(self):
-        np.testing.assert_array_equal(tensor_product(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_projector_block_structure(self):
-        proj = np.diag([1.0, 0.0]).astype(complex)
-        np.testing.assert_array_equal(tensor_product(proj, np.eye(2)), np.diag([1.0, 1.0, 0.0, 0.0]))
-
-    def test_spectrum_is_product_of_spectra(self):
-        # Oracle: eigenvalues of A (x) B are all pairwise products.
-        rng = stream(302)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        products = np.array([x * y for x in np.linalg.eigvals(a) for y in np.linalg.eigvals(b)])
-        got = np.linalg.eigvals(tensor_product(a, b))
-        np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(products), atol=1e-10)
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            tensor_product(np.eye(2), np.eye(3), dim_cap=4)
 
 
 class TestPartialTrace:

@@ -115,10 +115,25 @@ class TestProjection:
         for _ in range(100):
             n = int(rng.integers(2, 9))
             m = int(rng.integers(1, n + 1))
+            r = int(rng.integers(2, 5))
             povm = CutPovm(n, m)
-            state = sample_state(n, rng)
-            outcome = sample_outcome(povm, state, rng)
-            assert abs(outcome.shot_fidelity - povm.norm_const * outcome.probability) < 1e-12
+            entangled = BipartitePureState(n, r, sample_states(n * r, 1, rng)[0])
+            inputs = (sample_state(n, rng), entangled, partial_trace(entangled, over="aux"))
+            for state in inputs:
+                outcome = sample_outcome(povm, state, rng)
+                assert abs(outcome.shot_fidelity - povm.norm_const * outcome.probability) < 1e-12
+
+    def test_pure_cut_is_the_single_column_bipartite_cut(self):
+        rng = stream(510)
+        for n, m in [(3, 2), (16, 4), (64, 8)]:
+            povm = CutPovm(n, m)
+            amps = sample_states(n, 1, rng)[0]
+            subset = SubsetIndex(tuple(range(0, 2 * m, 2)) if 2 * m <= n else tuple(range(m)))
+            post, fid = project_pure(povm, subset, PureState(n, amps))
+            post_c, fid_c = project_bipartite(povm, subset, BipartitePureState(n, 1, amps))
+            assert isinstance(post, PureState) and isinstance(post_c, BipartitePureState)
+            assert fid == fid_c
+            np.testing.assert_array_equal(post.amps, post_c.amps)
 
     def test_impossible_outcome_rejected(self):
         povm = CutPovm(3, 2)
