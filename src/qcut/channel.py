@@ -1,20 +1,23 @@
 """Perfect qudit teleportation and the cut-then-teleport protocol.
 
-The channel is the maximally entangled M x M resource state.  Alice
-projects her input qudit together with her half of the channel onto the
-generalized Bell basis built from shift/phase (Weyl) operators, sends the
-two outcome labels classically, and Bob applies the matching Weyl
-correction.  Teleportation itself is lossless for every outcome; the only
-approximation in the full protocol is the dimension cut in front of it.
-Storage is the same protocol with the teleport step skipped, so it gets no
-separate code path.
+The channel is the canonical maximally entangled M x M resource state
+sum_i |i, i>/sqrt(M).  Alice projects her input qudit together with her
+half of the channel onto the generalized Bell basis built from shift/phase
+(Weyl) operators, sends the two outcome labels classically, and Bob applies
+the matching Weyl correction.  For this resource the Bell measurement has a
+closed form: every outcome (a, b) has probability exactly 1/M^2 and leaves
+Bob the block omega^(-b I) c[(I + a) mod M, k] of the input's coefficient
+matrix c, with omega = exp(2 pi i / M), so a teleport costs O(M^2 R).
+Teleportation itself is lossless for every outcome; the only approximation
+in the full protocol is the dimension cut in front of it.  Storage is the
+same protocol with the teleport step skipped, so it gets no separate code
+path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,19 +28,19 @@ from .povm import CutPovm, MeasurementOutcome, sample_outcome
 
 @dataclass(frozen=True, eq=False)
 class ChannelState:
-    """Maximally entangled resource state shared by Alice and Bob."""
+    """The canonical maximally entangled M x M resource shared by Alice and Bob."""
 
     m: int
-    joint: BipartitePureState
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("channel dimension must be positive")
-        if (self.joint.dim_sys, self.joint.dim_aux) != (self.m, self.m):
-            raise ValueError("joint state must live on m x m")
-        coeffs = np.linalg.svd(self.joint.matrix, compute_uv=False)
-        if float(np.max(np.abs(coeffs - 1.0 / math.sqrt(self.m)))) > 1e-12:
-            raise ValueError("channel state is not maximally entangled")
+
+    @property
+    def joint(self) -> BipartitePureState:
+        """The resource state (1/sqrt(M)) sum_i |i, i>."""
+        coeffs = np.eye(self.m, dtype=complex) / math.sqrt(self.m)
+        return BipartitePureState(self.m, self.m, coeffs.ravel())
 
 
 @dataclass(frozen=True)
@@ -64,10 +67,7 @@ class ProtocolRun:
 
 def make_channel(m: int) -> ChannelState:
     """Resource state (1/sqrt(M)) sum_i |i, i> on M x M."""
-    if m < 1:
-        raise ValueError("channel dimension must be positive")
-    coeffs = np.eye(m, dtype=complex) / math.sqrt(m)
-    return ChannelState(m, BipartitePureState(m, m, coeffs.ravel()))
+    return ChannelState(m)
 
 
 def weyl_operator(m: int, a: int, b: int) -> np.ndarray:
@@ -80,18 +80,6 @@ def weyl_operator(m: int, a: int, b: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=None)
-def _bell_tensor(m: int) -> np.ndarray:
-    """All M^2 generalized Bell vectors, indexed [a, b, alice, alice']."""
-    bell = np.zeros((m, m, m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            for i in range(m):
-                bell[a, b, (i + a) % m, i] = np.exp(2j * np.pi * b * i / m) / math.sqrt(m)
-    bell.setflags(write=False)
-    return bell
-
-
 def teleport(
     state,
     channel: ChannelState,
@@ -100,22 +88,16 @@ def teleport(
 ) -> tuple[ClassicalMessage, PureState | BipartitePureState]:
     """Teleport an M-dimensional (possibly entangled) state through the channel.
 
-    Alice's two qudits are projected onto each of the M^2 Bell vectors; the
-    outcome is drawn from the resulting probabilities (uniform 1/M^2) unless
-    ``force_outcome`` pins it, and Bob applies the Weyl correction.  The
-    returned state equals the input up to floating-point round-off for
-    every outcome.
+    Every Bell outcome (a, b) has probability 1/M^2, so one uniform draw
+    picks it unless ``force_outcome`` pins it.  Bob's block for that outcome
+    is omega^(-b I) c[(I + a) mod M, k] with omega = exp(2 pi i / M), and he
+    applies the Weyl correction W_ab.  The returned state equals the input
+    up to floating-point round-off for every outcome.
     """
     m = channel.m
     c = state.matrix
     if c.shape[0] != m:
         raise ValueError(f"input system dimension {c.shape[0]} != channel m={m}")
-
-    # Joint amplitudes over (alice_in, aux, alice_half, bob_half), then
-    # projection of the two Alice slots onto every Bell vector at once.
-    joint = np.einsum("jk,iI->jkiI", c, channel.joint.matrix)
-    projected = np.einsum("abji,jkiI->abIk", _bell_tensor(m).conj(), joint)
-    probs = np.sum(np.abs(projected) ** 2, axis=(2, 3))
 
     if force_outcome is not None:
         a, b = force_outcome
@@ -124,11 +106,10 @@ def teleport(
     else:
         if rng is None:
             raise ValueError("need an rng unless the outcome is forced")
-        flat = np.cumsum(probs.ravel())
-        pick = int(np.searchsorted(flat, rng.random() * flat[-1], side="right"))
-        a, b = divmod(min(pick, m * m - 1), m)
+        a, b = divmod(min(int(rng.random() * m * m), m * m - 1), m)
 
-    bob = projected[a, b] / math.sqrt(probs[a, b])
+    phases = np.exp(-2j * np.pi * b * np.arange(m) / m)
+    bob = phases[:, None] * np.roll(c, -a, axis=0)
     corrected = weyl_operator(m, a, b) @ bob
     return ClassicalMessage(a, b), rebuild(state, corrected)
 

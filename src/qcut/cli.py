@@ -75,6 +75,8 @@ def cmd_estimate(args) -> int:
     )
     if args.threads < 1:
         raise _UsageError("need at least one thread")
+    if args.verify_bures and config.mode != "mixed":
+        raise _UsageError("--verify-bures needs --mode mixed")
     start = time.perf_counter()
     estimate = experiments.run_experiment(config, threads=args.threads, verify_bures=args.verify_bures)
     elapsed = time.perf_counter() - start
@@ -181,8 +183,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.r < 1:
-        raise _UsageError("auxiliary dimension must be >= 1")
+    if args.n_max < 1 or args.r < 1:
+        raise _UsageError("table needs --n-max >= 1 and --r >= 1")
     lines = ["n,m,r,fidelity"]
     for n in range(1, args.n_max + 1):
         for m in range(1, n + 1):

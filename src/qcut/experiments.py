@@ -12,8 +12,10 @@ All four scenarios run through one estimator, ``run_experiment``, driven
 by a mode table.  Every input is a Haar-random state on N x R (pure states
 are R = 1); estimator shards draw from independent RNG streams, per-shot
 fidelities go through the actual projection pipeline rather than the
-norm_const * p shortcut, and all reductions use exactly rounded summation
-so the result is independent of thread count and shard order.
+norm_const * p shortcut.  Each shard reports its exactly rounded sum and
+its centered sum of squares; the mean is the exactly rounded total and the
+variance merges the shards in shard order, so the result is independent of
+thread count.
 """
 
 from __future__ import annotations
@@ -249,24 +251,30 @@ def _shard(config: ExperimentConfig, count: int, shard: int, verify_bures: bool)
             rho = partial_trace(state, over="aux")
             rho_cut = partial_trace(outcome.post_state, over="aux")
             max_dev = max(max_dev, abs(fs[-1] - bures_fidelity(rho, rho_cut)))
-    return math.fsum(fs), math.fsum(f * f for f in fs), max_dev if verify_bures else None
+    total = math.fsum(fs)
+    shard_mean = total / count
+    centered_sq = math.fsum((f - shard_mean) ** 2 for f in fs)
+    return count, total, centered_sq, max_dev if verify_bures else None
 
 
 def _reduce(parts, config: ExperimentConfig, target: float) -> FidelityEstimate:
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
     count = config.samples
-    mean = total / count
-    if count > 1:
-        variance = max(0.0, (total_sq - count * mean * mean) / (count - 1))
-        stderr = math.sqrt(variance / count)
-    else:
-        stderr = 0.0
+    mean = math.fsum(p[1] for p in parts) / count
+    # Chan-Golub-LeVeque merge of the per-shard (count, mean, centered sum
+    # of squares), in shard order; total_sq - n*mean^2 would cancel.
+    merged_n, merged_mean, merged_sq = 0, 0.0, 0.0
+    for size, total, centered_sq, _ in parts:
+        delta = total / size - merged_mean
+        grown = merged_n + size
+        merged_mean += delta * size / grown
+        merged_sq += centered_sq + delta * delta * merged_n * size / grown
+        merged_n = grown
+    stderr = math.sqrt(merged_sq / (count - 1) / count) if count > 1 else 0.0
     if stderr > 0.0:
         z = (mean - target) / stderr
     else:
         z = 0.0 if mean == target else None
-    devs = [p[2] for p in parts if p[2] is not None]
+    devs = [p[3] for p in parts if p[3] is not None]
     return FidelityEstimate(
         mean=mean,
         stderr=stderr,
@@ -287,19 +295,21 @@ def run_experiment(
     fidelity, and the target (MR+1)/(NR+1); pure is R = 1.  Mixed inputs
     are the partial traces of the entangled ones: the purification maximum
     sits at the identity, so the per-shot fidelity is the entangled one.
-    With ``verify_bures`` (mixed mode only) every shot is recomputed
-    through the matrix square-root formula on the reduced states and the
-    worst disagreement is reported.  State estimation scores the weight of
-    one guessed basis state of the outcome against (1 + 1/M)/(N+1).
+    With ``verify_bures`` (mixed mode only; other modes raise ValueError)
+    every shot is recomputed through the matrix square-root formula on the
+    reduced states and the worst disagreement is reported.  State
+    estimation scores the weight of one guessed basis state of the outcome
+    against (1 + 1/M)/(N+1).
     """
+    if verify_bures and config.mode != "mixed":
+        raise ValueError("verify_bures needs mode mixed")
     target = _MODES[config.mode].target(config.n, config.m, config.r)
-    verify = verify_bures and config.mode == "mixed"
     sizes = _shard_sizes(config.samples, config.shards)
     shards = range(len(sizes))
     if threads <= 1:
-        parts = list(map(_shard, repeat(config), sizes, shards, repeat(verify)))
+        parts = list(map(_shard, repeat(config), sizes, shards, repeat(verify_bures)))
     else:
-        # map yields in shard order; fsum reductions make any order equivalent.
+        # map yields in shard order, the order the variance merge fixes.
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_shard, repeat(config), sizes, shards, repeat(verify)))
+            parts = list(pool.map(_shard, repeat(config), sizes, shards, repeat(verify_bures)))
     return _reduce(parts, config, target)

@@ -100,13 +100,6 @@ class BipartitePureState:
         return self.amps.reshape(self.dim_sys, self.dim_aux)
 
     @classmethod
-    def from_matrix(cls, coeffs) -> "BipartitePureState":
-        arr = np.asarray(coeffs, dtype=complex)
-        if arr.ndim != 2:
-            raise ValueError("coefficient matrix must be 2-dimensional")
-        return cls(arr.shape[0], arr.shape[1], arr.ravel())
-
-    @classmethod
     def _trusted(cls, dim_sys: int, dim_aux: int, amps: np.ndarray) -> "BipartitePureState":
         # Validation bypass for freshly built unit-norm arrays in hot loops.
         obj = object.__new__(cls)
@@ -193,25 +186,15 @@ def rebuild(like, coeffs: np.ndarray):
 def partial_trace(state, over: str = "aux", dims: tuple[int, int] | None = None) -> DensityMatrix:
     """Trace out one subsystem of a bipartite state.
 
-    ``state`` is either a BipartitePureState (dims taken from it) or a
+    ``state`` is either a pure state with an (N, R) coefficient matrix
+    (a ``PureState`` is the R = 1 case; dims are taken from it) or a
     DensityMatrix on the composite space, in which case ``dims`` must give
     the (system, auxiliary) factorization.  ``over`` names the subsystem
     that is traced out.
     """
     if over not in ("sys", "aux"):
         raise ValueError("over must be 'sys' or 'aux'")
-    if isinstance(state, BipartitePureState):
-        n, r = state.dim_sys, state.dim_aux
-        if dims is not None and tuple(dims) != (n, r):
-            raise ValueError(f"dims {dims} inconsistent with state dims {(n, r)}")
-        c = state.matrix
-        if over == "aux":
-            reduced = c @ c.conj().T
-            kept = n
-        else:
-            reduced = c.T @ c.conj()
-            kept = r
-    elif isinstance(state, DensityMatrix):
+    if isinstance(state, DensityMatrix):
         if dims is None:
             raise ValueError("dims=(n_sys, n_aux) required for a DensityMatrix input")
         n, r = dims
@@ -225,7 +208,16 @@ def partial_trace(state, over: str = "aux", dims: tuple[int, int] | None = None)
             reduced = np.einsum("jkjl->kl", rho4)
             kept = r
     else:
-        raise TypeError("partial_trace expects a BipartitePureState or DensityMatrix")
+        c = state.matrix
+        n, r = c.shape
+        if dims is not None and tuple(dims) != (n, r):
+            raise ValueError(f"dims {dims} inconsistent with state dims {(n, r)}")
+        if over == "aux":
+            reduced = c @ c.conj().T
+            kept = n
+        else:
+            reduced = c.T @ c.conj()
+            kept = r
     return DensityMatrix(kept, reduced)
 
 

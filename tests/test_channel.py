@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,27 @@ from qcut.fidelity import overlap_fidelity
 from qcut.haar import sample_state, sample_states
 from qcut.linalg import BipartitePureState, PureState, partial_trace, schmidt_decompose
 from qcut.rng import stream
+
+
+def _bell_tensor(m: int) -> np.ndarray:
+    """All M^2 generalized Bell vectors, indexed [a, b, alice, alice']."""
+    bell = np.zeros((m, m, m, m), dtype=complex)
+    for a in range(m):
+        for b in range(m):
+            for i in range(m):
+                bell[a, b, (i + a) % m, i] = np.exp(2j * np.pi * b * i / m) / math.sqrt(m)
+    return bell
+
+
+def _bell_projections(c: np.ndarray, chan) -> np.ndarray:
+    """Bob's unnormalized block for every Bell outcome, indexed [a, b, bob, aux].
+
+    The reference route for ``teleport``: the joint amplitudes over
+    (alice_in, aux, alice_half, bob_half) are contracted with every Bell
+    vector on the two Alice slots.
+    """
+    joint = np.einsum("jk,iI->jkiI", c, chan.joint.matrix)
+    return np.einsum("abji,jkiI->abIk", _bell_tensor(chan.m).conj(), joint)
 
 
 class TestChannelState:
@@ -101,6 +123,41 @@ class TestTeleport:
             message, _ = teleport(state, chan, rng)
             counts[3 * message.a + message.b] += 1
         assert stats.chisquare(counts).pvalue > 0.001
+
+    def test_closed_form_matches_bell_tensor_oracle(self):
+        rng = stream(712)
+        for m in range(1, 9):
+            chan = make_channel(m)
+            for r in (1, 2, 3):
+                if r == 1:
+                    state = sample_state(m, rng)
+                else:
+                    state = BipartitePureState(m, r, sample_states(m * r, 1, rng)[0])
+                c = state.matrix
+                projected = _bell_projections(c, chan)
+                probs = np.sum(np.abs(projected) ** 2, axis=(2, 3))
+                np.testing.assert_allclose(probs, np.full((m, m), 1 / m**2), rtol=0, atol=1e-14)
+                for a in range(m):
+                    for b in range(m):
+                        bob = projected[a, b] / math.sqrt(probs[a, b])
+                        w = weyl_operator(m, a, b)
+                        np.testing.assert_allclose(bob, w.conj().T @ c, rtol=0, atol=1e-12)
+                        _, received = teleport(state, chan, force_outcome=(a, b))
+                        assert type(received) is type(state)
+                        np.testing.assert_allclose(received.matrix, c, rtol=0, atol=1e-12)
+
+    def test_memory_stays_quadratic_in_channel_dimension(self):
+        rng = stream(713)
+        state = sample_state(32, rng)
+        chan = make_channel(32)
+        tracemalloc.start()
+        try:
+            _, received = teleport(state, chan, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert overlap_fidelity(state, received) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):

@@ -146,11 +146,17 @@ class TestUsageErrors:
             ["verify", "--max-n", "0"],
             ["verify", "--max-r", "0"],
             ["table", "--n-max", "3", "--r", "0"],
+            ["table", "--n-max", "0"],
+            ["estimate", "--n", "3", "--m", "2", "--r", "2", "--mode", "entangled", "--samples", "10",
+             "--verify-bures"],
+            ["estimate", "--n", "3", "--m", "2", "--mode", "state-estimation", "--samples", "10",
+             "--verify-bures"],
         ],
         ids=[
             "m-above-n", "no-shards", "no-samples", "r-zero", "r-in-pure", "r-in-state-estimation",
             "negative-seed", "seed-2**64", "no-threads", "teleport-m-above-n",
             "teleport-negative-seed", "verify-max-n-0", "verify-max-r-0", "table-r-zero",
+            "table-n-max-0", "bures-in-entangled", "bures-in-state-estimation",
         ],
     )
     def test_invalid_input_is_a_one_line_usage_error(self, capsys, argv):

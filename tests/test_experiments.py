@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qcut import experiments
 from qcut.experiments import (
     ExperimentConfig,
     analytic_entangled,
@@ -173,6 +174,12 @@ class TestMonteCarlo:
         assert est.bures_max_deviation is not None
         assert est.bures_max_deviation < 1e-8
 
+    @pytest.mark.parametrize("mode", ["pure", "entangled", "state_estimation"])
+    def test_bures_verification_needs_mixed_mode(self, mode):
+        config = ExperimentConfig(n=3, m=2, mode=mode, samples=10, seed=808)
+        with pytest.raises(ValueError, match="mixed"):
+            run_experiment(config, verify_bures=True)
+
     def test_state_estimation_converges(self):
         est = run_experiment(
             ExperimentConfig(n=2, m=1, mode="state_estimation", samples=20_000, seed=809)
@@ -234,6 +241,22 @@ class TestEstimatorContracts:
         np.testing.assert_allclose(
             np.var(fs), povm.norm_const**2 * np.var(ps), rtol=1e-8
         )
+
+    def test_stderr_of_nearly_constant_shots_is_accurate(self, monkeypatch):
+        # 0.999 +- 1e-8: total_sq - n*mean^2 would lose most of the digits.
+        shots = []
+
+        def shot(state, outcome):
+            shots.append(0.999 + 1e-8 * outcome.shot_fidelity)
+            return shots[-1]
+
+        mode = experiments._Mode(lambda n, m, r: 0.999, shot, False)
+        monkeypatch.setitem(experiments._MODES, "pure", mode)
+        est = run_experiment(ExperimentConfig(n=3, m=2, mode="pure", samples=20_000, seed=820))
+        assert len(shots) == 20_000
+        assert est.mean == pytest.approx(math.fsum(shots) / len(shots), rel=1e-15)
+        expected = np.std(shots, ddof=1) / math.sqrt(len(shots))
+        assert est.stderr == pytest.approx(expected, rel=1e-6)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="mode"):

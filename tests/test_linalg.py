@@ -125,6 +125,14 @@ class TestPartialTrace:
             traced_sys.entries, partial_trace(state, over="sys").entries, atol=1e-12
         )
 
+    def test_pure_state_is_the_one_level_auxiliary_case(self):
+        rng = stream(306)
+        state = PureState(3, sample_states(3, 1, rng)[0])
+        np.testing.assert_allclose(
+            partial_trace(state, over="aux").entries, DensityMatrix.from_pure(state).entries, atol=1e-15
+        )
+        np.testing.assert_allclose(partial_trace(state, over="sys").entries, [[1.0]], atol=1e-15)
+
     def test_inconsistent_dims_rejected(self):
         rho = DensityMatrix.maximally_mixed(6)
         with pytest.raises(ValueError, match="factor"):
