@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 statistical or residual failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -216,7 +217,14 @@ def cmd_teleport_demo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Building it costs more than a short command (argparse queries the
+    terminal size for every argument).  Reusing it is safe: ``parse_args``
+    returns a fresh namespace each call and every default is immutable.
+    """
     parser = argparse.ArgumentParser(
         prog="qcut",
         description="Approximate storage/teleportation of N-dimensional states through M-dimensional channels",
@@ -236,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, default=None)
     est.add_argument("--format", choices=["json", "csv"], default="json")
     est.add_argument("--verify-bures", action="store_true")
-    est.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    est.add_argument("--threads", type=int, default=1)
     est.add_argument("--shards", type=int, default=experiments.DEFAULT_SHARDS)
     est.add_argument("--output", default=None)
     est.set_defaults(func=cmd_estimate)

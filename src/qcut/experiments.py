@@ -34,6 +34,10 @@ from .povm import CutPovm, sample_outcome
 from .rng import check_seed, stream
 
 DEFAULT_SHARDS = 16
+# Rows of Haar states a shard draws at a time.  It bounds estimator memory
+# for any sample count, and it is part of the (seed, shards) contract: a
+# shard of more rows interleaves its state draws with its outcome draws.
+CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -243,14 +247,18 @@ def _shard(config: ExperimentConfig, count: int, shard: int, verify_bures: bool)
     shot = _MODES[config.mode].shot
     fs = []
     max_dev = 0.0
-    for row in sample_states(n * r, count, rng):
-        state = BipartitePureState._trusted(n, r, row)
-        outcome = sample_outcome(povm, state, rng)
-        fs.append(shot(state, outcome))
-        if verify_bures:
-            rho = partial_trace(state, over="aux")
-            rho_cut = partial_trace(outcome.post_state, over="aux")
-            max_dev = max(max_dev, abs(fs[-1] - bures_fidelity(rho, rho_cut)))
+    for start in range(0, count, CHUNK):
+        for row in sample_states(n * r, min(CHUNK, count - start), rng):
+            state = BipartitePureState._trusted(n, r, row)
+            outcome = sample_outcome(povm, state, rng)
+            fs.append(shot(state, outcome))
+            if verify_bures:
+                rho = partial_trace(state, over="aux")
+                rho_cut = partial_trace(outcome.post_state, over="aux")
+                max_dev = max(max_dev, abs(fs[-1] - bures_fidelity(rho, rho_cut)))
+        # The last row is a view that keeps the whole chunk alive; drop it
+        # so that the next chunk is not drawn while this one is held.
+        del row, state, outcome
     total = math.fsum(fs)
     shard_mean = total / count
     centered_sq = math.fsum((f - shard_mean) ** 2 for f in fs)

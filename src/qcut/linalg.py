@@ -34,9 +34,21 @@ def _frozen_complex_array(values, shape) -> np.ndarray:
     return arr
 
 
+def _set_amps(state, amps: np.ndarray, shape: tuple[int, int]) -> None:
+    # Freeze the amplitudes and store them with their coefficient-matrix
+    # view, built once per state rather than on every read.
+    amps.setflags(write=False)
+    object.__setattr__(state, "amps", amps)
+    object.__setattr__(state, "matrix", amps.reshape(shape))
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Unit-norm state vector on a ``dim``-dimensional Hilbert space."""
+    """Unit-norm state vector on a ``dim``-dimensional Hilbert space.
+
+    ``matrix`` holds the amplitudes as a read-only (dim, 1) coefficient
+    matrix.
+    """
 
     dim: int
     amps: np.ndarray
@@ -48,12 +60,7 @@ class PureState:
         norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm**2 = {norm2} is not 1 within {NORM_ATOL}")
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Amplitudes as a read-only (dim, 1) coefficient matrix."""
-        return self.amps.reshape(self.dim, 1)
+        _set_amps(self, amps, (self.dim, 1))
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "PureState":
@@ -67,9 +74,8 @@ class PureState:
     def _trusted(cls, dim: int, amps: np.ndarray) -> "PureState":
         # Validation bypass for freshly built unit-norm arrays in hot loops.
         obj = object.__new__(cls)
-        amps.setflags(write=False)
         object.__setattr__(obj, "dim", dim)
-        object.__setattr__(obj, "amps", amps)
+        _set_amps(obj, amps, (dim, 1))
         return obj
 
 
@@ -78,7 +84,8 @@ class BipartitePureState:
     """Pure state on system (dim N) tensor auxiliary (dim R).
 
     Amplitudes are stored flat and system-major: entry (j, k) sits at
-    index j * dim_aux + k.
+    index j * dim_aux + k.  ``matrix`` holds them as a read-only
+    (dim_sys, dim_aux) matrix.
     """
 
     dim_sys: int
@@ -92,21 +99,15 @@ class BipartitePureState:
         norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm**2 = {norm2} is not 1 within {NORM_ATOL}")
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Amplitudes as a read-only (dim_sys, dim_aux) matrix."""
-        return self.amps.reshape(self.dim_sys, self.dim_aux)
+        _set_amps(self, amps, (self.dim_sys, self.dim_aux))
 
     @classmethod
     def _trusted(cls, dim_sys: int, dim_aux: int, amps: np.ndarray) -> "BipartitePureState":
         # Validation bypass for freshly built unit-norm arrays in hot loops.
         obj = object.__new__(cls)
-        amps.setflags(write=False)
         object.__setattr__(obj, "dim_sys", dim_sys)
         object.__setattr__(obj, "dim_aux", dim_aux)
-        object.__setattr__(obj, "amps", amps)
+        _set_amps(obj, amps, (dim_sys, dim_aux))
         return obj
 
 

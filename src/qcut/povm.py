@@ -46,9 +46,25 @@ class SubsetIndex:
         if idx[0] < 0 or list(idx) != sorted(set(idx)):
             raise ValueError("indices must be nonnegative and strictly increasing")
         object.__setattr__(self, "indices", idx)
+        _set_array(self, np.array(idx, dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.indices)
+
+    @classmethod
+    def _trusted(cls, chosen: np.ndarray) -> "SubsetIndex":
+        # Validation bypass for a subset the sampler just drew: a sorted
+        # intp array of distinct in-range indices.
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "indices", tuple(chosen.tolist()))
+        _set_array(obj, chosen)
+        return obj
+
+
+def _set_array(subset: SubsetIndex, arr: np.ndarray) -> None:
+    # The indices as a read-only intp array, for gathers on every use.
+    arr.setflags(write=False)
+    object.__setattr__(subset, "_array", arr)
 
 
 @dataclass(frozen=True)
@@ -88,7 +104,7 @@ class MeasurementOutcome:
 def _validate_subset(povm: CutPovm, subset: SubsetIndex) -> np.ndarray:
     if len(subset) != povm.m or subset.indices[-1] >= povm.n:
         raise ValueError(f"subset {subset.indices} invalid for n={povm.n}, m={povm.m}")
-    return np.asarray(subset.indices, dtype=np.intp)
+    return subset._array
 
 
 def _weights(povm: CutPovm, state) -> np.ndarray:
@@ -204,7 +220,7 @@ def sample_outcome(povm: CutPovm, state, rng: np.random.Generator) -> Measuremen
         keys = rng.random(n)
         keys[min(pivot, n - 1)] = -1.0
         chosen = np.sort(np.argpartition(keys, m - 1)[:m])
-    subset = SubsetIndex(chosen.tolist())
+    subset = SubsetIndex._trusted(chosen)
     probability = float(w[chosen].sum()) / povm.norm_const
     if isinstance(state, DensityMatrix):
         post, probability = apply_cut_density(povm, subset, state)

@@ -1,6 +1,10 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +184,52 @@ class TestUsageErrors:
         monkeypatch.setattr(experiments, "run_experiment", broken)
         with pytest.raises(ValueError, match="estimator failure"):
             main(["estimate", "--n", "3", "--m", "2", "--mode", "pure", "--samples", "10"])
+
+
+class TestParserReuse:
+    RUNS = [
+        # (argv, QCUT_SEED)
+        (["estimate", "--n", "3", "--m", "2", "--mode", "bogus", "--samples", "10"], "0"),
+        (["verify", "--max-n", "4", "--max-r", "2"], "0"),
+        (["teleport-demo", "--n", "5", "--m", "3"], "5"),
+        (["teleport-demo", "--n", "5", "--m", "3"], "6"),
+        (["estimate", "--n", "3", "--m", "2", "--mode", "pure", "--samples", "500"], "7"),
+    ]
+
+    @staticmethod
+    def comparable(code, out, err):
+        if out.startswith("{"):
+            record = json.loads(out)
+            record.pop("wall_time_seconds")
+            out = record
+        return code, out, err
+
+    def test_calls_in_one_process_match_separate_processes(self, capsys, monkeypatch):
+        # main reuses one parser per process, so every call after the first
+        # (a usage error included) must print what a fresh process prints.
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(qcut.cli.__file__).resolve().parents[1])
+        results = []
+        for argv, seed in self.RUNS:
+            monkeypatch.setenv("QCUT_SEED", seed)
+            try:
+                code = main(argv)
+            except SystemExit as err:
+                code = err.code
+            captured = capsys.readouterr()
+            results.append(self.comparable(code, captured.out, captured.err))
+            env = dict(os.environ, PYTHONPATH=src)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "qcut.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert results[-1] == self.comparable(fresh.returncode, fresh.stdout, fresh.stderr)
+        assert results[0][0] == 2
+        assert results[1][1].endswith("verify: PASS\n")
+        # QCUT_SEED is read on every call, not when the parser is built.
+        assert results[2][1].startswith("n=5 m=3 seed=5\n")
+        assert results[3][1].startswith("n=5 m=3 seed=6\n")
+        assert results[4][1]["config"]["seed"] == 7
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,21 @@ class TestEstimatorContracts:
         assert est.mean == pytest.approx(math.fsum(shots) / len(shots), rel=1e-15)
         expected = np.std(shots, ddof=1) / math.sqrt(len(shots))
         assert est.stderr == pytest.approx(expected, rel=1e-6)
+
+    def test_shard_memory_does_not_grow_with_its_rows(self):
+        # Haar rows are drawn CHUNK at a time, so a shard of three chunks
+        # peaks where a shard of one does; only its per-shot floats grow.
+        rows = experiments.CHUNK
+        config = ExperimentConfig(n=16, m=4, r=4, mode="entangled", samples=3 * rows, seed=821)
+        peaks = []
+        for count in (rows, 3 * rows):
+            tracemalloc.start()
+            try:
+                experiments._shard(config, count, 0, False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="mode"):
