@@ -7,7 +7,8 @@ half of the channel onto the generalized Bell basis built from shift/phase
 the matching Weyl correction.  For this resource the Bell measurement has a
 closed form: every outcome (a, b) has probability exactly 1/M^2 and leaves
 Bob the block omega^(-b I) c[(I + a) mod M, k] of the input's coefficient
-matrix c, with omega = exp(2 pi i / M), so a teleport costs O(M^2 R).
+matrix c, with omega = exp(2 pi i / M), and the correction is a phase
+vector and a cyclic shift, so a teleport costs O(MR).
 Teleportation itself is lossless for every outcome; the only approximation
 in the full protocol is the dimension cut in front of it.  Storage is the
 same protocol with the teleport step skipped, so it gets no separate code
@@ -70,14 +71,24 @@ def make_channel(m: int) -> ChannelState:
     return ChannelState(m)
 
 
-def weyl_operator(m: int, a: int, b: int) -> np.ndarray:
-    """Shift/phase unitary W_ab |k> = exp(2 pi i b k / M) |k + a mod M>."""
-    if not (0 <= a < m and 0 <= b < m):
-        raise ValueError(f"labels ({a}, {b}) outside [0, {m})")
-    w = np.zeros((m, m), dtype=complex)
-    for k in range(m):
-        w[(k + a) % m, k] = np.exp(2j * np.pi * b * k / m)
-    return w
+def _roll(rows: np.ndarray, shift: int) -> np.ndarray:
+    """np.roll(rows, shift, axis=0) for |shift| < M.
+
+    np.roll costs as much as the rest of a small teleport, so the two
+    slices are joined directly.
+    """
+    return np.concatenate((rows[-shift:], rows[:-shift]))
+
+
+def _apply_weyl(block: np.ndarray, a: int, b: int) -> np.ndarray:
+    """W_ab @ block in O(MR), for W_ab |k> = exp(2 pi i b k / M) |k + a mod M>.
+
+    The phase is a vector over the M levels and the shift a cyclic roll of
+    rows; the dense M x M operator is built only in the tests, as the oracle.
+    """
+    m = block.shape[0]
+    phases = np.exp(2j * np.pi * b * np.arange(m) / m)
+    return _roll(phases[:, None] * block, a)
 
 
 def teleport(
@@ -91,8 +102,8 @@ def teleport(
     Every Bell outcome (a, b) has probability 1/M^2, so one uniform draw
     picks it unless ``force_outcome`` pins it.  Bob's block for that outcome
     is omega^(-b I) c[(I + a) mod M, k] with omega = exp(2 pi i / M), and he
-    applies the Weyl correction W_ab.  The returned state equals the input
-    up to floating-point round-off for every outcome.
+    applies the Weyl correction W_ab; both steps are O(MR).  The returned
+    state equals the input up to floating-point round-off for every outcome.
     """
     m = channel.m
     c = state.matrix
@@ -109,9 +120,8 @@ def teleport(
         a, b = divmod(min(int(rng.random() * m * m), m * m - 1), m)
 
     phases = np.exp(-2j * np.pi * b * np.arange(m) / m)
-    bob = phases[:, None] * np.roll(c, -a, axis=0)
-    corrected = weyl_operator(m, a, b) @ bob
-    return ClassicalMessage(a, b), rebuild(state, corrected)
+    bob = phases[:, None] * _roll(c, -a)
+    return ClassicalMessage(a, b), rebuild(state, _apply_weyl(bob, a, b))
 
 
 def full_protocol(state, m: int, rng: np.random.Generator) -> ProtocolRun:

@@ -76,8 +76,7 @@ def cmd_estimate(args) -> int:
     )
     if args.threads < 1:
         raise _UsageError("need at least one thread")
-    if args.verify_bures and config.mode != "mixed":
-        raise _UsageError("--verify-bures needs --mode mixed")
+    _checked(experiments.check_run, config, args.verify_bures)
     start = time.perf_counter()
     estimate = experiments.run_experiment(config, threads=args.threads, verify_bures=args.verify_bures)
     elapsed = time.perf_counter() - start
@@ -200,6 +199,8 @@ def cmd_table(args) -> int:
 
 def cmd_teleport_demo(args) -> int:
     _checked(CutPovm, args.n, args.m)
+    # The run holds three n-level states: the input, the cut and the re-embedded one.
+    _checked(experiments.check_memory, 3 * args.n, "teleport-demo")
     rng = _checked(stream, args.seed)
     state = sample_state(args.n, rng)
     run = full_protocol(state, args.m, rng)

@@ -27,6 +27,8 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .fidelity import bures_fidelity
 from .haar import MomentSpec, exact_moment_fraction, sample_states
 from .linalg import BipartitePureState, partial_trace
@@ -38,6 +40,15 @@ DEFAULT_SHARDS = 16
 # for any sample count, and it is part of the (seed, shards) contract: a
 # shard of more rows interleaves its state draws with its outcome draws.
 CHUNK = 4096
+# N x N entries per stacked matrix in one Bures sub-batch: the check runs
+# on max(1, BURES_ENTRIES // N^2) shots at a time.
+BURES_ENTRIES = 2**16
+# Stacked N x N arrays a Bures sub-batch holds at once (the two reduced
+# states, their eigenvectors and square roots, and their product).
+_BURES_ARRAYS = 8
+# Bytes of complex values a shard (or a teleport-demo run) may hold at once.
+# Larger configurations are refused before anything is allocated.
+MEMORY_CAP = 2**28
 
 
 @dataclass(frozen=True)
@@ -240,28 +251,82 @@ _MODES = {
 }
 
 
+def _bures_rows(n: int) -> int:
+    """Shots per Bures sub-batch at system dimension ``n``."""
+    return max(1, BURES_ENTRIES // (n * n))
+
+
+def check_memory(values: int, what: str) -> None:
+    """Refuse a working set of ``values`` complex numbers above MEMORY_CAP."""
+    if 16 * values > MEMORY_CAP:
+        raise ValueError(
+            f"{what} would hold {16 * values / 2**20:.0f} MiB at once, "
+            f"above the {MEMORY_CAP // 2**20} MiB cap"
+        )
+
+
+def check_run(config: ExperimentConfig, verify_bures: bool) -> None:
+    """Refuse a run before it allocates anything: a Bures check outside
+    mixed mode, or a shard working set above MEMORY_CAP.
+
+    A shard holds one chunk of Haar rows, min(CHUNK, shard rows) * N * R
+    values; with the Bures check also the chunk's post-cut rows and one
+    sub-batch of stacked N x N matrices.
+    """
+    if verify_bures and config.mode != "mixed":
+        raise ValueError("the Bures check needs mode mixed")
+    n, r = config.n, config.r
+    rows = min(CHUNK, -(-config.samples // config.shards))
+    values = rows * n * r
+    if verify_bures:
+        values += rows * n * r + _BURES_ARRAYS * _bures_rows(n) * n * n
+    check_memory(values, "a shard")
+
+
+def _bures_deviation(states: np.ndarray, posts: np.ndarray, shots: np.ndarray) -> float:
+    """Largest |shot - Bures fidelity| over stacked (k, N, R) coefficient matrices.
+
+    The reduced input and post-cut states are compared through the matrix
+    square-root form, one sub-batch of ``_bures_rows(N)`` shots per call.
+    """
+    step = _bures_rows(states.shape[1])
+    worst = 0.0
+    for lo in range(0, len(states), step):
+        rho = partial_trace(states[lo : lo + step], over="aux")
+        rho_cut = partial_trace(posts[lo : lo + step], over="aux")
+        fid = bures_fidelity(rho, rho_cut)
+        worst = max(worst, float(np.max(np.abs(shots[lo : lo + step] - fid))))
+    return worst
+
+
 def _shard(config: ExperimentConfig, count: int, shard: int, verify_bures: bool):
     n, r = config.n, config.r
     rng = stream(config.seed, shard)
     povm = CutPovm(n, config.m)
     shot = _MODES[config.mode].shot
-    fs = []
+    fs = np.empty(count)
     max_dev = 0.0
     for start in range(0, count, CHUNK):
-        for row in sample_states(n * r, min(CHUNK, count - start), rng):
+        rows = sample_states(n * r, min(CHUNK, count - start), rng)
+        shots = fs[start : start + len(rows)]
+        posts = np.empty_like(rows) if verify_bures else None
+        for i, row in enumerate(rows):
             state = BipartitePureState._trusted(n, r, row)
             outcome = sample_outcome(povm, state, rng)
-            fs.append(shot(state, outcome))
+            shots[i] = shot(state, outcome)
             if verify_bures:
-                rho = partial_trace(state, over="aux")
-                rho_cut = partial_trace(outcome.post_state, over="aux")
-                max_dev = max(max_dev, abs(fs[-1] - bures_fidelity(rho, rho_cut)))
+                posts[i] = outcome.post_state.amps
+        if verify_bures:
+            stacked = (len(rows), n, r)
+            dev = _bures_deviation(rows.reshape(stacked), posts.reshape(stacked), shots)
+            max_dev = max(max_dev, dev)
         # The last row is a view that keeps the whole chunk alive; drop it
         # so that the next chunk is not drawn while this one is held.
-        del row, state, outcome
-    total = math.fsum(fs)
+        del rows, row, state, outcome, posts
+    values = memoryview(fs)  # yields Python floats, cheaper to iterate than numpy scalars
+    total = math.fsum(values)
     shard_mean = total / count
-    centered_sq = math.fsum((f - shard_mean) ** 2 for f in fs)
+    centered_sq = math.fsum((f - shard_mean) ** 2 for f in values)
     return count, total, centered_sq, max_dev if verify_bures else None
 
 
@@ -305,12 +370,13 @@ def run_experiment(
     sits at the identity, so the per-shot fidelity is the entangled one.
     With ``verify_bures`` (mixed mode only; other modes raise ValueError)
     every shot is recomputed through the matrix square-root formula on the
-    reduced states and the worst disagreement is reported.  State
-    estimation scores the weight of one guessed basis state of the outcome
-    against (1 + 1/M)/(N+1).
+    reduced states, in stacked sub-batches, and the worst disagreement is
+    reported.  State estimation scores the weight of one guessed basis
+    state of the outcome against (1 + 1/M)/(N+1).  ``check_run`` refuses
+    the run before any sampling if a shard would hold more than MEMORY_CAP
+    bytes.
     """
-    if verify_bures and config.mode != "mixed":
-        raise ValueError("verify_bures needs mode mixed")
+    check_run(config, verify_bures)
     target = _MODES[config.mode].target(config.n, config.m, config.r)
     sizes = _shard_sizes(config.samples, config.shards)
     shards = range(len(sizes))

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import BipartitePureState, DensityMatrix, matrix_sqrt
+from .linalg import BipartitePureState, DensityMatrix, matrix_sqrt, single_entries
 from .povm import CutPovm, SubsetIndex, _validate_subset
 
 _CLAMP = 1e-10
@@ -34,17 +34,23 @@ def overlap_fidelity(a, b) -> float:
     return _clamp_unit(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
-def bures_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+def bures_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarray:
     """Transition probability (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
     Evaluated as the squared nuclear norm of sqrt(rho) @ sqrt(sigma), which
     is the same quantity but does not square the conditioning the way an
-    eigendecomposition of the triple product would.
+    eigendecomposition of the triple product would.  Two stacks of equal
+    shape give an array with one fidelity per member; two single matrices
+    give a float.
     """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    if rho.entries.shape != sigma.entries.shape:
+        raise ValueError(f"dimension mismatch: {rho.entries.shape} vs {sigma.entries.shape}")
     singulars = np.linalg.svd(matrix_sqrt(rho) @ matrix_sqrt(sigma), compute_uv=False)
-    return _clamp_unit(float(singulars.sum()) ** 2)
+    fid = np.square(singulars.sum(axis=-1))
+    # Snap round-off just above 1 back to 1, as _clamp_unit does; a squared
+    # sum of singular values is never negative.
+    fid = np.where(fid <= 1.0 + _CLAMP, np.minimum(fid, 1.0), fid)
+    return fid if fid.ndim else float(fid)
 
 
 def uhlmann_fidelity(phi0: BipartitePureState, phi1: BipartitePureState) -> float:
@@ -92,7 +98,7 @@ def purify(rho: DensityMatrix, dim_aux: int | None = None) -> BipartitePureState
     """
     if dim_aux is None:
         dim_aux = rho.dim
-    evals, vecs = np.linalg.eigh(rho.entries)
+    evals, vecs = np.linalg.eigh(single_entries(rho))
     evals = np.clip(evals, 0.0, None)
     rank = int(np.sum(evals > 0.0))
     if dim_aux < rank:

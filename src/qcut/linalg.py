@@ -34,6 +34,11 @@ def _frozen_complex_array(values, shape) -> np.ndarray:
     return arr
 
 
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def _set_amps(state, amps: np.ndarray, shape: tuple[int, int]) -> None:
     # Freeze the amplitudes and store them with their coefficient-matrix
     # view, built once per state rather than on every read.
@@ -113,7 +118,14 @@ class BipartitePureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace operator on a ``dim``-dimensional space."""
+    """Hermitian, PSD, unit-trace operator on a ``dim``-dimensional space.
+
+    ``entries`` may carry leading batch axes, (k, dim, dim) for a stack of
+    k matrices; every member is checked as a single matrix would be, and
+    an error reports the member that fails.  ``partial_trace``,
+    ``matrix_sqrt`` and ``bures_fidelity`` accept stacks; a single matrix
+    is their k = 1 case.
+    """
 
     dim: int
     entries: np.ndarray
@@ -121,14 +133,16 @@ class DensityMatrix:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
-        entries = _frozen_complex_array(self.entries, (self.dim, self.dim))
-        herm_dev = float(np.max(np.abs(entries - entries.conj().T)))
+        shape = np.shape(self.entries)[:-2] + (self.dim, self.dim)
+        entries = _frozen_complex_array(self.entries, shape)
+        herm_dev = float(np.max(np.abs(entries - _dagger(entries)), initial=0.0))
         if herm_dev > HERMITICITY_ATOL:
             raise ValueError(f"matrix is not Hermitian (deviation {herm_dev})")
-        trace = complex(np.trace(entries))
-        if abs(trace - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace {trace} is not 1 within {TRACE_ATOL}")
-        min_eig = float(np.linalg.eigvalsh(entries)[0])
+        traces = entries.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
+        off = traces[np.abs(traces - 1.0) > TRACE_ATOL]
+        if off.size:
+            raise ValueError(f"trace {complex(off[0])} is not 1 within {TRACE_ATOL}")
+        min_eig = float(np.min(np.linalg.eigvalsh(entries)[..., 0], initial=np.inf))
         if min_eig < EIGENVALUE_FLOOR:
             raise ValueError(f"matrix is not PSD (min eigenvalue {min_eig})")
         object.__setattr__(self, "entries", entries)
@@ -172,6 +186,16 @@ class SchmidtDecomposition:
             object.__setattr__(self, name, arr)
 
 
+def single_entries(rho: DensityMatrix) -> np.ndarray:
+    """The (dim, dim) entries of one density matrix; a stack is refused.
+
+    For the functions defined on a single matrix only.
+    """
+    if rho.entries.ndim != 2:
+        raise ValueError(f"expected one density matrix, got a stack of shape {rho.entries.shape}")
+    return rho.entries
+
+
 def rebuild(like, coeffs: np.ndarray):
     """A state of the same type as ``like`` with coefficient matrix ``coeffs``.
 
@@ -187,11 +211,12 @@ def rebuild(like, coeffs: np.ndarray):
 def partial_trace(state, over: str = "aux", dims: tuple[int, int] | None = None) -> DensityMatrix:
     """Trace out one subsystem of a bipartite state.
 
-    ``state`` is either a pure state with an (N, R) coefficient matrix
-    (a ``PureState`` is the R = 1 case; dims are taken from it) or a
-    DensityMatrix on the composite space, in which case ``dims`` must give
-    the (system, auxiliary) factorization.  ``over`` names the subsystem
-    that is traced out.
+    ``state`` is a pure state with an (N, R) coefficient matrix (a
+    ``PureState`` is the R = 1 case; dims are taken from it), an array of
+    (..., N, R) coefficient matrices, or a DensityMatrix on the composite
+    space, in which case ``dims`` must give the (system, auxiliary)
+    factorization.  ``over`` names the subsystem that is traced out.
+    Leading batch axes carry through to the returned DensityMatrix.
     """
     if over not in ("sys", "aux"):
         raise ValueError("over must be 'sys' or 'aux'")
@@ -201,23 +226,23 @@ def partial_trace(state, over: str = "aux", dims: tuple[int, int] | None = None)
         n, r = dims
         if n < 1 or r < 1 or n * r != state.dim:
             raise ValueError(f"dims {dims} do not factor dimension {state.dim}")
-        rho4 = state.entries.reshape(n, r, n, r)
+        rho4 = state.entries.reshape(state.entries.shape[:-2] + (n, r, n, r))
         if over == "aux":
-            reduced = np.einsum("jkik->ji", rho4)
+            reduced = np.einsum("...jkik->...ji", rho4)
             kept = n
         else:
-            reduced = np.einsum("jkjl->kl", rho4)
+            reduced = np.einsum("...jkjl->...kl", rho4)
             kept = r
     else:
-        c = state.matrix
-        n, r = c.shape
+        c = state if isinstance(state, np.ndarray) else state.matrix
+        n, r = c.shape[-2:]
         if dims is not None and tuple(dims) != (n, r):
             raise ValueError(f"dims {dims} inconsistent with state dims {(n, r)}")
         if over == "aux":
-            reduced = c @ c.conj().T
+            reduced = c @ _dagger(c)
             kept = n
         else:
-            reduced = c.T @ c.conj()
+            reduced = c.swapaxes(-1, -2) @ c.conj()
             kept = r
     return DensityMatrix(kept, reduced)
 
@@ -238,19 +263,19 @@ def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def matrix_sqrt(rho: DensityMatrix) -> np.ndarray:
-    """Hermitian PSD square root S with S @ S = rho.
+    """Hermitian PSD square root S with S @ S = rho, for each member of a stack.
 
     Eigenvalues in [EIGENVALUE_FLOOR, 0) are round-off from partial traces
     and are clamped to zero; anything below the floor is rejected by the
     DensityMatrix type itself.  Positive eigenvalues below the eigensolver
-    noise level (dim * eps * largest) are also treated as exact zeros, since
-    taking their square root would otherwise turn O(eps) rank-deficiency
-    noise into O(sqrt(eps)) errors in S.
+    noise level (dim * eps * largest, per matrix) are also treated as exact
+    zeros, since taking their square root would otherwise turn O(eps)
+    rank-deficiency noise into O(sqrt(eps)) errors in S.
     """
     evals, vecs = np.linalg.eigh(rho.entries)
-    noise_floor = rho.dim * np.finfo(float).eps * float(evals[-1])
+    noise_floor = rho.dim * np.finfo(float).eps * evals[..., -1:]
     evals = np.where(evals < noise_floor, 0.0, evals)
-    return (vecs * np.sqrt(evals)) @ vecs.conj().T
+    return (vecs * np.sqrt(evals)[..., None, :]) @ _dagger(vecs)
 
 
 def schmidt_decompose(state: BipartitePureState) -> SchmidtDecomposition:

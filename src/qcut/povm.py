@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import BipartitePureState, DensityMatrix, PureState, rebuild
+from .linalg import BipartitePureState, DensityMatrix, PureState, rebuild, single_entries
 
 ENUMERATION_CAP = 10**6
 
@@ -110,7 +110,7 @@ def _validate_subset(povm: CutPovm, subset: SubsetIndex) -> np.ndarray:
 def _weights(povm: CutPovm, state) -> np.ndarray:
     """Per-basis-index weights: the diagonal of the state in the cut basis."""
     if isinstance(state, DensityMatrix):
-        w = np.clip(np.real(np.diagonal(state.entries)), 0.0, None)
+        w = np.clip(np.real(np.diagonal(single_entries(state))), 0.0, None)
     else:
         w = (np.abs(state.matrix) ** 2).sum(axis=1)
     if len(w) != povm.n:
@@ -189,14 +189,15 @@ def apply_cut_density(
     """
     if rho.dim != povm.n:
         raise ValueError(f"density dimension {rho.dim} != povm n={povm.n}")
+    entries = single_entries(rho)
     idx = _validate_subset(povm, subset)
     if povm.m == povm.n:
         return rho, 1.0
-    diag_weight = float(np.real(np.diagonal(rho.entries)[idx].sum()))
+    diag_weight = float(np.real(np.diagonal(entries)[idx].sum()))
     if diag_weight <= 0.0:
         raise ValueError(f"outcome {subset.indices} has zero probability")
-    post = np.zeros_like(rho.entries)
-    post[np.ix_(idx, idx)] = rho.entries[np.ix_(idx, idx)] / diag_weight
+    post = np.zeros_like(entries)
+    post[np.ix_(idx, idx)] = entries[np.ix_(idx, idx)] / diag_weight
     return DensityMatrix(povm.n, post), diag_weight / povm.norm_const
 
 

@@ -5,17 +5,24 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qcut.channel import (
-    ClassicalMessage,
-    full_protocol,
-    make_channel,
-    teleport,
-    weyl_operator,
-)
+from qcut.channel import ClassicalMessage, _apply_weyl, full_protocol, make_channel, teleport
 from qcut.fidelity import overlap_fidelity
 from qcut.haar import sample_state, sample_states
 from qcut.linalg import BipartitePureState, PureState, partial_trace, schmidt_decompose
 from qcut.rng import stream
+
+
+def weyl_operator(m: int, a: int, b: int) -> np.ndarray:
+    """Dense shift/phase unitary W_ab |k> = exp(2 pi i b k / M) |k + a mod M>.
+
+    The reference for the O(MR) correction ``teleport`` applies.
+    """
+    if not (0 <= a < m and 0 <= b < m):
+        raise ValueError(f"labels ({a}, {b}) outside [0, {m})")
+    w = np.zeros((m, m), dtype=complex)
+    for k in range(m):
+        w[(k + a) % m, k] = np.exp(2j * np.pi * b * k / m)
+    return w
 
 
 def _bell_tensor(m: int) -> np.ndarray:
@@ -79,6 +86,17 @@ class TestWeylOperators:
                 for b in range(m):
                     w = weyl_operator(m, a, b)
                     np.testing.assert_allclose(w @ w.conj().T, np.eye(m), atol=1e-12)
+
+    def test_applied_correction_matches_dense_operator(self):
+        rng = stream(714)
+        for m in range(1, 9):
+            for r in (1, 2, 3):
+                block = sample_states(m * r, 1, rng)[0].reshape(m, r)
+                for a in range(m):
+                    for b in range(m):
+                        np.testing.assert_allclose(
+                            _apply_weyl(block, a, b), weyl_operator(m, a, b) @ block, rtol=0, atol=1e-14
+                        )
 
     def test_label_range(self):
         with pytest.raises(ValueError, match="outside"):

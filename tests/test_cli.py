@@ -155,12 +155,16 @@ class TestUsageErrors:
              "--verify-bures"],
             ["estimate", "--n", "3", "--m", "2", "--mode", "state-estimation", "--samples", "10",
              "--verify-bures"],
+            ["estimate", "--n", "1000000", "--m", "1", "--r", "10000", "--mode", "entangled",
+             "--samples", "100"],
+            ["teleport-demo", "--n", "100000000", "--m", "1", "--seed", "1"],
         ],
         ids=[
             "m-above-n", "no-shards", "no-samples", "r-zero", "r-in-pure", "r-in-state-estimation",
             "negative-seed", "seed-2**64", "no-threads", "teleport-m-above-n",
             "teleport-negative-seed", "verify-max-n-0", "verify-max-r-0", "table-r-zero",
             "table-n-max-0", "bures-in-entangled", "bures-in-state-estimation",
+            "estimate-over-memory-cap", "teleport-over-memory-cap",
         ],
     )
     def test_invalid_input_is_a_one_line_usage_error(self, capsys, argv):

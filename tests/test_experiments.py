@@ -274,6 +274,49 @@ class TestEstimatorContracts:
                 tracemalloc.stop()
         assert peaks[1] < 1.2 * peaks[0]
 
+    @staticmethod
+    def shard_peak(config, count, verify_bures=False):
+        tracemalloc.start()
+        try:
+            experiments._shard(config, count, 0, verify_bures)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_shot_values_cost_eight_bytes_per_shot(self):
+        # A shard keeps its shot values in one float64 array until its
+        # reduction; a list of Python floats costs about 32 B per shot.
+        rows, count = experiments.CHUNK, 100_000
+        config = ExperimentConfig(n=2, m=1, mode="pure", samples=count, seed=822)
+        self.shard_peak(config, rows)  # first-call allocations are not the shard's
+        base, peak = self.shard_peak(config, rows), self.shard_peak(config, count)
+        assert peak - base < 12 * (count - rows)
+
+    def test_bures_check_memory_does_not_grow_with_its_sub_batches(self):
+        # The check holds one sub-batch of stacked N x N matrices at a time.
+        rows = experiments._bures_rows(32)
+        config = ExperimentConfig(n=32, m=8, r=2, mode="mixed", samples=3 * rows, seed=823)
+        self.shard_peak(config, rows, True)
+        peaks = [self.shard_peak(config, count, True) for count in (rows, 3 * rows)]
+        assert peaks[1] < 1.2 * peaks[0]
+
+    def test_bures_verified_estimate_does_not_depend_on_threads(self):
+        config = ExperimentConfig(n=4, m=2, r=3, mode="mixed", samples=3_000, seed=824)
+        single = run_experiment(config, threads=1, verify_bures=True)
+        assert single.bures_max_deviation < 1e-12
+        assert run_experiment(config, threads=2, verify_bures=True) == single
+
+    def test_oversized_working_set_is_refused_before_allocation(self):
+        huge = ExperimentConfig(n=10**6, m=1, r=10**4, mode="entangled", samples=100, seed=0)
+        with pytest.raises(ValueError, match="MiB cap"):
+            run_experiment(huge)
+        # One 8192 x 8192 matrix per Bures sub-batch is over the cap; the
+        # unverified run holds one 8192-amplitude row per shard.
+        wide = ExperimentConfig(n=8192, m=1, mode="mixed", samples=16, seed=0)
+        with pytest.raises(ValueError, match="MiB cap"):
+            run_experiment(wide, verify_bures=True)
+        experiments.check_run(wide, verify_bures=False)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="mode"):
             ExperimentConfig(n=3, m=2, mode="bogus", samples=10, seed=0)

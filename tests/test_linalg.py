@@ -11,7 +11,9 @@ from qcut.linalg import (
     rebuild,
     schmidt_decompose,
 )
+from qcut.fidelity import purify
 from qcut.haar import sample_states
+from qcut.povm import CutPovm, SubsetIndex, apply_cut_density, outcome_probability, sample_outcome
 from qcut.rng import stream
 
 
@@ -75,6 +77,19 @@ class TestStateTypes:
         mat = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="PSD"):
             DensityMatrix(2, mat)
+
+    def test_single_matrix_functions_refuse_a_stack(self):
+        stack = partial_trace(sample_states(6, 3, stream(302)).reshape(3, 3, 2))
+        povm, subset = CutPovm(3, 2), SubsetIndex((0, 1))
+        calls = [
+            lambda: outcome_probability(povm, subset, stack),
+            lambda: apply_cut_density(povm, subset, stack),
+            lambda: sample_outcome(povm, stack, stream(303)),
+            lambda: purify(stack),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="stack of shape"):
+                call()
 
     def test_density_invariants_hold_for_random_constructions(self):
         rng = stream(301)

@@ -13,12 +13,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qcut.channel import ChannelState, teleport
+from qcut.fidelity import bures_fidelity
 from qcut.haar import sample_states
-from qcut.linalg import BipartitePureState, PureState, partial_trace
+from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt, partial_trace
 from qcut.povm import (
     CutPovm,
     SubsetIndex,
     apply_cut_density,
+    completeness_check,
+    element_matrix,
     outcome_probability,
     project_bipartite,
     project_pure,
@@ -104,3 +107,84 @@ def test_cut_commutes_with_partial_trace(cut, data):
     assert probability == pytest.approx(outcome_probability(povm, subset, state), abs=1e-12)
     assert fidelity == pytest.approx(min(povm.norm_const * probability, 1.0), abs=1e-12)
     assert math.isclose(np.linalg.norm(post.matrix), 1.0, abs_tol=1e-12)
+
+
+@st.composite
+def coefficient_stacks(draw, max_n=5, max_r=3, max_k=7):
+    """Haar inputs (k, N, R) and their cuts onto drawn subsets, as the estimator stacks them."""
+    n = draw(st.integers(1, max_n))
+    r = draw(st.integers(1, max_r))
+    k = draw(st.integers(1, max_k))
+    povm = CutPovm(n, draw(st.integers(1, n)))
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    states = sample_states(n * r, k, rng).reshape(k, n, r)
+    posts = np.array(
+        [sample_outcome(povm, BipartitePureState(n, r, c.ravel()), rng).post_state.matrix for c in states]
+    )
+    return states, posts
+
+
+@given(coefficient_stacks())
+def test_stacked_kernels_match_one_at_a_time(stacks):
+    states, posts = stacks
+    k, n, r = states.shape
+    flat = states.reshape(k, n * r)
+    joint = DensityMatrix(n * r, flat[:, :, None] * flat[:, None, :].conj())
+    rho, rho_cut = partial_trace(states), partial_trace(posts)
+    stacked = {
+        "aux": rho.entries,
+        "sys": partial_trace(states, over="sys").entries,
+        "joint aux": partial_trace(joint, dims=(n, r)).entries,
+        "joint sys": partial_trace(joint, over="sys", dims=(n, r)).entries,
+        "cut": rho_cut.entries,
+        "sqrt cut": matrix_sqrt(rho_cut),
+    }
+    fid = bures_fidelity(rho, rho_cut)
+    assert fid.shape == (k,)
+    for i, (c, post) in enumerate(zip(states, posts)):
+        one, one_cut = partial_trace(BipartitePureState(n, r, c.ravel())), partial_trace(post)
+        member = DensityMatrix(n * r, joint.entries[i])
+        singles = {
+            "aux": one.entries,
+            "sys": partial_trace(c, over="sys").entries,
+            "joint aux": partial_trace(member, dims=(n, r)).entries,
+            "joint sys": partial_trace(member, over="sys", dims=(n, r)).entries,
+            "cut": one_cut.entries,
+            "sqrt cut": matrix_sqrt(one_cut),
+        }
+        for name, value in singles.items():
+            np.testing.assert_allclose(stacked[name][i], value, rtol=0, atol=1e-12, err_msg=name)
+        single_fid = bures_fidelity(one, one_cut)
+        assert isinstance(single_fid, float)
+        assert fid[i] == pytest.approx(single_fid, abs=1e-12)
+
+
+@given(coefficient_stacks(), st.sampled_from(["hermitian", "trace", "psd"]), st.data())
+def test_stack_with_one_bad_member_raises_that_members_error(stacks, fault, data):
+    states, _ = stacks
+    n, k = states.shape[1], len(states)
+    entries = partial_trace(states).entries.copy()
+    bad = entries[data.draw(st.integers(0, k - 1))]
+    if fault == "hermitian":
+        bad[0, -1] += 1e-3j  # on the diagonal when N = 1, which is also not Hermitian
+    elif fault == "trace":
+        bad *= 1.01
+    else:
+        bad[...] = np.diag(np.r_[[1.25, -0.25], np.zeros(n - 2)]) if n > 1 else 1.25
+    with pytest.raises(ValueError) as alone:
+        DensityMatrix(n, bad)
+    with pytest.raises(ValueError) as stacked:
+        DensityMatrix(n, entries)
+    assert str(stacked.value) == str(alone.value)
+
+
+@given(st.integers(1, 6), st.data())
+def test_cut_povm_is_complete(n, data):
+    povm = CutPovm(n, data.draw(st.integers(1, n)))
+    assert completeness_check(povm) == 0.0
+    total = sum(element_matrix(povm, s) for s in subsets(povm))
+    np.testing.assert_allclose(total, np.eye(n), rtol=0, atol=1e-12)
+    state = haar_state(n, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2**32 - 1)))
+    for each in (state, partial_trace(state, over="aux")):
+        total_probability = math.fsum(outcome_probability(povm, s, each) for s in subsets(povm))
+        assert total_probability == pytest.approx(1.0, abs=1e-12)
