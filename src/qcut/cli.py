@@ -16,6 +16,8 @@ import argparse
 import functools
 import io
 import json
+import math
+import operator
 import os
 import sys
 import time
@@ -27,7 +29,7 @@ from . import experiments
 from .channel import full_protocol
 from .fidelity import overlap_fidelity
 from .haar import sample_state
-from .povm import CutPovm, _max_completeness_deviation
+from .povm import ENUMERATION_CAP, CutPovm, _max_completeness_deviation
 from .rng import stream
 
 _DECIMALS = 12
@@ -114,64 +116,75 @@ def cmd_estimate(args) -> int:
 
 def _verify_checks(max_n: int, max_r: int):
     """Yield (name, tolerance, worst residual, worst case) for every sweep."""
-    worst = lambda items: max(items, key=lambda t: t[0])
+    worst = functools.partial(max, key=operator.itemgetter(0))
+    pairs = [(n, m) for n in range(1, max_n + 1) for m in range(1, n + 1)]
+    aux = range(1, max_r + 1)
 
-    residuals = [
-        (experiments.relation_check(n, m, r), (n, m, r))
-        for n in range(2, max_n + 1)
-        for m in range(1, n)
-        for r in range(1, max_r + 1)
-    ]
-    yield ("relation", 1e-14, *worst(residuals))
-
-    residuals = [
-        (experiments.composition_check(n, k, m, r), (n, k, m, r))
-        for n in range(1, max_n + 1)
-        for k in range(1, n + 1)
-        for m in range(1, k + 1)
-        for r in range(1, max_r + 1)
-    ]
-    yield ("composition", 1e-14, *worst(residuals))
-
-    residuals = [
-        (abs(experiments.exact_pure_via_moments(n, m) - experiments.analytic_pure(n, m)), (n, m))
-        for n in range(1, max_n + 1)
-        for m in range(1, n + 1)
-    ]
-    yield ("pure_moments", 1e-13, *worst(residuals))
-
-    residuals = [
-        (
-            abs(
-                experiments.exact_entangled_via_moments(n, m, r)
-                - experiments.analytic_entangled(n, m, r)
-            ),
-            (n, m, r),
-        )
-        for n in range(1, max_n + 1)
-        for m in range(1, n + 1)
-        for r in range(1, max_r + 1)
-    ]
-    yield ("entangled_moments", 1e-13, *worst(residuals))
-
-    residuals = [
-        (abs(experiments.horodecki_bound(n, m) - experiments.analytic_pure(n, m)), (n, m))
-        for n in range(1, max_n + 1)
-        for m in range(1, n + 1)
-    ]
-    yield ("horodecki", 0.0, *worst(residuals))
-
-    residuals = [
-        (float(_max_completeness_deviation(n, m, cap=10**6)), (n, m))
-        for n in range(1, max_n + 1)
-        for m in range(1, n + 1)
-    ]
-    yield ("completeness", 1e-12, *worst(residuals))
+    yield (
+        "relation",
+        1e-14,
+        *worst((experiments.relation_check(n, m, r), (n, m, r)) for n, m in pairs if m < n for r in aux),
+    )
+    yield (
+        "composition",
+        1e-14,
+        *worst(
+            (experiments.composition_check(n, k, m, r), (n, k, m, r))
+            for n, k in pairs
+            for m in range(1, k + 1)
+            for r in aux
+        ),
+    )
+    yield (
+        "pure_moments",
+        1e-13,
+        *worst(
+            (abs(experiments.exact_pure_via_moments(n, m) - experiments.analytic_pure(n, m)), (n, m))
+            for n, m in pairs
+        ),
+    )
+    yield (
+        "entangled_moments",
+        1e-13,
+        *worst(
+            (
+                abs(
+                    experiments.exact_entangled_via_moments(n, m, r)
+                    - experiments.analytic_entangled(n, m, r)
+                ),
+                (n, m, r),
+            )
+            for n, m in pairs
+            for r in aux
+        ),
+    )
+    yield (
+        "horodecki",
+        0.0,
+        *worst(
+            (abs(experiments.horodecki_bound(n, m) - experiments.analytic_pure(n, m)), (n, m))
+            for n, m in pairs
+        ),
+    )
+    yield (
+        "completeness",
+        1e-12,
+        *worst(
+            (float(_max_completeness_deviation(n, m, cap=ENUMERATION_CAP)), (n, m))
+            for n, m in pairs
+        ),
+    )
 
 
 def cmd_verify(args) -> int:
     if args.max_n < 2 or args.max_r < 1:
         raise _UsageError("verify needs --max-n >= 2 and --max-r >= 1")
+    widest = math.comb(args.max_n, args.max_n // 2)
+    if widest > ENUMERATION_CAP:
+        raise _UsageError(
+            f"verify --max-n {args.max_n} would enumerate {widest} subsets, "
+            f"above the enumeration cap {ENUMERATION_CAP}"
+        )
     failed = False
     for name, tol, residual, case in _verify_checks(args.max_n, args.max_r):
         ok = residual <= tol

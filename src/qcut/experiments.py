@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fidelity import bures_fidelity
-from .haar import MomentSpec, exact_moment_fraction, sample_states
+from .haar import SAMPLER_PEAK, MomentSpec, exact_moment_fraction, sample_states
 from .linalg import BipartitePureState, partial_trace
 from .povm import CutPovm, sample_outcome
 from .rng import check_seed, stream
@@ -108,10 +108,19 @@ class FidelityEstimate:
 
 
 # --- closed forms (exact rational, floated at the boundary) ---
+#
+# The exact routes work on unreduced (numerator, denominator) integer pairs:
+# two rationals are compared by cross-multiplying, and a value or residual
+# becomes a float through one correctly rounded int / int division.
+
+
+def _fidelity_ratio(n: int, m: int, r: int) -> tuple[int, int]:
+    """The closed form (MR+1)/(NR+1) as an integer pair; its one definition."""
+    return m * r + 1, n * r + 1
 
 
 def entangled_fidelity_fraction(n: int, m: int, r: int) -> Fraction:
-    return Fraction(m * r + 1, n * r + 1)
+    return Fraction(*_fidelity_ratio(n, m, r))
 
 
 def state_estimation_fraction(n: int, m: int) -> Fraction:
@@ -125,22 +134,27 @@ def _check_dims(n: int, m: int, r: int = 1):
         raise ValueError("auxiliary dimension must be >= 1")
 
 
+def _float(ratio: tuple[int, int]) -> float:
+    numerator, denominator = ratio
+    return numerator / denominator
+
+
 def analytic_pure(n: int, m: int) -> float:
     """Average fidelity of the cut protocol on Haar pure states: (M+1)/(N+1)."""
     _check_dims(n, m)
-    return float(Fraction(m + 1, n + 1))
+    return _float(_fidelity_ratio(n, m, 1))
 
 
 def analytic_entangled(n: int, m: int, r: int) -> float:
     """Entangled-input average fidelity (MR+1)/(NR+1); r=1 reduces to pure."""
     _check_dims(n, m, r)
-    return float(entangled_fidelity_fraction(n, m, r))
+    return _float(_fidelity_ratio(n, m, r))
 
 
 def analytic_n_to_1(n: int, r: int) -> float:
     """Fidelity of cutting all the way to one level: (R+1)/(NR+1)."""
     _check_dims(n, 1, r)
-    return float(Fraction(r + 1, n * r + 1))
+    return _float(_fidelity_ratio(n, 1, r))
 
 
 def analytic_state_estimation(n: int, m: int) -> float:
@@ -152,15 +166,17 @@ def analytic_state_estimation(n: int, m: int) -> float:
 def horodecki_bound(n: int, m: int) -> float:
     """Optimal-teleportation bound (N f_s + 1)/(N + 1) with singlet fraction M/N.
 
-    Must agree with ``analytic_pure`` identically; computed independently
-    from the singlet fraction and asserted here.
+    Computed from the singlet fraction alone; ``verify`` and the tests
+    compare it with ``analytic_pure``, which must agree identically.
     """
     _check_dims(n, m)
-    singlet_fraction = Fraction(m, n)
-    bound = (n * singlet_fraction + 1) / (n + 1)
-    if bound != Fraction(m + 1, n + 1):
-        raise AssertionError("singlet-fraction bound disagrees with closed form")
-    return float(bound)
+    # (N * M/N + 1) / (N + 1) = (N*M + N) / (N * (N + 1))
+    return _float((n * m + n, n * (n + 1)))
+
+
+def _residual(a: tuple[int, int], b: tuple[int, int]) -> float:
+    """|a - b| for two integer pairs, exact until one final rounding."""
+    return abs(a[0] * b[1] - b[0] * a[1]) / (a[1] * b[1])
 
 
 def relation_check(n: int, m: int, r: int = 1) -> float:
@@ -170,9 +186,9 @@ def relation_check(n: int, m: int, r: int = 1) -> float:
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
     _check_dims(n, m, r)
-    lhs = entangled_fidelity_fraction(n, m, r)
-    rhs = Fraction(m - 1, n - 1) + Fraction(n - m, n - 1) * Fraction(r + 1, n * r + 1)
-    return float(abs(lhs - rhs))
+    one_num, one_den = _fidelity_ratio(n, 1, r)
+    rhs = ((m - 1) * one_den + (n - m) * one_num, (n - 1) * one_den)
+    return _residual(_fidelity_ratio(n, m, r), rhs)
 
 
 def composition_check(n: int, k: int, m: int, r: int = 1) -> float:
@@ -180,14 +196,21 @@ def composition_check(n: int, k: int, m: int, r: int = 1) -> float:
     if not 1 <= m <= k <= n:
         raise ValueError("need 1 <= m <= k <= n")
     _check_dims(n, m, r)
-    direct = entangled_fidelity_fraction(n, m, r)
-    stepped = entangled_fidelity_fraction(n, k, r) * entangled_fidelity_fraction(k, m, r)
-    return float(abs(direct - stepped))
+    outer_num, outer_den = _fidelity_ratio(n, k, r)
+    inner_num, inner_den = _fidelity_ratio(k, m, r)
+    return _residual(_fidelity_ratio(n, m, r), (outer_num * inner_num, outer_den * inner_den))
 
 
-def _moment(dim: int, leading: tuple[int, ...]) -> Fraction:
+def _moment(dim: int, leading: tuple[int, ...]) -> tuple[int, int]:
     exps = leading + (0,) * (dim - len(leading))
-    return exact_moment_fraction(MomentSpec(dim, exps))
+    return exact_moment_fraction(MomentSpec(dim, exps)).as_integer_ratio()
+
+
+def _via_moments(n: int, m: int, reduced: tuple[int, int]) -> float:
+    # (M-1)/(N-1) + (N-M)/(N-1) * reduced, with reduced the subset-averaged
+    # single-level term.
+    num, den = reduced
+    return _float(((m - 1) * den + (n - m) * num, (n - 1) * den))
 
 
 def exact_pure_via_moments(n: int, m: int) -> float:
@@ -199,8 +222,8 @@ def exact_pure_via_moments(n: int, m: int) -> float:
     _check_dims(n, m)
     if n == 1:
         return 1.0
-    value = Fraction(m - 1, n - 1) + Fraction(n - m, n - 1) * n * _moment(n, (2,))
-    return float(value)
+    num, den = _moment(n, (2,))
+    return _via_moments(n, m, (n * num, den))
 
 
 def exact_entangled_via_moments(n: int, m: int, r: int) -> float:
@@ -209,9 +232,14 @@ def exact_entangled_via_moments(n: int, m: int, r: int) -> float:
     if n == 1:
         return 1.0
     nr = n * r
-    reduced = nr * (_moment(nr, (2,)) + (r - 1) * _moment(nr, (1, 1)))
-    value = Fraction(m - 1, n - 1) + Fraction(n - m, n - 1) * reduced
-    return float(value)
+    fourth_num, fourth_den = _moment(nr, (2,))
+    cross_num, cross_den = _moment(nr, (1, 1))
+    # N*R * (E|c_1|^4 + (R-1) * E|c_1|^2|c_2|^2)
+    reduced = (
+        nr * (fourth_num * cross_den + (r - 1) * cross_num * fourth_den),
+        fourth_den * cross_den,
+    )
+    return _via_moments(n, m, reduced)
 
 
 # --- Monte Carlo estimators ---
@@ -265,22 +293,29 @@ def check_memory(values: int, what: str) -> None:
         )
 
 
+def _shard_values(config: ExperimentConfig, verify_bures: bool) -> int:
+    """Complex values' worth of memory one shard of ``config`` holds at its peak.
+
+    A shard draws one chunk of Haar rows at a time, min(CHUNK, shard rows)
+    * N * R values, and the sampler holds SAMPLER_PEAK times that while it
+    draws.  With the Bures check the shard then holds the chunk, its
+    post-cut rows and one sub-batch of stacked N x N matrices.
+    """
+    n, r = config.n, config.r
+    chunk = min(CHUNK, -(-config.samples // config.shards)) * n * r
+    values = SAMPLER_PEAK * chunk
+    if verify_bures:
+        values = max(values, 2 * chunk + _BURES_ARRAYS * _bures_rows(n) * n * n)
+    return values
+
+
 def check_run(config: ExperimentConfig, verify_bures: bool) -> None:
     """Refuse a run before it allocates anything: a Bures check outside
-    mixed mode, or a shard working set above MEMORY_CAP.
-
-    A shard holds one chunk of Haar rows, min(CHUNK, shard rows) * N * R
-    values; with the Bures check also the chunk's post-cut rows and one
-    sub-batch of stacked N x N matrices.
+    mixed mode, or a shard working set (``_shard_values``) above MEMORY_CAP.
     """
     if verify_bures and config.mode != "mixed":
         raise ValueError("the Bures check needs mode mixed")
-    n, r = config.n, config.r
-    rows = min(CHUNK, -(-config.samples // config.shards))
-    values = rows * n * r
-    if verify_bures:
-        values += rows * n * r + _BURES_ARRAYS * _bures_rows(n) * n * n
-    check_memory(values, "a shard")
+    check_memory(_shard_values(config, verify_bures), "a shard")
 
 
 def _bures_deviation(states: np.ndarray, posts: np.ndarray, shots: np.ndarray) -> float:

@@ -14,6 +14,7 @@ estimator modules use as an independent oracle.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +23,9 @@ import numpy as np
 from .linalg import PureState
 
 TWO_PI = 2.0 * math.pi
+# Bytes ``sample_states`` holds while it draws, per byte it returns, rounded
+# up: the output, one float array of its shape, and ufunc buffers.
+SAMPLER_PEAK = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,10 +69,10 @@ class MomentSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
-        exps = tuple(int(m) for m in self.exponents)
+        exps = tuple(map(operator.index, self.exponents))
         if len(exps) != self.dim:
             raise ValueError("need one exponent per dimension")
-        if any(m < 0 for m in exps):
+        if min(exps) < 0:
             raise ValueError("exponents must be nonnegative")
         if not any(exps):
             raise ValueError("at least one exponent must be positive")
@@ -157,6 +161,8 @@ def sample_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
     Applies the same inverse-CDF map as ``sample_state`` to whole batches;
     the two routes are checked against each other through their moments.
+    The rows are built in place: besides the returned complex array the
+    sampler holds one float array of its shape (see ``SAMPLER_PEAK``).
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -164,16 +170,27 @@ def sample_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("count must be nonnegative")
     if dim == 1:
         return np.exp(1j * rng.random((count, 1)) * TWO_PI)
-    v = rng.random((count, dim - 1))
-    u = v ** (1.0 / (dim - 1 - np.arange(dim - 1)))
-    phis = rng.random((count, dim)) * TWO_PI
-    prefix = np.cumprod(u, axis=1)
-    mags = np.empty((count, dim))
-    mags[:, 0] = np.sqrt(1.0 - u[:, 0])
-    if dim > 2:
-        mags[:, 1 : dim - 1] = np.sqrt(prefix[:, : dim - 2] * (1.0 - u[:, 1:]))
-    mags[:, dim - 1] = np.sqrt(prefix[:, dim - 2])
-    return mags * np.exp(1j * phis)
+    out = np.empty((count, dim), dtype=complex)
+    mags, scratch = out.real, np.empty((count, dim))
+    # u_k = v_k^(1/(N-1-k)); magnitudes sqrt(1 - u_0), then
+    # sqrt(u_0 ... u_(k-1) * (1 - u_k)), and last sqrt(u_0 ... u_(N-2)).
+    u = scratch.reshape(-1)[: count * (dim - 1)].reshape(count, dim - 1)
+    rng.random(out=u)
+    np.power(u, 1.0 / (dim - 1 - np.arange(dim - 1)), out=u)
+    np.cumprod(u, axis=1, out=mags[:, 1:])
+    mags[:, 0] = 1.0
+    np.subtract(1.0, u, out=u)
+    np.multiply(mags[:, : dim - 1], u, out=mags[:, : dim - 1])
+    np.sqrt(mags, out=mags)
+    # The phases are drawn next, into the scratch; then the magnitudes wait
+    # there while exp(i phi) is formed in place and multiplied by them.
+    rng.random(out=scratch)
+    np.multiply(scratch, TWO_PI, out=out.imag)
+    np.copyto(scratch, mags)
+    mags[...] = 0.0
+    np.exp(out, out=out)
+    np.multiply(out, scratch, out=out)
+    return out
 
 
 def sample_state_gaussian(dim: int, rng: np.random.Generator) -> PureState:
@@ -194,14 +211,13 @@ def exact_moment_fraction(spec: MomentSpec) -> Fraction:
     """Exact rational value of E[prod |c_j|^(2 m_j)] under the Haar measure.
 
     The squared amplitudes are jointly flat-Dirichlet, so the moment is
-    (N-1)! * prod(m_j!) / (N-1+sum(m_j))!, computed in integer arithmetic.
+    (N-1)! * prod(m_j!) / (N-1+sum(m_j))!.  It is computed as
+    prod(m_j!) / (N (N+1) ... (N-1+sum(m_j))), in integer arithmetic over
+    the nonzero exponents only.
     """
-    n = spec.dim
     total = sum(spec.exponents)
-    numerator = math.factorial(n - 1)
-    for m in spec.exponents:
-        numerator *= math.factorial(m)
-    return Fraction(numerator, math.factorial(n - 1 + total))
+    numerator = math.prod(map(math.factorial, filter(None, spec.exponents)))
+    return Fraction(numerator, math.perm(spec.dim - 1 + total, total))
 
 
 def exact_moment(spec: MomentSpec) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -236,12 +237,9 @@ def sample_outcome(povm: CutPovm, state, rng: np.random.Generator) -> Measuremen
 def _max_completeness_deviation(n: int, m: int, cap: int) -> Fraction:
     if math.comb(n, m) > cap:
         raise ValueError(f"{math.comb(n, m)} subsets exceed the enumeration cap {cap}")
-    counts = [0] * n
-    for combo in itertools.combinations(range(n), m):
-        for j in combo:
-            counts[j] += 1
+    counts = Counter(itertools.chain.from_iterable(itertools.combinations(range(n), m)))
     norm = math.comb(n - 1, m - 1)
-    return max(abs(Fraction(c, norm) - 1) for c in counts)
+    return Fraction(max(abs(counts[j] - norm) for j in range(n)), norm)
 
 
 def completeness_check(povm: CutPovm, cap: int = ENUMERATION_CAP) -> float:

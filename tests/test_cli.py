@@ -1,5 +1,6 @@
 import ast
 import json
+from fractions import Fraction
 import os
 import subprocess
 import sys
@@ -149,6 +150,7 @@ class TestUsageErrors:
             ["teleport-demo", "--n", "3", "--m", "2", "--seed", "-1"],
             ["verify", "--max-n", "0"],
             ["verify", "--max-r", "0"],
+            ["verify", "--max-n", "23"],
             ["table", "--n-max", "3", "--r", "0"],
             ["table", "--n-max", "0"],
             ["estimate", "--n", "3", "--m", "2", "--r", "2", "--mode", "entangled", "--samples", "10",
@@ -162,7 +164,8 @@ class TestUsageErrors:
         ids=[
             "m-above-n", "no-shards", "no-samples", "r-zero", "r-in-pure", "r-in-state-estimation",
             "negative-seed", "seed-2**64", "no-threads", "teleport-m-above-n",
-            "teleport-negative-seed", "verify-max-n-0", "verify-max-r-0", "table-r-zero",
+            "teleport-negative-seed", "verify-max-n-0", "verify-max-r-0",
+            "verify-max-n-over-enumeration-cap", "table-r-zero",
             "table-n-max-0", "bures-in-entangled", "bures-in-state-estimation",
             "estimate-over-memory-cap", "teleport-over-memory-cap",
         ],
@@ -236,7 +239,70 @@ class TestParserReuse:
         assert results[4][1]["config"]["seed"] == 7
 
 
+VERIFY_PASS = """\
+relation             max_residual=0.000e+00 tol=1.0e-14 PASS
+composition          max_residual=0.000e+00 tol=1.0e-14 PASS
+pure_moments         max_residual=0.000e+00 tol=1.0e-13 PASS
+entangled_moments    max_residual=0.000e+00 tol=1.0e-13 PASS
+horodecki            max_residual=0.000e+00 tol=0.0e+00 PASS
+completeness         max_residual=0.000e+00 tol=1.0e-12 PASS
+verify: PASS
+"""
+
+
+def shift_closed_form(monkeypatch, eps=Fraction(1, 10**9)):
+    """Replace (MR+1)/(NR+1) by (MR+1)/(NR+1) + eps, kept as an integer pair."""
+    closed = experiments._fidelity_ratio
+
+    def shifted(n, m, r):
+        value = Fraction(*closed(n, m, r)) + eps
+        return value.numerator, value.denominator
+
+    monkeypatch.setattr(experiments, "_fidelity_ratio", shifted)
+
+
+def scale_moments(monkeypatch, factor=1 + Fraction(1, 10**9)):
+    moment = experiments.exact_moment_fraction
+    monkeypatch.setattr(experiments, "exact_moment_fraction", lambda spec: moment(spec) * factor)
+
+
+def failed_rows(out):
+    return {line.split()[0] for line in out.splitlines()[:-1] if "FAIL at" in line}
+
+
 class TestVerify:
+    @pytest.mark.parametrize(
+        "argv", [(), ("--max-n", "5", "--max-r", "2")], ids=["default", "max-n-5-max-r-2"]
+    )
+    def test_transcript(self, capsys, argv):
+        code, out = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert out == VERIFY_PASS
+
+    def test_shifted_closed_form_fails_every_route_against_it(self, capsys, monkeypatch):
+        shift_closed_form(monkeypatch)
+        code, out = run_cli(capsys, "verify")
+        assert code == 1
+        assert {"relation", "composition", "entangled_moments"} <= failed_rows(out)
+        assert out.splitlines()[-1] == "verify: FAIL"
+
+    def test_scaled_moment_fails_both_moment_rows(self, capsys, monkeypatch):
+        scale_moments(monkeypatch)
+        code, out = run_cli(capsys, "verify")
+        assert code == 1
+        assert failed_rows(out) == {"pure_moments", "entangled_moments"}
+
+    @pytest.mark.parametrize("perturb", [shift_closed_form, scale_moments])
+    def test_no_state_survives_a_call(self, capsys, monkeypatch, perturb):
+        # Pass, fail under the perturbation, pass again once it is undone:
+        # a value kept from an earlier call would hide one of the two changes.
+        assert run_cli(capsys, "verify") == (0, VERIFY_PASS)
+        with monkeypatch.context() as patch:
+            perturb(patch)
+            code, out = run_cli(capsys, "verify")
+            assert code == 1 and failed_rows(out)
+        assert run_cli(capsys, "verify") == (0, VERIFY_PASS)
+
     def test_default_sweep_passes(self, capsys):
         code, out = run_cli(capsys, "verify")
         assert code == 0

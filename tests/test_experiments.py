@@ -18,7 +18,7 @@ from qcut.experiments import (
     relation_check,
     run_experiment,
 )
-from qcut.haar import sample_state
+from qcut.haar import sample_state, sample_states
 from qcut.povm import CutPovm, sample_outcome
 from qcut.rng import stream
 
@@ -305,6 +305,20 @@ class TestEstimatorContracts:
         single = run_experiment(config, threads=1, verify_bures=True)
         assert single.bures_max_deviation < 1e-12
         assert run_experiment(config, threads=2, verify_bures=True) == single
+
+    def test_sampler_peak_is_within_what_the_guard_charges(self):
+        rows, dim = experiments.CHUNK, 64
+        config = ExperimentConfig(n=dim, m=1, mode="pure", samples=rows, seed=825, shards=1)
+        rng = stream(825)
+        sample_states(dim, rows, rng)  # first-call allocations are not the sampler's
+        tracemalloc.start()
+        try:
+            out = sample_states(dim, rows, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 16 * experiments._shard_values(config, False) == experiments.SAMPLER_PEAK * out.nbytes
+        assert out.nbytes < peak <= experiments.SAMPLER_PEAK * out.nbytes
 
     def test_oversized_working_set_is_refused_before_allocation(self):
         huge = ExperimentConfig(n=10**6, m=1, r=10**4, mode="entangled", samples=100, seed=0)

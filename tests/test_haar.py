@@ -153,6 +153,23 @@ class TestSamplers:
                 mean, stderr = mean_and_stderr(w[:, 0] * w[:, 1])
                 assert abs(mean - exact_moment(leading_moment(dim, 1, 1))) < 4 * stderr
 
+    @pytest.mark.parametrize("dim", [2, 3, 5, 64])
+    def test_in_place_rows_equal_the_direct_formula_bit_for_bit(self, dim):
+        # Oracle: the same inverse-CDF map written out with temporaries.
+        a, b = stream(410, dim), stream(410, dim)
+        for count in (0, 1, 7, 300):
+            v = b.random((count, dim - 1))
+            u = v ** (1.0 / (dim - 1 - np.arange(dim - 1)))
+            phis = b.random((count, dim)) * 2.0 * math.pi
+            prefix = np.cumprod(u, axis=1)
+            mags = np.concatenate(
+                [1.0 - u[:, :1], prefix[:, :-1] * (1.0 - u[:, 1:]), prefix[:, -1:]], axis=1
+            )
+            expected = np.sqrt(mags) * np.exp(1j * phis)
+            rows = sample_states(dim, count, a)
+            assert rows.shape == expected.shape
+            assert rows.tobytes() == expected.tobytes()
+
 
 class TestExactMoments:
     def test_qubit_fourth_moment_against_quadrature(self):
@@ -192,6 +209,8 @@ class TestExactMoments:
         assert exact_moment(spec) == pytest.approx(math.exp(logs), rel=1e-12)
 
     def test_moment_spec_validation(self):
+        with pytest.raises(TypeError):
+            MomentSpec(2, (1.5, 0))
         with pytest.raises(ValueError, match="positive"):
             MomentSpec(3, (0, 0, 0))
         with pytest.raises(ValueError, match="nonnegative"):

@@ -6,6 +6,7 @@ same cases.  Input states come from seeded Haar draws.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from qcut.channel import ChannelState, teleport
 from qcut.fidelity import bures_fidelity
-from qcut.haar import sample_states
+from qcut.haar import MomentSpec, exact_moment_fraction, sample_states
 from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt, partial_trace
 from qcut.povm import (
     CutPovm,
@@ -188,3 +189,19 @@ def test_cut_povm_is_complete(n, data):
     for each in (state, partial_trace(state, over="aux")):
         total_probability = math.fsum(outcome_probability(povm, s, each) for s in subsets(povm))
         assert total_probability == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def moment_specs(draw, max_dim=80, max_exponent=4):
+    dim = draw(st.integers(1, max_dim))
+    exps = draw(st.lists(st.integers(0, max_exponent), min_size=dim, max_size=dim))
+    exps[draw(st.integers(0, dim - 1))] = draw(st.integers(1, max_exponent))
+    return MomentSpec(dim, tuple(exps))
+
+
+@given(moment_specs())
+def test_moment_equals_dirichlet_factorial_formula(spec):
+    # Oracle: (N-1)! * prod(m_j!) / (N-1+sum(m_j))!, with every factorial in full.
+    n, total = spec.dim, sum(spec.exponents)
+    numerator = math.factorial(n - 1) * math.prod(math.factorial(m) for m in spec.exponents)
+    assert exact_moment_fraction(spec) == Fraction(numerator, math.factorial(n - 1 + total))
