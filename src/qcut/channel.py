@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fidelity import overlap_fidelity
-from .linalg import BipartitePureState, PureState, rebuild
+from .linalg import BipartitePureState
 from .povm import CutPovm, MeasurementOutcome, sample_outcome
 
 
@@ -62,7 +62,7 @@ class ProtocolRun:
 
     outcome: MeasurementOutcome
     message: ClassicalMessage
-    final_state: PureState | BipartitePureState
+    final_state: BipartitePureState
     end_to_end_fidelity: float
 
 
@@ -96,7 +96,7 @@ def teleport(
     channel: ChannelState,
     rng: np.random.Generator | None = None,
     force_outcome: tuple[int, int] | None = None,
-) -> tuple[ClassicalMessage, PureState | BipartitePureState]:
+) -> tuple[ClassicalMessage, BipartitePureState]:
     """Teleport an M-dimensional (possibly entangled) state through the channel.
 
     Every Bell outcome (a, b) has probability 1/M^2, so one uniform draw
@@ -121,7 +121,7 @@ def teleport(
 
     phases = np.exp(-2j * np.pi * b * np.arange(m) / m)
     bob = phases[:, None] * _roll(c, -a)
-    return ClassicalMessage(a, b), rebuild(state, _apply_weyl(bob, a, b))
+    return ClassicalMessage(a, b), type(state)._trusted(_apply_weyl(bob, a, b))
 
 
 def full_protocol(state, m: int, rng: np.random.Generator) -> ProtocolRun:
@@ -135,8 +135,9 @@ def full_protocol(state, m: int, rng: np.random.Generator) -> ProtocolRun:
     outcome = sample_outcome(CutPovm(state.matrix.shape[0], m), state, rng)
     idx = list(outcome.subset.indices)
     post_c = outcome.post_state.matrix
-    message, received = teleport(rebuild(state, post_c[idx]), make_channel(m), rng)
+    build = type(state)._trusted
+    message, received = teleport(build(post_c[idx]), make_channel(m), rng)
     final_c = np.zeros_like(post_c)
     final_c[idx] = received.matrix
-    final = rebuild(state, final_c)
+    final = build(final_c)
     return ProtocolRun(outcome, message, final, overlap_fidelity(state, final))

@@ -185,6 +185,8 @@ def cmd_verify(args) -> int:
             f"verify --max-n {args.max_n} would enumerate {widest} subsets, "
             f"above the enumeration cap {ENUMERATION_CAP}"
         )
+    # A Haar moment on N * R amplitudes builds two exponent tuples of that length.
+    _checked(experiments.check_memory, args.max_n * args.max_r, "verify's widest Haar moment")
     failed = False
     for name, tol, residual, case in _verify_checks(args.max_n, args.max_r):
         ok = residual <= tol

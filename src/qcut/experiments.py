@@ -296,17 +296,20 @@ def check_memory(values: int, what: str) -> None:
 def _shard_values(config: ExperimentConfig, verify_bures: bool) -> int:
     """Complex values' worth of memory one shard of ``config`` holds at its peak.
 
-    A shard draws one chunk of Haar rows at a time, min(CHUNK, shard rows)
-    * N * R values, and the sampler holds SAMPLER_PEAK times that while it
-    draws.  With the Bures check the shard then holds the chunk, its
-    post-cut rows and one sub-batch of stacked N x N matrices.
+    The largest shard keeps one 8 B shot value per row for its whole run,
+    half a complex value each.  It draws one chunk of Haar rows at a time,
+    min(CHUNK, shard rows) * N * R values, and the sampler holds
+    SAMPLER_PEAK times that while it draws.  With the Bures check the shard
+    then holds the chunk, its post-cut rows and one sub-batch of stacked
+    N x N matrices.
     """
     n, r = config.n, config.r
-    chunk = min(CHUNK, -(-config.samples // config.shards)) * n * r
+    rows = -(-config.samples // config.shards)
+    chunk = min(CHUNK, rows) * n * r
     values = SAMPLER_PEAK * chunk
     if verify_bures:
         values = max(values, 2 * chunk + _BURES_ARRAYS * _bures_rows(n) * n * n)
-    return values
+    return -(-rows // 2) + values
 
 
 def check_run(config: ExperimentConfig, verify_bures: bool) -> None:
@@ -342,19 +345,18 @@ def _shard(config: ExperimentConfig, count: int, shard: int, verify_bures: bool)
     fs = np.empty(count)
     max_dev = 0.0
     for start in range(0, count, CHUNK):
-        rows = sample_states(n * r, min(CHUNK, count - start), rng)
-        shots = fs[start : start + len(rows)]
+        size = min(CHUNK, count - start)
+        rows = sample_states(n * r, size, rng).reshape(size, n, r)
+        shots = fs[start : start + size]
         posts = np.empty_like(rows) if verify_bures else None
         for i, row in enumerate(rows):
-            state = BipartitePureState._trusted(n, r, row)
+            state = BipartitePureState._trusted(row)
             outcome = sample_outcome(povm, state, rng)
             shots[i] = shot(state, outcome)
             if verify_bures:
-                posts[i] = outcome.post_state.amps
+                posts[i] = outcome.post_state.matrix
         if verify_bures:
-            stacked = (len(rows), n, r)
-            dev = _bures_deviation(rows.reshape(stacked), posts.reshape(stacked), shots)
-            max_dev = max(max_dev, dev)
+            max_dev = max(max_dev, _bures_deviation(rows, posts, shots))
         # The last row is a view that keeps the whole chunk alive; drop it
         # so that the next chunk is not drawn while this one is held.
         del rows, row, state, outcome, posts

@@ -61,7 +61,7 @@ def uhlmann_fidelity(phi0: BipartitePureState, phi1: BipartitePureState) -> floa
     so the maximization is done analytically through singular values.
     Equals the square-root fidelity of the reduced system states.
     """
-    if (phi0.dim_sys, phi0.dim_aux) != (phi1.dim_sys, phi1.dim_aux):
+    if phi0.matrix.shape != phi1.matrix.shape:
         raise ValueError("purifications must share both dimensions")
     cross = phi1.matrix.T @ phi0.matrix.conj()
     return _clamp_unit(float(np.linalg.svd(cross, compute_uv=False).sum()) ** 2)

@@ -1,11 +1,11 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
 Immutable state containers with validated physical invariants, plus the
-kernels the rest of the package builds on: partial traces, Hermitian
-eigendecomposition, PSD matrix square roots and Schmidt decompositions.
+kernels the rest of the package builds on: partial traces, PSD matrix
+square roots and Schmidt decompositions.
 
-Both pure-state types expose their amplitudes as an (N, R) coefficient
-matrix: a ``PureState`` is the R = 1 case of a ``BipartitePureState``.
+One class holds a pure state, ``BipartitePureState``, as an (N, R)
+coefficient matrix; a ``PureState`` is its R = 1 case.
 
 Matrices are plain complex ``numpy`` arrays.  All state containers freeze
 their backing arrays after validation, so values are safe to share between
@@ -39,49 +39,14 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _set_amps(state, amps: np.ndarray, shape: tuple[int, int]) -> None:
-    # Freeze the amplitudes and store them with their coefficient-matrix
-    # view, built once per state rather than on every read.
-    amps.setflags(write=False)
-    object.__setattr__(state, "amps", amps)
-    object.__setattr__(state, "matrix", amps.reshape(shape))
-
-
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Unit-norm state vector on a ``dim``-dimensional Hilbert space.
-
-    ``matrix`` holds the amplitudes as a read-only (dim, 1) coefficient
-    matrix.
-    """
-
-    dim: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
-        amps = _frozen_complex_array(self.amps, (self.dim,))
-        norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm**2 = {norm2} is not 1 within {NORM_ATOL}")
-        _set_amps(self, amps, (self.dim, 1))
-
-    @classmethod
-    def basis_state(cls, dim: int, index: int) -> "PureState":
-        if not 0 <= index < dim:
-            raise ValueError("basis index out of range")
-        amps = np.zeros(dim, dtype=complex)
-        amps[index] = 1.0
-        return cls(dim, amps)
-
-    @classmethod
-    def _trusted(cls, dim: int, amps: np.ndarray) -> "PureState":
-        # Validation bypass for freshly built unit-norm arrays in hot loops.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "dim", dim)
-        _set_amps(obj, amps, (dim, 1))
-        return obj
+def _store(state, coeffs: np.ndarray) -> None:
+    # Freeze the (N, R) coefficient matrix and store it with its dimensions
+    # and its flat view, built once per state rather than on every read.
+    coeffs.setflags(write=False)
+    object.__setattr__(state, "dim_sys", coeffs.shape[0])
+    object.__setattr__(state, "dim_aux", coeffs.shape[1])
+    object.__setattr__(state, "amps", coeffs.reshape(-1))
+    object.__setattr__(state, "matrix", coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +55,7 @@ class BipartitePureState:
 
     Amplitudes are stored flat and system-major: entry (j, k) sits at
     index j * dim_aux + k.  ``matrix`` holds them as a read-only
-    (dim_sys, dim_aux) matrix.
+    (dim_sys, dim_aux) matrix.  ``PureState`` is the R = 1 case.
     """
 
     dim_sys: int
@@ -104,16 +69,42 @@ class BipartitePureState:
         norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm**2 = {norm2} is not 1 within {NORM_ATOL}")
-        _set_amps(self, amps, (self.dim_sys, self.dim_aux))
+        _store(self, amps.reshape(self.dim_sys, self.dim_aux))
 
     @classmethod
-    def _trusted(cls, dim_sys: int, dim_aux: int, amps: np.ndarray) -> "BipartitePureState":
-        # Validation bypass for freshly built unit-norm arrays in hot loops.
+    def _trusted(cls, coeffs: np.ndarray):
+        """A state of this class with coefficient matrix ``coeffs``.
+
+        Validation bypass for hot loops: ``coeffs`` must be a freshly built
+        C-contiguous unit-norm (N, R) array, with R = 1 for a ``PureState``;
+        it is frozen and used as it is.
+        """
         obj = object.__new__(cls)
-        object.__setattr__(obj, "dim_sys", dim_sys)
-        object.__setattr__(obj, "dim_aux", dim_aux)
-        _set_amps(obj, amps, (dim_sys, dim_aux))
+        _store(obj, coeffs)
         return obj
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class PureState(BipartitePureState):
+    """Unit-norm state vector on a ``dim``-dimensional Hilbert space.
+
+    The R = 1 case of ``BipartitePureState``: ``matrix`` is (dim, 1).
+    """
+
+    def __init__(self, dim: int, amps):
+        super().__init__(dim, 1, amps)
+
+    @property
+    def dim(self) -> int:
+        return self.dim_sys
+
+    @classmethod
+    def basis_state(cls, dim: int, index: int) -> "PureState":
+        if not 0 <= index < dim:
+            raise ValueError("basis index out of range")
+        amps = np.zeros(dim, dtype=complex)
+        amps[index] = 1.0
+        return cls(dim, amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,18 +187,6 @@ def single_entries(rho: DensityMatrix) -> np.ndarray:
     return rho.entries
 
 
-def rebuild(like, coeffs: np.ndarray):
-    """A state of the same type as ``like`` with coefficient matrix ``coeffs``.
-
-    ``coeffs`` must be a freshly built unit-norm (N, R) array; it is frozen
-    and used without revalidation.
-    """
-    amps = coeffs.ravel()
-    if isinstance(like, PureState):
-        return PureState._trusted(len(amps), amps)
-    return BipartitePureState._trusted(coeffs.shape[0], coeffs.shape[1], amps)
-
-
 def partial_trace(state, over: str = "aux", dims: tuple[int, int] | None = None) -> DensityMatrix:
     """Trace out one subsystem of a bipartite state.
 
@@ -245,21 +224,6 @@ def partial_trace(state, over: str = "aux", dims: tuple[int, int] | None = None)
             reduced = c.swapaxes(-1, -2) @ c.conj()
             kept = r
     return DensityMatrix(kept, reduced)
-
-
-def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns eigenvalues in ascending order and the unitary matrix whose
-    columns are the matching eigenvectors.  Rejects non-square or
-    non-Hermitian input.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("eigh expects a square matrix")
-    if float(np.max(np.abs(h - h.conj().T))) > HERMITICITY_ATOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigh(h)
 
 
 def matrix_sqrt(rho: DensityMatrix) -> np.ndarray:

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import BipartitePureState, DensityMatrix, PureState, rebuild, single_entries
+from .linalg import BipartitePureState, DensityMatrix, PureState, single_entries
 
 ENUMERATION_CAP = 10**6
 
@@ -92,7 +92,7 @@ class MeasurementOutcome:
 
     subset: SubsetIndex
     probability: float
-    post_state: PureState | BipartitePureState | DensityMatrix
+    post_state: BipartitePureState | DensityMatrix
     shot_fidelity: float
 
     def __post_init__(self):
@@ -165,7 +165,7 @@ def _project(povm: CutPovm, subset: SubsetIndex, state):
         raise ValueError(f"outcome {subset.indices} has zero probability")
     post = np.zeros(c.shape, dtype=complex)
     post[idx] = kept / math.sqrt(kept_weight)
-    return rebuild(state, post), float(abs(np.vdot(c, post)) ** 2)
+    return type(state)._trusted(post), float(abs(np.vdot(c, post)) ** 2)
 
 
 def project_pure(povm: CutPovm, subset: SubsetIndex, state: PureState) -> tuple[PureState, float]:

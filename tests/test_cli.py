@@ -160,6 +160,8 @@ class TestUsageErrors:
             ["estimate", "--n", "1000000", "--m", "1", "--r", "10000", "--mode", "entangled",
              "--samples", "100"],
             ["teleport-demo", "--n", "100000000", "--m", "1", "--seed", "1"],
+            ["estimate", "--n", "2", "--m", "1", "--mode", "pure", "--samples", "10000000000"],
+            ["verify", "--max-r", "100000000"],
         ],
         ids=[
             "m-above-n", "no-shards", "no-samples", "r-zero", "r-in-pure", "r-in-state-estimation",
@@ -168,6 +170,7 @@ class TestUsageErrors:
             "verify-max-n-over-enumeration-cap", "table-r-zero",
             "table-n-max-0", "bures-in-entangled", "bures-in-state-estimation",
             "estimate-over-memory-cap", "teleport-over-memory-cap",
+            "estimate-shot-values-over-memory-cap", "verify-moments-over-memory-cap",
         ],
     )
     def test_invalid_input_is_a_one_line_usage_error(self, capsys, argv):

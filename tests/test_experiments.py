@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -317,8 +318,16 @@ class TestEstimatorContracts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 16 * experiments._shard_values(config, False) == experiments.SAMPLER_PEAK * out.nbytes
+        # The guard charges SAMPLER_PEAK chunks plus one 8 B shot value per row.
+        chunk_bytes = experiments.SAMPLER_PEAK * out.nbytes
+        assert 16 * experiments._shard_values(config, False) == chunk_bytes + 8 * rows
         assert out.nbytes < peak <= experiments.SAMPLER_PEAK * out.nbytes
+        # A shard of three chunks draws one chunk at a time but keeps every shot
+        # value (m = n keeps its shots cheap).
+        longer = dataclasses.replace(config, m=dim, samples=3 * rows)
+        charged = 16 * experiments._shard_values(longer, False)
+        assert charged == chunk_bytes + 8 * 3 * rows
+        assert self.shard_peak(longer, 3 * rows) <= charged
 
     def test_oversized_working_set_is_refused_before_allocation(self):
         huge = ExperimentConfig(n=10**6, m=1, r=10**4, mode="entangled", samples=100, seed=0)

@@ -5,12 +5,11 @@ from qcut.linalg import (
     BipartitePureState,
     DensityMatrix,
     PureState,
-    eigh,
     matrix_sqrt,
     partial_trace,
-    rebuild,
     schmidt_decompose,
 )
+from qcut.channel import full_protocol
 from qcut.fidelity import purify
 from qcut.haar import sample_states
 from qcut.povm import CutPovm, SubsetIndex, apply_cut_density, outcome_probability, sample_outcome
@@ -52,17 +51,20 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 1.0
 
-    def test_rebuild_preserves_the_state_type(self):
+    def test_trusted_preserves_the_state_type(self):
         c = np.zeros((2, 3), dtype=complex)
         c[0, 1] = 1.0
-        bipartite = rebuild(BipartitePureState(2, 3, c.ravel()), c[:, ::-1].copy())
-        assert isinstance(bipartite, BipartitePureState)
+        bipartite = BipartitePureState._trusted(c[:, ::-1].copy())
+        assert type(bipartite) is BipartitePureState
         assert (bipartite.dim_sys, bipartite.dim_aux) == (2, 3)
-        pure = rebuild(PureState.basis_state(2, 0), np.array([[0.0], [1.0]], dtype=complex))
-        assert isinstance(pure, PureState)
+        pure = PureState._trusted(np.array([[0.0], [1.0]], dtype=complex))
+        assert type(pure) is PureState
+        assert pure.dim == 2
         np.testing.assert_array_equal(pure.amps, [0.0, 1.0])
         with pytest.raises(ValueError):
             pure.amps[0] = 1.0
+        with pytest.raises(ValueError):
+            pure.matrix[0, 0] = 1.0
 
     def test_density_matrix_rejects_nonhermitian(self):
         mat = np.array([[0.5, 0.5], [0.0, 0.5]])
@@ -98,6 +100,52 @@ class TestStateTypes:
             assert abs(np.trace(rho.entries) - 1.0) < 1e-10
             assert np.max(np.abs(rho.entries - rho.entries.conj().T)) < 1e-10
             assert np.linalg.eigvalsh(rho.entries)[0] >= -1e-10
+
+
+class TestOneStateClass:
+    """A ``PureState`` is a ``BipartitePureState`` with a one-level auxiliary."""
+
+    def test_pure_state_is_a_single_column_bipartite_state(self):
+        amps = sample_states(4, 1, stream(309))[0]
+        state = PureState(4, amps)
+        assert isinstance(state, BipartitePureState)
+        assert (state.dim, state.dim_sys, state.dim_aux) == (4, 4, 1)
+        np.testing.assert_array_equal(state.matrix, BipartitePureState(4, 1, amps).matrix)
+
+    @pytest.mark.parametrize(
+        "dim, amps",
+        [(2, [1.0, 1.0]), (2, [np.nan, 0.0]), (0, []), (-1, [1.0]), (2, [1.0, 0.0, 0.0])],
+        ids=["norm", "finite", "zero-dim", "negative-dim", "shape"],
+    )
+    def test_bad_input_fails_as_for_the_bipartite_state(self, dim, amps):
+        with pytest.raises(ValueError) as bipartite:
+            BipartitePureState(dim, 1, np.array(amps))
+        with pytest.raises(ValueError) as pure:
+            PureState(dim, np.array(amps))
+        assert str(pure.value) == str(bipartite.value)
+
+    def test_sample_outcome_cuts_both_alike(self):
+        rng = stream(310)
+        for n, m in [(3, 2), (5, 1), (8, 3), (4, 4)]:
+            povm = CutPovm(n, m)
+            amps = sample_states(n, 1, rng)[0]
+            for seed in range(20):
+                pure = sample_outcome(povm, PureState(n, amps), stream(seed))
+                bipartite = sample_outcome(povm, BipartitePureState(n, 1, amps), stream(seed))
+                assert pure.subset == bipartite.subset
+                assert pure.probability == bipartite.probability
+                assert pure.shot_fidelity == bipartite.shot_fidelity
+                assert type(pure.post_state) is PureState
+                np.testing.assert_array_equal(pure.post_state.matrix, bipartite.post_state.matrix)
+
+    def test_the_cut_and_teleport_paths_keep_the_state_type(self):
+        rng = stream(311)
+        pure = PureState(5, sample_states(5, 1, rng)[0])
+        for state in (pure, BipartitePureState(5, 2, sample_states(10, 1, rng)[0])):
+            run = full_protocol(state, 3, rng)
+            assert type(run.outcome.post_state) is type(state)
+            assert type(run.final_state) is type(state)
+            assert run.final_state.matrix.shape == state.matrix.shape
 
 
 class TestPartialTrace:
@@ -197,26 +245,3 @@ class TestSchmidt:
             evals = np.sort(np.linalg.eigvalsh(partial_trace(state, over="aux").entries))[::-1]
             np.testing.assert_allclose(evals, dec.coefficients**2, atol=1e-10)
 
-
-class TestEigh:
-    def test_identity(self):
-        evals, _ = eigh(np.eye(3, dtype=complex))
-        np.testing.assert_allclose(evals, [1.0, 1.0, 1.0])
-
-    def test_diagonal(self):
-        evals, vecs = eigh(np.diag([0.2, 0.8]).astype(complex))
-        np.testing.assert_allclose(evals, [0.2, 0.8])
-        np.testing.assert_allclose(np.abs(vecs), np.eye(2), atol=1e-14)
-
-    def test_reconstruction_for_random_hermitian(self):
-        rng = stream(308)
-        for _ in range(50):
-            a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-            h = (a + a.conj().T) / 2
-            evals, vecs = eigh(h)
-            np.testing.assert_allclose((vecs * evals) @ vecs.conj().T, h, atol=1e-9)
-            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(5), atol=1e-9)
-
-    def test_rejects_nonhermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
