@@ -119,6 +119,9 @@ def _verify_checks(max_n: int, max_r: int):
     worst = functools.partial(max, key=operator.itemgetter(0))
     pairs = [(n, m) for n in range(1, max_n + 1) for m in range(1, n + 1)]
     aux = range(1, max_r + 1)
+    # Both moment rows share one table, so each distinct Haar moment is
+    # evaluated once per call; it dies with the call.
+    moments = {}
 
     yield (
         "relation",
@@ -139,7 +142,13 @@ def _verify_checks(max_n: int, max_r: int):
         "pure_moments",
         1e-13,
         *worst(
-            (abs(experiments.exact_pure_via_moments(n, m) - experiments.analytic_pure(n, m)), (n, m))
+            (
+                abs(
+                    experiments.exact_pure_via_moments(n, m, moments=moments)
+                    - experiments.analytic_pure(n, m)
+                ),
+                (n, m),
+            )
             for n, m in pairs
         ),
     )
@@ -149,7 +158,7 @@ def _verify_checks(max_n: int, max_r: int):
         *worst(
             (
                 abs(
-                    experiments.exact_entangled_via_moments(n, m, r)
+                    experiments.exact_entangled_via_moments(n, m, r, moments=moments)
                     - experiments.analytic_entangled(n, m, r)
                 ),
                 (n, m, r),
@@ -185,8 +194,13 @@ def cmd_verify(args) -> int:
             f"verify --max-n {args.max_n} would enumerate {widest} subsets, "
             f"above the enumeration cap {ENUMERATION_CAP}"
         )
-    # A Haar moment on N * R amplitudes builds two exponent tuples of that length.
-    _checked(experiments.check_memory, args.max_n * args.max_r, "verify's widest Haar moment")
+    # The composition row, the widest, visits C(max_n + 2, 3) (n, k, m) per r.
+    cases = math.comb(args.max_n + 2, 3) * args.max_r
+    if cases > ENUMERATION_CAP:
+        raise _UsageError(
+            f"verify --max-n {args.max_n} --max-r {args.max_r} would check {cases} "
+            f"composition cases, above the enumeration cap {ENUMERATION_CAP}"
+        )
     failed = False
     for name, tol, residual, case in _verify_checks(args.max_n, args.max_r):
         ok = residual <= tol

@@ -201,9 +201,16 @@ def composition_check(n: int, k: int, m: int, r: int = 1) -> float:
     return _residual(_fidelity_ratio(n, m, r), (outer_num * inner_num, outer_den * inner_den))
 
 
-def _moment(dim: int, leading: tuple[int, ...]) -> tuple[int, int]:
-    exps = leading + (0,) * (dim - len(leading))
-    return exact_moment_fraction(MomentSpec(dim, exps)).as_integer_ratio()
+def _moment(dim: int, leading: tuple[int, ...], moments: dict) -> tuple[int, int]:
+    """The Haar moment of ``leading`` exponents on C^dim as an integer pair.
+
+    ``moments`` holds the moments already evaluated, keyed by (dim, leading);
+    a missing one is evaluated and added.
+    """
+    key = (dim, leading)
+    if key not in moments:
+        moments[key] = exact_moment_fraction(MomentSpec(dim, leading)).as_integer_ratio()
+    return moments[key]
 
 
 def _via_moments(n: int, m: int, reduced: tuple[int, int]) -> float:
@@ -213,27 +220,34 @@ def _via_moments(n: int, m: int, reduced: tuple[int, int]) -> float:
     return _float(((m - 1) * den + (n - m) * num, (n - 1) * den))
 
 
-def exact_pure_via_moments(n: int, m: int) -> float:
+def exact_pure_via_moments(n: int, m: int, *, moments: dict | None = None) -> float:
     """Pure-state average fidelity derived through the amplitude moments.
 
     An independent route to the closed form: the subset-average reduces to
-    N * E[|c_1|^4] plus combinatorial prefactors.
+    N * E[|c_1|^4] plus combinatorial prefactors.  A sweep passes one
+    ``moments`` table (see ``_moment``) to every call, so that each distinct
+    moment is evaluated once.
     """
     _check_dims(n, m)
     if n == 1:
         return 1.0
-    num, den = _moment(n, (2,))
+    num, den = _moment(n, (2,), {} if moments is None else moments)
     return _via_moments(n, m, (n * num, den))
 
 
-def exact_entangled_via_moments(n: int, m: int, r: int) -> float:
-    """Entangled average fidelity from fourth and cross moments on N*R."""
+def exact_entangled_via_moments(n: int, m: int, r: int, *, moments: dict | None = None) -> float:
+    """Entangled average fidelity from fourth and cross moments on N*R.
+
+    ``moments`` is shared with ``exact_pure_via_moments`` (the R = 1 fourth
+    moment is the pure one).
+    """
     _check_dims(n, m, r)
     if n == 1:
         return 1.0
     nr = n * r
-    fourth_num, fourth_den = _moment(nr, (2,))
-    cross_num, cross_den = _moment(nr, (1, 1))
+    moments = {} if moments is None else moments
+    fourth_num, fourth_den = _moment(nr, (2,), moments)
+    cross_num, cross_den = _moment(nr, (1, 1), moments)
     # N*R * (E|c_1|^4 + (R-1) * E|c_1|^2|c_2|^2)
     reduced = (
         nr * (fourth_num * cross_den + (r - 1) * cross_num * fourth_den),

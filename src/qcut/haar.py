@@ -61,7 +61,12 @@ class HypersphericalPoint:
 
 @dataclass(frozen=True)
 class MomentSpec:
-    """Monomial in the squared amplitudes: product over j of |c_j|^(2 m_j)."""
+    """Monomial in the squared amplitudes: product over j of |c_j|^(2 m_j).
+
+    ``exponents`` are those of the leading amplitudes; every later one has
+    exponent 0.  The Haar moment is invariant under permutations of the
+    amplitudes, so the exponents may sit on any of them.
+    """
 
     dim: int
     exponents: tuple[int, ...]
@@ -70,9 +75,9 @@ class MomentSpec:
         if self.dim < 1:
             raise ValueError("dimension must be positive")
         exps = tuple(map(operator.index, self.exponents))
-        if len(exps) != self.dim:
-            raise ValueError("need one exponent per dimension")
-        if min(exps) < 0:
+        if len(exps) > self.dim:
+            raise ValueError("more exponents than dimensions")
+        if min(exps, default=0) < 0:
             raise ValueError("exponents must be nonnegative")
         if not any(exps):
             raise ValueError("at least one exponent must be positive")
@@ -152,16 +157,20 @@ def sample_point(dim: int, rng: np.random.Generator) -> HypersphericalPoint:
 
 
 def sample_state(dim: int, rng: np.random.Generator) -> PureState:
-    """Draw one Haar-uniform pure state via the angular coordinates."""
-    return point_to_state(sample_point(dim, rng))
+    """Draw one Haar-uniform pure state: one row of ``sample_states``.
+
+    It makes the draws of ``point_to_state(sample_point(dim, rng))``, in the
+    same order, and the tests hold the two to the same amplitudes.
+    """
+    return PureState._trusted(sample_states(dim, 1, rng).reshape(dim, 1))
 
 
 def sample_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized Haar sampling: ``count`` rows of ``dim`` amplitudes.
 
-    Applies the same inverse-CDF map as ``sample_state`` to whole batches;
-    the two routes are checked against each other through their moments.
-    The rows are built in place: besides the returned complex array the
+    Applies the inverse-CDF map of ``sample_point`` and ``point_to_state``
+    to whole batches; the two routes are checked against each other.  The
+    rows are built in place: besides the returned complex array the
     sampler holds one float array of its shape (see ``SAMPLER_PEAK``).
     """
     if dim < 1:
@@ -169,27 +178,35 @@ def sample_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be nonnegative")
     if dim == 1:
-        return np.exp(1j * rng.random((count, 1)) * TWO_PI)
+        out = np.zeros((count, 1), dtype=complex)
+        np.multiply(rng.random((count, 1)), TWO_PI, out=out.imag)
+        return np.exp(out, out=out)
     out = np.empty((count, dim), dtype=complex)
     mags, scratch = out.real, np.empty((count, dim))
     # u_k = v_k^(1/(N-1-k)); magnitudes sqrt(1 - u_0), then
     # sqrt(u_0 ... u_(k-1) * (1 - u_k)), and last sqrt(u_0 ... u_(N-2)).
+    # A ufunc whose operands cannot be walked with one stride each stages
+    # them through a buffer of up to 8192 values: each such call below has
+    # at most one float operand of that kind, u's shape or smaller.
     u = scratch.reshape(-1)[: count * (dim - 1)].reshape(count, dim - 1)
     rng.random(out=u)
     np.power(u, 1.0 / (dim - 1 - np.arange(dim - 1)), out=u)
     np.cumprod(u, axis=1, out=mags[:, 1:])
     mags[:, 0] = 1.0
     np.subtract(1.0, u, out=u)
-    np.multiply(mags[:, : dim - 1], u, out=mags[:, : dim - 1])
+    np.multiply(mags[:, : dim - 1], u, out=u)
+    mags[:, : dim - 1] = u
     np.sqrt(mags, out=mags)
     # The phases are drawn next, into the scratch; then the magnitudes wait
-    # there while exp(i phi) is formed in place and multiplied by them.
+    # there while exp(i phi) is formed in place and multiplied by them, one
+    # part at a time (a complex-by-float product would buffer a cast).
     rng.random(out=scratch)
     np.multiply(scratch, TWO_PI, out=out.imag)
     np.copyto(scratch, mags)
     mags[...] = 0.0
     np.exp(out, out=out)
-    np.multiply(out, scratch, out=out)
+    np.multiply(out.real, scratch, out=out.real)
+    np.multiply(out.imag, scratch, out=out.imag)
     return out
 
 

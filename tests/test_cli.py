@@ -170,7 +170,7 @@ class TestUsageErrors:
             "verify-max-n-over-enumeration-cap", "table-r-zero",
             "table-n-max-0", "bures-in-entangled", "bures-in-state-estimation",
             "estimate-over-memory-cap", "teleport-over-memory-cap",
-            "estimate-shot-values-over-memory-cap", "verify-moments-over-memory-cap",
+            "estimate-shot-values-over-memory-cap", "verify-over-case-cap",
         ],
     )
     def test_invalid_input_is_a_one_line_usage_error(self, capsys, argv):
@@ -305,6 +305,18 @@ class TestVerify:
             code, out = run_cli(capsys, "verify")
             assert code == 1 and failed_rows(out)
         assert run_cli(capsys, "verify") == (0, VERIFY_PASS)
+
+    def test_each_distinct_moment_is_evaluated_once_per_call(self, capsys, monkeypatch):
+        # The moments on N * R amplitudes for N <= 12, R <= 6 take 38 distinct
+        # N * R, two exponent tuples each; the pure route's are among them.
+        calls = []
+        moment = experiments.exact_moment_fraction
+        monkeypatch.setattr(
+            experiments, "exact_moment_fraction", lambda spec: calls.append(spec) or moment(spec)
+        )
+        assert run_cli(capsys, "verify") == (0, VERIFY_PASS)
+        assert len(calls) == 76
+        assert len(set(calls)) == 76
 
     def test_default_sweep_passes(self, capsys):
         code, out = run_cli(capsys, "verify")

@@ -127,6 +127,37 @@ class TestMomentDerivations:
                     diff = abs(exact_entangled_via_moments(n, m, r) - analytic_entangled(n, m, r))
                     assert diff < 1e-13
 
+    def test_memory_does_not_grow_with_the_moment_dimension(self):
+        # A moment on N * R = 1.2e7 amplitudes names only its nonzero exponents.
+        exact_entangled_via_moments(2, 1, 2)  # first-call allocations are not the route's
+        tracemalloc.start()
+        try:
+            value = exact_entangled_via_moments(12, 6, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == analytic_entangled(12, 6, 10**6)
+        assert peak < 2**20
+
+    def test_a_shared_table_evaluates_each_moment_once(self, monkeypatch):
+        calls = []
+        moment = experiments.exact_moment_fraction
+        monkeypatch.setattr(
+            experiments, "exact_moment_fraction", lambda spec: calls.append(spec) or moment(spec)
+        )
+        moments = {}
+        for r in (1, 2):
+            for m in (1, 2, 3):
+                value = exact_entangled_via_moments(4, m, r, moments=moments)
+                assert value == analytic_entangled(4, m, r)
+        assert exact_pure_via_moments(4, 2, moments=moments) == analytic_pure(4, 2)
+        # (2,) and (1, 1) on 4 and 8 amplitudes; the pure route reuses (4, (2,)).
+        assert [(spec.dim, spec.exponents) for spec in calls] == [
+            (4, (2,)), (4, (1, 1)), (8, (2,)), (8, (1, 1))
+        ]
+        assert exact_pure_via_moments(4, 2) == analytic_pure(4, 2)
+        assert len(calls) == 5  # no table given: nothing is reused
+
 
 class TestMonteCarlo:
     def test_pure_converges(self):
@@ -308,20 +339,21 @@ class TestEstimatorContracts:
         assert run_experiment(config, threads=2, verify_bures=True) == single
 
     def test_sampler_peak_is_within_what_the_guard_charges(self):
-        rows, dim = experiments.CHUNK, 64
-        config = ExperimentConfig(n=dim, m=1, mode="pure", samples=rows, seed=825, shards=1)
-        rng = stream(825)
-        sample_states(dim, rows, rng)  # first-call allocations are not the sampler's
-        tracemalloc.start()
-        try:
-            out = sample_states(dim, rows, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rows = experiments.CHUNK
+        for dim in (1, 2, 3, 64):
+            rng = stream(825, dim)
+            sample_states(dim, rows, rng)  # first-call allocations are not the sampler's
+            tracemalloc.start()
+            try:
+                out = sample_states(dim, rows, rng)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.nbytes < peak <= experiments.SAMPLER_PEAK * out.nbytes, dim
         # The guard charges SAMPLER_PEAK chunks plus one 8 B shot value per row.
+        config = ExperimentConfig(n=dim, m=1, mode="pure", samples=rows, seed=825, shards=1)
         chunk_bytes = experiments.SAMPLER_PEAK * out.nbytes
         assert 16 * experiments._shard_values(config, False) == chunk_bytes + 8 * rows
-        assert out.nbytes < peak <= experiments.SAMPLER_PEAK * out.nbytes
         # A shard of three chunks draws one chunk at a time but keeps every shot
         # value (m = n keeps its shots cheap).
         longer = dataclasses.replace(config, m=dim, samples=3 * rows)

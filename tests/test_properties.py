@@ -193,9 +193,11 @@ def test_cut_povm_is_complete(n, data):
 
 @st.composite
 def moment_specs(draw, max_dim=80, max_exponent=4):
+    # The exponents of the leading 1..N amplitudes; the rest are 0.
     dim = draw(st.integers(1, max_dim))
-    exps = draw(st.lists(st.integers(0, max_exponent), min_size=dim, max_size=dim))
-    exps[draw(st.integers(0, dim - 1))] = draw(st.integers(1, max_exponent))
+    size = draw(st.integers(1, dim))
+    exps = draw(st.lists(st.integers(0, max_exponent), min_size=size, max_size=size))
+    exps[draw(st.integers(0, size - 1))] = draw(st.integers(1, max_exponent))
     return MomentSpec(dim, tuple(exps))
 
 
@@ -204,4 +206,8 @@ def test_moment_equals_dirichlet_factorial_formula(spec):
     # Oracle: (N-1)! * prod(m_j!) / (N-1+sum(m_j))!, with every factorial in full.
     n, total = spec.dim, sum(spec.exponents)
     numerator = math.factorial(n - 1) * math.prod(math.factorial(m) for m in spec.exponents)
-    assert exact_moment_fraction(spec) == Fraction(numerator, math.factorial(n - 1 + total))
+    value = exact_moment_fraction(spec)
+    assert value == Fraction(numerator, math.factorial(n - 1 + total))
+    # A short spec is its zero-padded form.
+    padded = spec.exponents + (0,) * (n - len(spec.exponents))
+    assert value == exact_moment_fraction(MomentSpec(n, padded))
