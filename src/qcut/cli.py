@@ -214,6 +214,8 @@ def cmd_verify(args) -> int:
 def cmd_table(args) -> int:
     if args.n_max < 1 or args.r < 1:
         raise _UsageError("table needs --n-max >= 1 and --r >= 1")
+    if args.what == "state-estimation" and args.r != 1:
+        raise _UsageError("table --what state-estimation needs --r 1")
     lines = ["n,m,r,fidelity"]
     for n in range(1, args.n_max + 1):
         for m in range(1, n + 1):

@@ -12,14 +12,15 @@ All four scenarios run through one estimator, ``run_experiment``, driven
 by a mode table.  Every input is a Haar-random state on N x R (pure states
 are R = 1); estimator shards draw from independent RNG streams, per-shot
 fidelities go through the actual projection pipeline rather than the
-norm_const * p shortcut.  Each shard reports its exactly rounded sum and
-its centered sum of squares; the mean is the exactly rounded total and the
-variance merges the shards in shard order, so the result is independent of
-thread count.
+norm_const * p shortcut.  A shard reduces each CHUNK-row block to its
+exactly rounded sum and centered sum of squares once it is scored, so its
+memory does not grow with its rows; one merge folds the blocks in draw
+order and combines the shards in shard order, independent of thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -69,10 +70,7 @@ class ExperimentConfig:
     shards: int = DEFAULT_SHARDS
 
     def __post_init__(self):
-        if not 1 <= self.m <= self.n:
-            raise ValueError("need 1 <= m <= n")
-        if self.r < 1:
-            raise ValueError("auxiliary dimension must be >= 1")
+        _check_dims(self.n, self.m, self.r)
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {tuple(_MODES)}")
         if self.r != 1 and not _MODES[self.mode].takes_aux:
@@ -310,19 +308,17 @@ def check_memory(values: int, what: str) -> None:
 def _shard_values(config: ExperimentConfig, verify_bures: bool) -> int:
     """Complex values' worth of memory one shard of ``config`` holds at its peak.
 
-    The largest shard keeps one 8 B shot value per row for its whole run,
-    half a complex value each.  It draws one chunk of Haar rows at a time,
-    min(CHUNK, shard rows) * N * R values, and the sampler holds
-    SAMPLER_PEAK times that while it draws.  With the Bures check the shard
-    then holds the chunk, its post-cut rows and one sub-batch of stacked
-    N x N matrices.
+    The largest shard works on one chunk of min(CHUNK, shard rows) rows at
+    a time: their N * R Haar amplitudes each, which the sampler holds
+    SAMPLER_PEAK times over while it draws, and one 8 B shot value each,
+    half a complex value.  With the Bures check the shard then holds the
+    chunk, its post-cut rows and one sub-batch of stacked N x N matrices.
     """
     n, r = config.n, config.r
-    rows = -(-config.samples // config.shards)
-    chunk = min(CHUNK, rows) * n * r
-    values = SAMPLER_PEAK * chunk
+    rows = min(CHUNK, -(-config.samples // config.shards))
+    values = SAMPLER_PEAK * rows * n * r
     if verify_bures:
-        values = max(values, 2 * chunk + _BURES_ARRAYS * _bures_rows(n) * n * n)
+        values = max(values, 2 * rows * n * r + _BURES_ARRAYS * _bures_rows(n) * n * n)
     return -(-rows // 2) + values
 
 
@@ -351,63 +347,53 @@ def _bures_deviation(states: np.ndarray, posts: np.ndarray, shots: np.ndarray) -
     return worst
 
 
-def _shard(config: ExperimentConfig, count: int, shard: int, verify_bures: bool):
+def _merge(parts) -> tuple[int, float, float, float | None]:
+    """Combine a sequence of (count, sum, centered sum of squares, Bures deviation)
+    parts in order: the sums add exactly rounded, the centered sums by the
+    Chan-Golub-LeVeque update (total_sq - n*mean^2 would cancel), and the
+    deviations by their maximum (None if no part was checked)."""
+    count, mean, centered, worst = 0, 0.0, 0.0, None
+    for size, total, centered_sq, dev in parts:
+        delta = total / size - mean
+        grown = count + size
+        mean += delta * size / grown
+        centered += centered_sq + delta * delta * count * size / grown
+        count = grown
+        if dev is not None:
+            worst = max(worst or 0.0, dev)
+    return count, math.fsum(part[1] for part in parts), centered, worst
+
+
+def _chunk(
+    config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, verify_bures: bool
+):
+    """Draw and score ``size`` Haar rows of a shard; return their merge part."""
     n, r = config.n, config.r
-    rng = stream(config.seed, shard)
-    povm = CutPovm(n, config.m)
     shot = _MODES[config.mode].shot
-    fs = np.empty(count)
-    max_dev = 0.0
-    for start in range(0, count, CHUNK):
-        size = min(CHUNK, count - start)
-        rows = sample_states(n * r, size, rng).reshape(size, n, r)
-        shots = fs[start : start + size]
-        posts = np.empty_like(rows) if verify_bures else None
-        for i, row in enumerate(rows):
-            state = BipartitePureState._trusted(row)
-            outcome = sample_outcome(povm, state, rng)
-            shots[i] = shot(state, outcome)
-            if verify_bures:
-                posts[i] = outcome.post_state.matrix
+    rows = sample_states(n * r, size, rng).reshape(size, n, r)
+    shots = np.empty(size)
+    posts = np.empty_like(rows) if verify_bures else None
+    for i, row in enumerate(rows):
+        state = BipartitePureState._trusted(row)
+        outcome = sample_outcome(povm, state, rng)
+        shots[i] = shot(state, outcome)
         if verify_bures:
-            max_dev = max(max_dev, _bures_deviation(rows, posts, shots))
-        # The last row is a view that keeps the whole chunk alive; drop it
-        # so that the next chunk is not drawn while this one is held.
-        del rows, row, state, outcome, posts
-    values = memoryview(fs)  # yields Python floats, cheaper to iterate than numpy scalars
+            posts[i] = outcome.post_state.matrix
+    dev = _bures_deviation(rows, posts, shots) if verify_bures else None
+    values = memoryview(shots)  # yields Python floats, cheaper to iterate than numpy scalars
     total = math.fsum(values)
-    shard_mean = total / count
-    centered_sq = math.fsum((f - shard_mean) ** 2 for f in values)
-    return count, total, centered_sq, max_dev if verify_bures else None
+    mean = total / size
+    return size, total, math.fsum((f - mean) ** 2 for f in values), dev
 
 
-def _reduce(parts, config: ExperimentConfig, target: float) -> FidelityEstimate:
-    count = config.samples
-    mean = math.fsum(p[1] for p in parts) / count
-    # Chan-Golub-LeVeque merge of the per-shard (count, mean, centered sum
-    # of squares), in shard order; total_sq - n*mean^2 would cancel.
-    merged_n, merged_mean, merged_sq = 0, 0.0, 0.0
-    for size, total, centered_sq, _ in parts:
-        delta = total / size - merged_mean
-        grown = merged_n + size
-        merged_mean += delta * size / grown
-        merged_sq += centered_sq + delta * delta * merged_n * size / grown
-        merged_n = grown
-    stderr = math.sqrt(merged_sq / (count - 1) / count) if count > 1 else 0.0
-    if stderr > 0.0:
-        z = (mean - target) / stderr
-    else:
-        z = 0.0 if mean == target else None
-    devs = [p[3] for p in parts if p[3] is not None]
-    return FidelityEstimate(
-        mean=mean,
-        stderr=stderr,
-        samples=count,
-        seed=config.seed,
-        analytic_target=target,
-        z_score=z,
-        bures_max_deviation=max(devs) if devs else None,
-    )
+def _shard(config: ExperimentConfig, count: int, shard: int, verify_bures: bool):
+    """Merge part of one shard: each CHUNK-row block is merged into those before
+    it and freed before the next is drawn; a one-block shard keeps its part."""
+    rng = stream(config.seed, shard)
+    povm = CutPovm(config.n, config.m)
+    sizes = (min(CHUNK, count - start) for start in range(0, count, CHUNK))
+    parts = (_chunk(config, size, rng, povm, verify_bures) for size in sizes)
+    return functools.reduce(lambda merged, part: _merge((merged, part)), parts)
 
 
 def run_experiment(
@@ -437,4 +423,19 @@ def run_experiment(
         # map yields in shard order, the order the variance merge fixes.
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_shard, repeat(config), sizes, shards, repeat(verify_bures)))
-    return _reduce(parts, config, target)
+    count, total, centered_sq, worst = _merge(parts)
+    mean = total / count
+    stderr = math.sqrt(centered_sq / (count - 1) / count) if count > 1 else 0.0
+    if stderr > 0.0:
+        z = (mean - target) / stderr
+    else:
+        z = 0.0 if mean == target else None
+    return FidelityEstimate(
+        mean=mean,
+        stderr=stderr,
+        samples=count,
+        seed=config.seed,
+        analytic_target=target,
+        z_score=z,
+        bures_max_deviation=worst,
+    )

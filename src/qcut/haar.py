@@ -177,10 +177,6 @@ def sample_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("dimension must be positive")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if dim == 1:
-        out = np.zeros((count, 1), dtype=complex)
-        np.multiply(rng.random((count, 1)), TWO_PI, out=out.imag)
-        return np.exp(out, out=out)
     out = np.empty((count, dim), dtype=complex)
     mags, scratch = out.real, np.empty((count, dim))
     # u_k = v_k^(1/(N-1-k)); magnitudes sqrt(1 - u_0), then

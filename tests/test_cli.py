@@ -153,6 +153,7 @@ class TestUsageErrors:
             ["verify", "--max-n", "23"],
             ["table", "--n-max", "3", "--r", "0"],
             ["table", "--n-max", "0"],
+            ["table", "--n-max", "3", "--r", "2", "--what", "state-estimation"],
             ["estimate", "--n", "3", "--m", "2", "--r", "2", "--mode", "entangled", "--samples", "10",
              "--verify-bures"],
             ["estimate", "--n", "3", "--m", "2", "--mode", "state-estimation", "--samples", "10",
@@ -160,7 +161,6 @@ class TestUsageErrors:
             ["estimate", "--n", "1000000", "--m", "1", "--r", "10000", "--mode", "entangled",
              "--samples", "100"],
             ["teleport-demo", "--n", "100000000", "--m", "1", "--seed", "1"],
-            ["estimate", "--n", "2", "--m", "1", "--mode", "pure", "--samples", "10000000000"],
             ["verify", "--max-r", "100000000"],
         ],
         ids=[
@@ -168,9 +168,9 @@ class TestUsageErrors:
             "negative-seed", "seed-2**64", "no-threads", "teleport-m-above-n",
             "teleport-negative-seed", "verify-max-n-0", "verify-max-r-0",
             "verify-max-n-over-enumeration-cap", "table-r-zero",
-            "table-n-max-0", "bures-in-entangled", "bures-in-state-estimation",
-            "estimate-over-memory-cap", "teleport-over-memory-cap",
-            "estimate-shot-values-over-memory-cap", "verify-over-case-cap",
+            "table-n-max-0", "table-r-in-state-estimation", "bures-in-entangled",
+            "bures-in-state-estimation", "estimate-over-memory-cap", "teleport-over-memory-cap",
+            "verify-over-case-cap",
         ],
     )
     def test_invalid_input_is_a_one_line_usage_error(self, capsys, argv):

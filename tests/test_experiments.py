@@ -246,10 +246,14 @@ class TestEstimatorContracts:
         assert run_experiment(config) == run_experiment(config)
 
     def test_thread_count_does_not_change_the_estimate(self):
-        config = ExperimentConfig(n=3, m=2, r=2, mode="entangled", samples=5_000, seed=813)
-        single = run_experiment(config, threads=1)
-        for threads in (2, 4, 8):
-            assert run_experiment(config, threads=threads) == single
+        # Shards of one chunk, then two shards of two chunks each.
+        for config in (
+            ExperimentConfig(n=3, m=2, r=2, mode="entangled", samples=5_000, seed=813),
+            ExperimentConfig(n=2, m=1, mode="pure", samples=3 * experiments.CHUNK, seed=813, shards=2),
+        ):
+            single = run_experiment(config, threads=1)
+            for threads in (2, 4, 8):
+                assert run_experiment(config, threads=threads) == single
 
     def test_different_shard_count_changes_the_stream(self):
         base = ExperimentConfig(n=3, m=2, mode="pure", samples=5_000, seed=814, shards=16)
@@ -285,26 +289,16 @@ class TestEstimatorContracts:
 
         mode = experiments._Mode(lambda n, m, r: 0.999, shot, False)
         monkeypatch.setitem(experiments._MODES, "pure", mode)
-        est = run_experiment(ExperimentConfig(n=3, m=2, mode="pure", samples=20_000, seed=820))
-        assert len(shots) == 20_000
-        assert est.mean == pytest.approx(math.fsum(shots) / len(shots), rel=1e-15)
-        expected = np.std(shots, ddof=1) / math.sqrt(len(shots))
-        assert est.stderr == pytest.approx(expected, rel=1e-6)
-
-    def test_shard_memory_does_not_grow_with_its_rows(self):
-        # Haar rows are drawn CHUNK at a time, so a shard of three chunks
-        # peaks where a shard of one does; only its per-shot floats grow.
-        rows = experiments.CHUNK
-        config = ExperimentConfig(n=16, m=4, r=4, mode="entangled", samples=3 * rows, seed=821)
-        peaks = []
-        for count in (rows, 3 * rows):
-            tracemalloc.start()
-            try:
-                experiments._shard(config, count, 0, False)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < 1.2 * peaks[0]
+        # 16 shards of one chunk each, then one shard of five chunks.
+        for shards in (16, 1):
+            shots.clear()
+            config = ExperimentConfig(n=3, m=2, mode="pure", samples=20_000, seed=820, shards=shards)
+            est = run_experiment(config)
+            assert len(shots) == 20_000
+            # abs=0: approx's default absolute 1e-12 would allow 7% of this stderr.
+            assert est.mean == pytest.approx(math.fsum(shots) / len(shots), rel=1e-15, abs=0)
+            expected = np.std(shots, ddof=1) / math.sqrt(len(shots))
+            assert est.stderr == pytest.approx(expected, rel=1e-6, abs=0)
 
     @staticmethod
     def shard_peak(config, count, verify_bures=False):
@@ -315,14 +309,18 @@ class TestEstimatorContracts:
         finally:
             tracemalloc.stop()
 
-    def test_shot_values_cost_eight_bytes_per_shot(self):
-        # A shard keeps its shot values in one float64 array until its
-        # reduction; a list of Python floats costs about 32 B per shot.
-        rows, count = experiments.CHUNK, 100_000
-        config = ExperimentConfig(n=2, m=1, mode="pure", samples=count, seed=822)
+    def test_shard_memory_does_not_grow_with_its_rows(self):
+        # A shard draws, scores and reduces CHUNK rows at a time, so a shard
+        # of three chunks peaks where a shard of one does: with wide rows,
+        # and with (2,1) rows, where three chunks of shot values would show.
+        rows = experiments.CHUNK
+        config = ExperimentConfig(n=16, m=4, r=4, mode="entangled", samples=3 * rows, seed=821)
+        peaks = [self.shard_peak(config, count) for count in (rows, 3 * rows)]
+        assert peaks[1] < 1.2 * peaks[0]
+        config = ExperimentConfig(n=2, m=1, mode="pure", samples=3 * rows, seed=822)
         self.shard_peak(config, rows)  # first-call allocations are not the shard's
-        base, peak = self.shard_peak(config, rows), self.shard_peak(config, count)
-        assert peak - base < 12 * (count - rows)
+        base, peak = self.shard_peak(config, rows), self.shard_peak(config, 3 * rows)
+        assert peak - base < 8 * 1024
 
     def test_bures_check_memory_does_not_grow_with_its_sub_batches(self):
         # The check holds one sub-batch of stacked N x N matrices at a time.
@@ -350,21 +348,22 @@ class TestEstimatorContracts:
             finally:
                 tracemalloc.stop()
             assert out.nbytes < peak <= experiments.SAMPLER_PEAK * out.nbytes, dim
-        # The guard charges SAMPLER_PEAK chunks plus one 8 B shot value per row.
+        # The guard charges SAMPLER_PEAK chunks plus one chunk's 8 B shot values.
         config = ExperimentConfig(n=dim, m=1, mode="pure", samples=rows, seed=825, shards=1)
-        chunk_bytes = experiments.SAMPLER_PEAK * out.nbytes
-        assert 16 * experiments._shard_values(config, False) == chunk_bytes + 8 * rows
-        # A shard of three chunks draws one chunk at a time but keeps every shot
-        # value (m = n keeps its shots cheap).
+        charged = experiments.SAMPLER_PEAK * out.nbytes + 8 * rows
+        assert 16 * experiments._shard_values(config, False) == charged
+        # A shard of three chunks holds one chunk and its shot values at a
+        # time, and is charged the same (m = n keeps its shots cheap).
         longer = dataclasses.replace(config, m=dim, samples=3 * rows)
-        charged = 16 * experiments._shard_values(longer, False)
-        assert charged == chunk_bytes + 8 * 3 * rows
+        assert 16 * experiments._shard_values(longer, False) == charged
         assert self.shard_peak(longer, 3 * rows) <= charged
 
     def test_oversized_working_set_is_refused_before_allocation(self):
         huge = ExperimentConfig(n=10**6, m=1, r=10**4, mode="entangled", samples=100, seed=0)
         with pytest.raises(ValueError, match="MiB cap"):
             run_experiment(huge)
+        # A shard's memory does not grow with its rows, so no sample count is refused.
+        experiments.check_run(ExperimentConfig(n=2, m=1, samples=10**12), verify_bures=False)
         # One 8192 x 8192 matrix per Bures sub-batch is over the cap; the
         # unverified run holds one 8192-amplitude row per shard.
         wide = ExperimentConfig(n=8192, m=1, mode="mixed", samples=16, seed=0)

@@ -163,9 +163,10 @@ class TestSamplers:
                 mean, stderr = mean_and_stderr(w[:, 0] * w[:, 1])
                 assert abs(mean - exact_moment(leading_moment(dim, 1, 1))) < 4 * stderr
 
-    @pytest.mark.parametrize("dim", [2, 3, 5, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 64])
     def test_in_place_rows_equal_the_direct_formula_bit_for_bit(self, dim):
-        # Oracle: the same inverse-CDF map written out with temporaries.
+        # Oracle: the same inverse-CDF map written out with temporaries.  At
+        # dim 1 there are no angles and every magnitude is one.
         a, b = stream(410, dim), stream(410, dim)
         for count in (0, 1, 7, 300):
             v = b.random((count, dim - 1))
@@ -174,7 +175,7 @@ class TestSamplers:
             prefix = np.cumprod(u, axis=1)
             mags = np.concatenate(
                 [1.0 - u[:, :1], prefix[:, :-1] * (1.0 - u[:, 1:]), prefix[:, -1:]], axis=1
-            )
+            ) if dim > 1 else np.ones((count, 1))
             expected = np.sqrt(mags) * np.exp(1j * phis)
             rows = sample_states(dim, count, a)
             assert rows.shape == expected.shape
