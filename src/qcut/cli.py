@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 statistical or residual failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import json
@@ -211,20 +212,29 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _table_lines(n_max: int, r: int, what: str):
+    yield "n,m,r,fidelity\n"
+    for n in range(1, n_max + 1):
+        for m in range(1, n + 1):
+            if what == "fidelity":
+                value = experiments.entangled_fidelity_fraction(n, m, r)
+            else:
+                value = experiments.state_estimation_fraction(n, m)
+            yield f"{n},{m},{r},{_format_fraction(value)}\n"
+
+
 def cmd_table(args) -> int:
     if args.n_max < 1 or args.r < 1:
         raise _UsageError("table needs --n-max >= 1 and --r >= 1")
     if args.what == "state-estimation" and args.r != 1:
         raise _UsageError("table --what state-estimation needs --r 1")
-    lines = ["n,m,r,fidelity"]
-    for n in range(1, args.n_max + 1):
-        for m in range(1, n + 1):
-            if args.what == "fidelity":
-                value = experiments.entangled_fidelity_fraction(n, m, args.r)
-            else:
-                value = experiments.state_estimation_fraction(n, m)
-            lines.append(f"{n},{m},{args.r},{_format_fraction(value)}")
-    _emit("\n".join(lines) + "\n", args.output)
+    # Each row is written as soon as it is formatted, so memory does not
+    # grow with the table's N_max (N_max + 1) / 2 rows.
+    with open(args.output, "w") if args.output else contextlib.nullcontext() as handle:
+        for line in _table_lines(args.n_max, args.r, args.what):
+            if handle:
+                handle.write(line)
+            sys.stdout.write(line)
     return 0
 
 

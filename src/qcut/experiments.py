@@ -9,10 +9,11 @@ and seeded Monte Carlo estimators for four input scenarios:
   state_estimation  best classical guess from one cut outcome
 
 All four scenarios run through one estimator, ``run_experiment``, driven
-by a mode table.  Every input is a Haar-random state on N x R (pure states
-are R = 1); estimator shards draw from independent RNG streams, per-shot
-fidelities go through the actual projection pipeline rather than the
-norm_const * p shortcut.  A shard reduces each CHUNK-row block to its
+by a mode table whose entries draw and score a whole chunk of Haar rows.
+Every input is a Haar-random state on N x R (pure states are R = 1);
+estimator shards draw from independent RNG streams, per-shot fidelities
+go through the actual projection pipeline rather than the norm_const * p
+shortcut.  A shard reduces each CHUNK-row block to its
 exactly rounded sum and centered sum of squares once it is scored, so its
 memory does not grow with its rows; one merge folds the blocks in draw
 order and combines the shards in shard order, independent of thread count.
@@ -33,7 +34,7 @@ import numpy as np
 from .fidelity import bures_fidelity
 from .haar import SAMPLER_PEAK, MomentSpec, exact_moment_fraction, sample_states
 from .linalg import BipartitePureState, partial_trace
-from .povm import CutPovm, sample_outcome
+from .povm import CutPovm, sample_outcome, sample_subsets
 from .rng import check_seed, stream
 
 DEFAULT_SHARDS = 16
@@ -47,9 +48,15 @@ BURES_ENTRIES = 2**16
 # Stacked N x N arrays a Bures sub-batch holds at once (the two reduced
 # states, their eigenvectors and square roots, and their product).
 _BURES_ARRAYS = 8
-# Bytes of complex values a shard (or a teleport-demo run) may hold at once.
-# Larger configurations are refused before anything is allocated.
+# Bytes of complex values a run (a shard and the per-shard bookkeeping, or a
+# teleport-demo run) may hold at once.  Larger configurations are refused
+# before anything is allocated.
 MEMORY_CAP = 2**28
+# Bytes a run keeps per shard: its size and merge part and, with threads,
+# its queued future and work item.  Under tracemalloc that is 1.75 kB per
+# shard with two threads and 130 B with one; the guard does not know the
+# thread count, so it charges the threaded run.
+SHARD_BYTES = 2048
 
 
 @dataclass(frozen=True)
@@ -263,31 +270,56 @@ def _shard_sizes(samples: int, shards: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
-def _cut_fidelity(state, outcome) -> float:
-    return outcome.shot_fidelity
-
-
-def _guess_fidelity(state, outcome) -> float:
-    # Guess the smallest basis index of the outcome; isotropy makes any
-    # fixed choice equivalent, which the tests check.
-    return abs(state.amps[outcome.subset.indices[0]]) ** 2
-
-
 def _estimation_target(n: int, m: int, r: int) -> float:
     return analytic_state_estimation(n, m)
 
 
 class _Mode(NamedTuple):
     target: Callable[[int, int, int], float]  # closed form of (n, m, r)
-    shot: Callable  # per-shot value of (input state, outcome)
+    # Draws and scores one chunk of a shard: (config, size, rng, povm,
+    # verify_bures) -> (shot values, Bures deviation or None).
+    score: Callable
     takes_aux: bool  # whether r > 1 is allowed
 
 
+def _cut_chunk(
+    config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, verify_bures: bool
+):
+    """Draw ``size`` Haar rows and cut each one through ``sample_outcome``."""
+    n, r = config.n, config.r
+    rows = sample_states(n * r, size, rng).reshape(size, n, r)
+    shots = np.empty(size)
+    posts = np.empty_like(rows) if verify_bures else None
+    for i, row in enumerate(rows):
+        outcome = sample_outcome(povm, BipartitePureState._trusted(row), rng)
+        shots[i] = outcome.shot_fidelity
+        if verify_bures:
+            posts[i] = outcome.post_state.matrix
+    return shots, _bures_deviation(rows, posts, shots) if verify_bures else None
+
+
+def _guess_chunk(
+    config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, verify_bures: bool
+):
+    """Draw ``size`` Haar rows and score the guess of each one's smallest drawn index.
+
+    Each row's subset is drawn by ``sample_subsets`` from the weights |c|^2,
+    and its shot is the weight at the guessed index; isotropy makes any
+    fixed choice of index equivalent, which the tests check.  The amplitudes
+    are dropped once their weights are formed, so the chunk never holds
+    more than the sampler does while it draws.
+    """
+    weights = np.abs(sample_states(config.n, size, rng))
+    np.square(weights, out=weights)
+    chosen = sample_subsets(povm, weights, rng)
+    return weights[np.arange(size), chosen[:, 0]], None
+
+
 _MODES = {
-    "pure": _Mode(analytic_entangled, _cut_fidelity, False),
-    "entangled": _Mode(analytic_entangled, _cut_fidelity, True),
-    "mixed": _Mode(analytic_entangled, _cut_fidelity, True),
-    "state_estimation": _Mode(_estimation_target, _guess_fidelity, False),
+    "pure": _Mode(analytic_entangled, _cut_chunk, False),
+    "entangled": _Mode(analytic_entangled, _cut_chunk, True),
+    "mixed": _Mode(analytic_entangled, _cut_chunk, True),
+    "state_estimation": _Mode(_estimation_target, _guess_chunk, False),
 }
 
 
@@ -311,8 +343,10 @@ def _shard_values(config: ExperimentConfig, verify_bures: bool) -> int:
     The largest shard works on one chunk of min(CHUNK, shard rows) rows at
     a time: their N * R Haar amplitudes each, which the sampler holds
     SAMPLER_PEAK times over while it draws, and one 8 B shot value each,
-    half a complex value.  With the Bures check the shard then holds the
-    chunk, its post-cut rows and one sub-batch of stacked N x N matrices.
+    half a complex value.  A state-estimation chunk holds less once drawn:
+    the rows' float weights, then its subset draws and their ranking.
+    With the Bures check the shard then holds the chunk, its post-cut rows
+    and one sub-batch of stacked N x N matrices.
     """
     n, r = config.n, config.r
     rows = min(CHUNK, -(-config.samples // config.shards))
@@ -322,13 +356,20 @@ def _shard_values(config: ExperimentConfig, verify_bures: bool) -> int:
     return -(-rows // 2) + values
 
 
+def _run_values(config: ExperimentConfig, verify_bures: bool) -> int:
+    """Complex values' worth of memory a run of ``config`` holds at its peak:
+    one shard's working set (``_shard_values``) and SHARD_BYTES per shard."""
+    shards = min(config.shards, config.samples)
+    return _shard_values(config, verify_bures) + -(-SHARD_BYTES * shards // 16)
+
+
 def check_run(config: ExperimentConfig, verify_bures: bool) -> None:
     """Refuse a run before it allocates anything: a Bures check outside
-    mixed mode, or a shard working set (``_shard_values``) above MEMORY_CAP.
+    mixed mode, or a working set (``_run_values``) above MEMORY_CAP.
     """
     if verify_bures and config.mode != "mixed":
         raise ValueError("the Bures check needs mode mixed")
-    check_memory(_shard_values(config, verify_bures), "a shard")
+    check_memory(_run_values(config, verify_bures), "a run")
 
 
 def _bures_deviation(states: np.ndarray, posts: np.ndarray, shots: np.ndarray) -> float:
@@ -368,18 +409,7 @@ def _chunk(
     config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, verify_bures: bool
 ):
     """Draw and score ``size`` Haar rows of a shard; return their merge part."""
-    n, r = config.n, config.r
-    shot = _MODES[config.mode].shot
-    rows = sample_states(n * r, size, rng).reshape(size, n, r)
-    shots = np.empty(size)
-    posts = np.empty_like(rows) if verify_bures else None
-    for i, row in enumerate(rows):
-        state = BipartitePureState._trusted(row)
-        outcome = sample_outcome(povm, state, rng)
-        shots[i] = shot(state, outcome)
-        if verify_bures:
-            posts[i] = outcome.post_state.matrix
-    dev = _bures_deviation(rows, posts, shots) if verify_bures else None
+    shots, dev = _MODES[config.mode].score(config, size, rng, povm, verify_bures)
     values = memoryview(shots)  # yields Python floats, cheaper to iterate than numpy scalars
     total = math.fsum(values)
     mean = total / size
@@ -410,7 +440,7 @@ def run_experiment(
     reduced states, in stacked sub-batches, and the worst disagreement is
     reported.  State estimation scores the weight of one guessed basis
     state of the outcome against (1 + 1/M)/(N+1).  ``check_run`` refuses
-    the run before any sampling if a shard would hold more than MEMORY_CAP
+    the run before any sampling if it would hold more than MEMORY_CAP
     bytes.
     """
     check_run(config, verify_bures)

@@ -13,7 +13,8 @@ state's j-th squared-amplitude weight and the remaining M-1 indices are
 drawn uniformly among the other N-1.  Each subset is reached once per
 contained pivot, so its total probability is (1/norm_const) * sum of its
 weights, the Born probability of the corresponding element.  A brute-force
-enumeration test discharges this equivalence.
+enumeration test discharges this equivalence.  ``sample_subsets`` draws
+the subsets of many states at once, with the same draws and arithmetic.
 
 Pure inputs of either type are cut by one kernel acting on their (N, R)
 coefficient matrix; density matrices have the one separate path.
@@ -232,6 +233,42 @@ def sample_outcome(povm: CutPovm, state, rng: np.random.Generator) -> Measuremen
     else:
         post, fidelity = project_bipartite(povm, subset, state)
     return MeasurementOutcome(subset, probability, post, fidelity)
+
+
+def sample_subsets(povm: CutPovm, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Draw one subset per row of a (k, N) weight array: (k, M) sorted indices.
+
+    Pivot sampling over all rows at once.  One ``rng.random((k, N + 1))``
+    call gives each row its pivot draw (column 0) and its N partner keys,
+    the doubles that k calls of ``sample_outcome`` take, in their order.
+    The arithmetic is theirs too: the row total, the running sums, and the
+    pivot as the count of running sums at most the pivot target (their
+    ``searchsorted``), clamped to N - 1 by counting the first N - 1 only.
+    So each row is the subset ``sample_outcome`` draws for that row, bit
+    for bit.  M = N draws nothing.
+    """
+    n, m = povm.n, povm.m
+    if weights.ndim != 2 or weights.shape[1] != n:
+        raise ValueError(f"weights of shape {weights.shape} need (k, {n})")
+    k = len(weights)
+    if m == n:
+        return np.tile(np.arange(n), (k, 1))
+    total = weights.sum(axis=1)
+    if not np.all(total > 0.0):
+        raise ValueError("state has no weight to measure")
+    draws = rng.random((k, n + 1))
+    # Each row's pivot target u * total replaces its u; the keys follow it.
+    # Every array is dropped as soon as it is used, so that besides the
+    # weights the batch holds about two (k, N) arrays at a time.
+    targets, keys = draws[:, :1], draws[:, 1:]
+    np.multiply(targets, total[:, None], out=targets)
+    del total
+    pivot = np.count_nonzero(np.cumsum(weights[:, :-1], axis=1) <= targets, axis=1)
+    keys[np.arange(k), pivot] = -1.0
+    del pivot
+    ranked = np.argpartition(keys, m - 1, axis=1)
+    del draws, targets, keys
+    return np.sort(ranked[:, :m], axis=1)
 
 
 def _max_completeness_deviation(n: int, m: int, cap: int) -> Fraction:

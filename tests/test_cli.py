@@ -1,10 +1,12 @@
 import ast
+import contextlib
 import json
 from fractions import Fraction
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -162,6 +164,8 @@ class TestUsageErrors:
              "--samples", "100"],
             ["teleport-demo", "--n", "100000000", "--m", "1", "--seed", "1"],
             ["verify", "--max-r", "100000000"],
+            ["estimate", "--n", "2", "--m", "1", "--mode", "pure", "--samples", "1000000000000",
+             "--shards", "1000000000"],
         ],
         ids=[
             "m-above-n", "no-shards", "no-samples", "r-zero", "r-in-pure", "r-in-state-estimation",
@@ -170,7 +174,7 @@ class TestUsageErrors:
             "verify-max-n-over-enumeration-cap", "table-r-zero",
             "table-n-max-0", "table-r-in-state-estimation", "bures-in-entangled",
             "bures-in-state-estimation", "estimate-over-memory-cap", "teleport-over-memory-cap",
-            "verify-over-case-cap",
+            "verify-over-case-cap", "estimate-shards-over-memory-cap",
         ],
     )
     def test_invalid_input_is_a_one_line_usage_error(self, capsys, argv):
@@ -365,6 +369,28 @@ class TestTable:
         _, out = run_cli(capsys, "table", "--n-max", "4", "--what", "state-estimation")
         assert "2,1,1,0.666666666667" in out
         assert "4,2,1,0.300000000000" in out
+
+
+    def test_output_file_matches_stdout(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        _, out = run_cli(capsys, "table", "--n-max", "6", "--r", "2", "--output", str(path))
+        assert path.read_text() == out
+        assert out.count("\n") == 1 + 21
+
+    def test_memory_does_not_grow_with_the_rows(self):
+        # Rows are written as they are formatted: 20,100 rows peak where 1,275 do.
+        def peak(n_max):
+            tracemalloc.start()
+            try:
+                main(["table", "--n-max", str(n_max)])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            peak(50)  # first-call allocations are not the table's
+            small, large = peak(50), peak(200)
+        assert large <= 1.2 * small
 
 
 class TestTeleportDemo:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -20,6 +21,7 @@ from qcut.experiments import (
     run_experiment,
 )
 from qcut.haar import sample_state, sample_states
+from qcut.linalg import PureState
 from qcut.povm import CutPovm, sample_outcome
 from qcut.rng import stream
 
@@ -235,6 +237,33 @@ class TestMonteCarlo:
         assert abs(np.mean(low) - np.mean(high)) < 3 * combined
         assert abs(np.mean(low) - analytic_state_estimation(4, 2)) < 5 * combined
 
+    @pytest.mark.parametrize("n,m", [(5, 2), (4, 4)])
+    def test_batched_state_estimation_equals_the_per_shot_reference(self, n, m):
+        # Two shards of two chunks each, scored one shot at a time through
+        # sample_outcome and reduced as the estimator reduces them.
+        config = ExperimentConfig(
+            n=n, m=m, mode="state_estimation", samples=3 * experiments.CHUNK, seed=826, shards=2
+        )
+        povm = CutPovm(n, m)
+        shards = []
+        for shard, count in enumerate(experiments._shard_sizes(config.samples, config.shards)):
+            rng = stream(config.seed, shard)
+            parts = []
+            for start in range(0, count, experiments.CHUNK):
+                shots = []
+                for row in sample_states(n, min(experiments.CHUNK, count - start), rng):
+                    subset = sample_outcome(povm, PureState(n, row), rng).subset
+                    shots.append(float((np.abs(row) ** 2)[subset.indices[0]]))
+                mean = math.fsum(shots) / len(shots)
+                parts.append((len(shots), math.fsum(shots), math.fsum((f - mean) ** 2 for f in shots), None))
+            assert len(parts) == 2
+            shards.append(functools.reduce(lambda a, b: experiments._merge((a, b)), parts))
+        count, total, centered_sq, _ = experiments._merge(shards)
+        est = run_experiment(config)
+        assert est.mean == total / count
+        assert est.stderr == math.sqrt(centered_sq / (count - 1) / count)
+        assert run_experiment(config, threads=2) == est
+
     def test_dispatch_by_mode(self):
         est = run_experiment(ExperimentConfig(n=2, m=1, mode="pure", samples=2_000, seed=811))
         assert est.analytic_target == pytest.approx(2 / 3)
@@ -283,11 +312,13 @@ class TestEstimatorContracts:
         # 0.999 +- 1e-8: total_sq - n*mean^2 would lose most of the digits.
         shots = []
 
-        def shot(state, outcome):
-            shots.append(0.999 + 1e-8 * outcome.shot_fidelity)
-            return shots[-1]
+        def score(*chunk):
+            values, dev = experiments._cut_chunk(*chunk)
+            values = 0.999 + 1e-8 * values
+            shots.extend(values.tolist())
+            return values, dev
 
-        mode = experiments._Mode(lambda n, m, r: 0.999, shot, False)
+        mode = experiments._Mode(lambda n, m, r: 0.999, score, False)
         monkeypatch.setitem(experiments._MODES, "pure", mode)
         # 16 shards of one chunk each, then one shard of five chunks.
         for shards in (16, 1):
@@ -357,6 +388,35 @@ class TestEstimatorContracts:
         longer = dataclasses.replace(config, m=dim, samples=3 * rows)
         assert 16 * experiments._shard_values(longer, False) == charged
         assert self.shard_peak(longer, 3 * rows) <= charged
+
+    @pytest.mark.parametrize("n,m", [(64, 8), (64, 63), (5, 2)])
+    def test_state_estimation_chunk_peak_is_within_the_guard_charge(self, n, m):
+        rows = experiments.CHUNK
+        config = ExperimentConfig(n=n, m=m, mode="state_estimation", samples=rows, seed=827, shards=1)
+        self.shard_peak(config, rows)  # first-call allocations are not the shard's
+        assert self.shard_peak(config, rows) <= 16 * experiments._shard_values(config, False)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_per_shard_bookkeeping_is_within_the_guard_charge(self, threads):
+        # 4000 shards of one row each: the run's peak is its per-shard
+        # sizes, merge parts and (with threads) futures.
+        config = ExperimentConfig(n=2, m=1, mode="pure", samples=4_000, seed=828, shards=4_000)
+        run_experiment(dataclasses.replace(config, samples=4, shards=4), threads=threads)
+        tracemalloc.start()
+        try:
+            run_experiment(config, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * experiments._run_values(config, False)
+
+    def test_shard_count_is_charged_before_allocation(self):
+        # About 2 kB per shard: a billion shards would ask for about 2 TB.
+        config = ExperimentConfig(n=2, m=1, samples=10**12, seed=0, shards=10**9)
+        with pytest.raises(ValueError, match="MiB cap"):
+            experiments.check_run(config, verify_bures=False)
+        # More shards than samples run one sample per shard, and are charged so.
+        experiments.check_run(dataclasses.replace(config, samples=16), verify_bures=False)
 
     def test_oversized_working_set_is_refused_before_allocation(self):
         huge = ExperimentConfig(n=10**6, m=1, r=10**4, mode="entangled", samples=100, seed=0)

@@ -16,6 +16,7 @@ from qcut.povm import (
     project_bipartite,
     project_pure,
     sample_outcome,
+    sample_subsets,
     subsets,
 )
 from qcut.rng import stream
@@ -249,6 +250,20 @@ class TestSampling:
         rng = stream(509)
         for _ in range(50):
             assert sample_outcome(CutPovm(2, 1), rho, rng).subset.indices == (0,)
+
+
+    def test_batched_draw_refuses_bad_weights(self):
+        povm = CutPovm(3, 2)
+        with pytest.raises(ValueError, match="shape"):
+            sample_subsets(povm, np.ones((4, 2)), stream(510))
+        with pytest.raises(ValueError, match="no weight"):
+            sample_subsets(povm, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), stream(510))
+
+    def test_batched_full_subset_draws_nothing(self):
+        rng = stream(511)
+        chosen = sample_subsets(CutPovm(3, 3), np.ones((2, 3)), rng)
+        assert chosen.tolist() == [[0, 1, 2], [0, 1, 2]]
+        assert rng.random() == stream(511).random()
 
 
 class TestCompleteness:

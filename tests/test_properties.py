@@ -7,6 +7,7 @@ same cases.  Input states come from seeded Haar draws.
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from qcut.povm import (
     project_bipartite,
     project_pure,
     sample_outcome,
+    sample_subsets,
     subsets,
 )
 from qcut.rng import stream
@@ -82,6 +84,43 @@ def test_pivot_law_equals_enumerated_born_probabilities(cut):
     assert set(law) <= set(exact)
     for key, p in exact.items():
         assert law.get(key, 0.0) == pytest.approx(p, abs=1e-12)
+
+
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.sampled_from([1, 2]),
+    st.sampled_from([1, 7]),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_subsets_equal_the_single_draws(dims, r, k, seed):
+    # Rows drawn by one sample_subsets call and by k sample_outcome calls
+    # from streams of one seed are the same subsets, and both leave the
+    # stream at the same place.
+    n, m = dims
+    povm = CutPovm(n, m)
+    states = sample_states(n * r, k, stream(seed)).reshape(k, n, r)
+    batched, single = stream(seed, 1), stream(seed, 1)
+    chosen = sample_subsets(povm, (np.abs(states) ** 2).sum(axis=2), batched)
+    assert chosen.shape == (k, m)
+    for row, state in zip(chosen, states):
+        outcome = sample_outcome(povm, BipartitePureState(n, r, state.ravel()), single)
+        assert tuple(row.tolist()) == outcome.subset.indices
+    assert batched.random() == single.random()
+
+
+def test_batched_pivot_on_interval_edges_equals_the_single_draws():
+    # Targets u * total exactly on a running sum belong to the next index,
+    # and u = 1 is clamped to the last index, as in sample_outcome.
+    povm, state = CutPovm(4, 2), PureState(4, np.full(4, 0.5, dtype=complex))
+    u = np.array([0.25, 0.5, 1.0])
+    keys = np.array([0.4, 0.3, 0.2, 0.1])
+    draws = np.column_stack([u, np.tile(keys, (3, 1))])
+    weights = np.tile((np.abs(state.matrix) ** 2).sum(axis=1), (3, 1))
+    chosen = sample_subsets(povm, weights, SimpleNamespace(random=lambda size: draws.copy()))
+    assert chosen.tolist() == [[1, 3], [2, 3], [2, 3]]
+    for row, pivot_draw in zip(chosen, u):
+        single = sample_outcome(povm, state, ScriptedDraws(pivot_draw, keys))
+        assert tuple(row.tolist()) == single.subset.indices
 
 
 @given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
