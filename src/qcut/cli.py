@@ -59,11 +59,14 @@ def _format_fraction(value: Fraction, places: int = _DECIMALS) -> str:
         return str((Decimal(value.numerator) / Decimal(value.denominator)).quantize(quantum))
 
 
-def _emit(text: str, path: str | None):
-    if path:
-        with open(path, "w") as handle:
-            handle.write(text)
-    sys.stdout.write(text)
+def _emit(lines, path: str | None):
+    """Write each of ``lines`` to ``path`` (if given) and to stdout as it comes,
+    so a generator of lines is never held whole."""
+    with open(path, "w") if path else contextlib.nullcontext() as handle:
+        for line in lines:
+            if handle:
+                handle.write(line)
+            sys.stdout.write(line)
 
 
 def cmd_estimate(args) -> int:
@@ -79,7 +82,7 @@ def cmd_estimate(args) -> int:
     )
     if args.threads < 1:
         raise _UsageError("need at least one thread")
-    _checked(experiments.check_run, config, args.verify_bures)
+    _checked(experiments.check_run, config, args.verify_bures, args.threads)
     start = time.perf_counter()
     estimate = experiments.run_experiment(config, threads=args.threads, verify_bures=args.verify_bures)
     elapsed = time.perf_counter() - start
@@ -111,7 +114,7 @@ def cmd_estimate(args) -> int:
         buffer.write(",".join(flat.keys()) + "\n")
         buffer.write(",".join(str(v) for v in flat.values()) + "\n")
         text = buffer.getvalue()
-    _emit(text, args.output)
+    _emit((text,), args.output)
     return 0 if estimate.z_score is not None and abs(estimate.z_score) < 5.0 else 1
 
 
@@ -230,11 +233,7 @@ def cmd_table(args) -> int:
         raise _UsageError("table --what state-estimation needs --r 1")
     # Each row is written as soon as it is formatted, so memory does not
     # grow with the table's N_max (N_max + 1) / 2 rows.
-    with open(args.output, "w") if args.output else contextlib.nullcontext() as handle:
-        for line in _table_lines(args.n_max, args.r, args.what):
-            if handle:
-                handle.write(line)
-            sys.stdout.write(line)
+    _emit(_table_lines(args.n_max, args.r, args.what), args.output)
     return 0
 
 

@@ -48,15 +48,15 @@ BURES_ENTRIES = 2**16
 # Stacked N x N arrays a Bures sub-batch holds at once (the two reduced
 # states, their eigenvectors and square roots, and their product).
 _BURES_ARRAYS = 8
-# Bytes of complex values a run (a shard and the per-shard bookkeeping, or a
-# teleport-demo run) may hold at once.  Larger configurations are refused
-# before anything is allocated.
+# Bytes of complex values a run (its running shards and the per-shard
+# bookkeeping, or a teleport-demo run) may hold at once.  Larger
+# configurations are refused before anything is allocated.
 MEMORY_CAP = 2**28
-# Bytes a run keeps per shard: its size and merge part and, with threads,
-# its queued future and work item.  Under tracemalloc that is 1.75 kB per
-# shard with two threads and 130 B with one; the guard does not know the
-# thread count, so it charges the threaded run.
-SHARD_BYTES = 2048
+# Bytes a run keeps per shard: its size and merge part (about 200 B under
+# tracemalloc) and, with threads, also its queued future and work item
+# (about 1.95 kB in all).
+SHARD_BYTES = 256
+THREADED_SHARD_BYTES = 2048
 
 
 @dataclass(frozen=True)
@@ -356,20 +356,27 @@ def _shard_values(config: ExperimentConfig, verify_bures: bool) -> int:
     return -(-rows // 2) + values
 
 
-def _run_values(config: ExperimentConfig, verify_bures: bool) -> int:
-    """Complex values' worth of memory a run of ``config`` holds at its peak:
-    one shard's working set (``_shard_values``) and SHARD_BYTES per shard."""
+def _run_values(config: ExperimentConfig, verify_bures: bool, threads: int = 1) -> int:
+    """Complex values' worth of memory a run of ``config`` on ``threads``
+    threads holds at its peak: the working sets (``_shard_values``) of the
+    shards it runs at once, one per thread, and the bookkeeping of every
+    shard (SHARD_BYTES, or THREADED_SHARD_BYTES with more than one thread)."""
     shards = min(config.shards, config.samples)
-    return _shard_values(config, verify_bures) + -(-SHARD_BYTES * shards // 16)
+    if threads > 1:
+        running, per_shard = min(threads, shards), THREADED_SHARD_BYTES
+    else:
+        running, per_shard = 1, SHARD_BYTES
+    return running * _shard_values(config, verify_bures) + -(-per_shard * shards // 16)
 
 
-def check_run(config: ExperimentConfig, verify_bures: bool) -> None:
-    """Refuse a run before it allocates anything: a Bures check outside
-    mixed mode, or a working set (``_run_values``) above MEMORY_CAP.
+def check_run(config: ExperimentConfig, verify_bures: bool, threads: int = 1) -> None:
+    """Refuse a run on ``threads`` threads before it allocates anything: a
+    Bures check outside mixed mode, or a working set (``_run_values``) above
+    MEMORY_CAP.
     """
     if verify_bures and config.mode != "mixed":
         raise ValueError("the Bures check needs mode mixed")
-    check_memory(_run_values(config, verify_bures), "a run")
+    check_memory(_run_values(config, verify_bures, threads), "a run")
 
 
 def _bures_deviation(states: np.ndarray, posts: np.ndarray, shots: np.ndarray) -> float:
@@ -443,7 +450,7 @@ def run_experiment(
     the run before any sampling if it would hold more than MEMORY_CAP
     bytes.
     """
-    check_run(config, verify_bures)
+    check_run(config, verify_bures, threads)
     target = _MODES[config.mode].target(config.n, config.m, config.r)
     sizes = _shard_sizes(config.samples, config.shards)
     shards = range(len(sizes))

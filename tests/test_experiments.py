@@ -237,8 +237,9 @@ class TestMonteCarlo:
         assert abs(np.mean(low) - np.mean(high)) < 3 * combined
         assert abs(np.mean(low) - analytic_state_estimation(4, 2)) < 5 * combined
 
-    @pytest.mark.parametrize("n,m", [(5, 2), (4, 4)])
+    @pytest.mark.parametrize("n,m", [(5, 2), (4, 4), (64, 8)])
     def test_batched_state_estimation_equals_the_per_shot_reference(self, n, m):
+        # N = 64 puts numpy's row sums in their unrolled pairwise regime (N >= 8).
         # Two shards of two chunks each, scored one shot at a time through
         # sample_outcome and reduced as the estimator reduces them.
         config = ExperimentConfig(
@@ -397,10 +398,20 @@ class TestEstimatorContracts:
         assert self.shard_peak(config, rows) <= 16 * experiments._shard_values(config, False)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_per_shard_bookkeeping_is_within_the_guard_charge(self, threads):
-        # 4000 shards of one row each: the run's peak is its per-shard
-        # sizes, merge parts and (with threads) futures.
-        config = ExperimentConfig(n=2, m=1, mode="pure", samples=4_000, seed=828, shards=4_000)
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # 4000 shards of one row each: the run's peak is its per-shard
+            # sizes, merge parts and (with threads) futures.
+            ExperimentConfig(n=2, m=1, mode="pure", samples=4_000, seed=828, shards=4_000),
+            # Two one-chunk shards: with two threads both working sets are live.
+            ExperimentConfig(
+                n=64, m=8, mode="state_estimation", samples=2 * experiments.CHUNK, seed=829, shards=2
+            ),
+        ],
+        ids=["bookkeeping", "working-sets"],
+    )
+    def test_run_peak_is_within_the_guard_charge(self, config, threads):
         run_experiment(dataclasses.replace(config, samples=4, shards=4), threads=threads)
         tracemalloc.start()
         try:
@@ -408,15 +419,21 @@ class TestEstimatorContracts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * experiments._run_values(config, False)
+        assert peak <= 16 * experiments._run_values(config, False, threads)
 
     def test_shard_count_is_charged_before_allocation(self):
-        # About 2 kB per shard: a billion shards would ask for about 2 TB.
+        # At least 256 B per shard: a billion shards would ask for 256 GB.
         config = ExperimentConfig(n=2, m=1, samples=10**12, seed=0, shards=10**9)
         with pytest.raises(ValueError, match="MiB cap"):
             experiments.check_run(config, verify_bures=False)
         # More shards than samples run one sample per shard, and are charged so.
         experiments.check_run(dataclasses.replace(config, samples=16), verify_bures=False)
+        # 200,000 one-row shards hold about 50 MB of bookkeeping on one
+        # thread; with threads each also queues a future, about 400 MB.
+        many = dataclasses.replace(config, samples=200_000, shards=200_000)
+        experiments.check_run(many, verify_bures=False)
+        with pytest.raises(ValueError, match="MiB cap"):
+            experiments.check_run(many, verify_bures=False, threads=2)
 
     def test_oversized_working_set_is_refused_before_allocation(self):
         huge = ExperimentConfig(n=10**6, m=1, r=10**4, mode="entangled", samples=100, seed=0)
