@@ -42,11 +42,13 @@ DEFAULT_SHARDS = 16
 # for any sample count, and it is part of the (seed, shards) contract: a
 # shard of more rows interleaves its state draws with its outcome draws.
 CHUNK = 4096
-# N x N entries per stacked matrix in one Bures sub-batch: the check runs
-# on max(1, BURES_ENTRIES // N^2) shots at a time.
+# Entries per stacked N x N (or N x R) matrix in one Bures sub-batch: the
+# check runs on max(1, BURES_ENTRIES // (N * max(N, R))) shots at a time.
 BURES_ENTRIES = 2**16
-# Stacked N x N arrays a Bures sub-batch holds at once (the two reduced
-# states, their eigenvectors and square roots, and their product).
+# Stacked N x N arrays charged for one Bures sub-batch.  The check peaks
+# at about five (5.1 at (N, R) = (32, 2) and 5.4 at (8, 8) under
+# tracemalloc): the reduced input state, its eigenvectors and the
+# temporaries of its square root.  The post-cut state lives on M levels.
 _BURES_ARRAYS = 8
 # Bytes of complex values a run (its running shards and the per-shard
 # bookkeeping, or a teleport-demo run) may hold at once.  Larger
@@ -285,17 +287,24 @@ class _Mode(NamedTuple):
 def _cut_chunk(
     config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, verify_bures: bool
 ):
-    """Draw ``size`` Haar rows and cut each one through ``sample_outcome``."""
+    """Draw ``size`` Haar rows and cut each one through ``sample_outcome``.
+
+    With ``verify_bures`` each shot's post-cut rows and (M,) subset are
+    kept for ``_bures_deviation``.
+    """
     n, r = config.n, config.r
     rows = sample_states(n * r, size, rng).reshape(size, n, r)
     shots = np.empty(size)
-    posts = np.empty_like(rows) if verify_bures else None
+    if verify_bures:
+        posts = np.empty_like(rows)
+        chosen = np.empty((size, config.m), dtype=np.intp)
     for i, row in enumerate(rows):
         outcome = sample_outcome(povm, BipartitePureState._trusted(row), rng)
         shots[i] = outcome.shot_fidelity
         if verify_bures:
             posts[i] = outcome.post_state.matrix
-    return shots, _bures_deviation(rows, posts, shots) if verify_bures else None
+            chosen[i] = outcome.subset.indices
+    return shots, _bures_deviation(rows, posts, chosen, shots) if verify_bures else None
 
 
 def _guess_chunk(
@@ -323,9 +332,10 @@ _MODES = {
 }
 
 
-def _bures_rows(n: int) -> int:
-    """Shots per Bures sub-batch at system dimension ``n``."""
-    return max(1, BURES_ENTRIES // (n * n))
+def _bures_rows(n: int, r: int = 1) -> int:
+    """Shots per Bures sub-batch at system dimension ``n`` and auxiliary
+    dimension ``r``; r <= n gives the N x N count."""
+    return max(1, BURES_ENTRIES // (n * max(n, r)))
 
 
 def check_memory(values: int, what: str) -> None:
@@ -346,7 +356,8 @@ def _shard_values(config: ExperimentConfig, verify_bures: bool) -> int:
     half a complex value.  A state-estimation chunk holds less once drawn:
     the rows' float weights, then its subset draws and their ranking.
     With the Bures check the shard then holds the chunk, its post-cut rows
-    and one sub-batch of stacked N x N matrices.
+    and one sub-batch of stacked N x N matrices; a sub-batch at R > N has
+    fewer rows, so that its N x R arrays take no more.
     """
     n, r = config.n, config.r
     rows = min(CHUNK, -(-config.samples // config.shards))
@@ -379,20 +390,47 @@ def check_run(config: ExperimentConfig, verify_bures: bool, threads: int = 1) ->
     check_memory(_run_values(config, verify_bures, threads), "a run")
 
 
-def _bures_deviation(states: np.ndarray, posts: np.ndarray, shots: np.ndarray) -> float:
-    """Largest |shot - Bures fidelity| over stacked (k, N, R) coefficient matrices.
+def _bures_deviation(
+    states: np.ndarray, posts: np.ndarray, chosen: np.ndarray, shots: np.ndarray
+) -> float:
+    """Largest |shot - Bures fidelity| over stacked (k, N, R) input and post-cut
+    coefficient matrices, whose shots kept the (k, M) subsets ``chosen``.
 
     The reduced input and post-cut states are compared through the matrix
-    square-root form, one sub-batch of ``_bures_rows(N)`` shots per call.
+    square-root form, one sub-batch of ``_bures_rows(N, R)`` shots per call.
     """
-    step = _bures_rows(states.shape[1])
-    worst = 0.0
-    for lo in range(0, len(states), step):
-        rho = partial_trace(states[lo : lo + step], over="aux")
-        rho_cut = partial_trace(posts[lo : lo + step], over="aux")
-        fid = bures_fidelity(rho, rho_cut)
-        worst = max(worst, float(np.max(np.abs(shots[lo : lo + step] - fid))))
-    return worst
+    step = _bures_rows(*states.shape[1:])
+    return max(
+        _bures_sub_batch(*(part[lo : lo + step] for part in (states, posts, chosen, shots)))
+        for lo in range(0, len(states), step)
+    )
+
+
+def _bures_sub_batch(
+    states: np.ndarray, posts: np.ndarray, chosen: np.ndarray, shots: np.ndarray
+) -> float:
+    """``_bures_deviation`` of one sub-batch.
+
+    A post-cut state is zero outside its subset, so its reduced state is
+    taken on the M subset levels only.  Each row's levels are relabeled so
+    that its subset comes first, in ascending order (as ``full_protocol``
+    relabels them onto the channel), which is where ``bures_fidelity``
+    places an M-level sigma.  A post-cut row with any weight outside its
+    subset is refused, since the M-level state would not show it.  The
+    density matrices and their eigenvectors are dropped on return, before
+    the next sub-batch builds its own.
+    """
+    k, n = states.shape[:2]
+    rows = np.arange(k)[:, None]
+    outside = np.ones((k, n), dtype=bool)
+    outside[rows, chosen] = False
+    if posts[outside].any():
+        raise ValueError("a post-cut state has weight outside its subset")
+    # Subset levels first (False sorts first), each part in ascending order.
+    order = np.argsort(outside, axis=1, kind="stable")
+    rho_cut = partial_trace(posts[rows, chosen], over="aux")
+    rho = partial_trace(states[rows, order], over="aux")
+    return float(np.max(np.abs(shots - bures_fidelity(rho, rho_cut))))
 
 
 def _merge(parts) -> tuple[int, float, float, float | None]:

@@ -40,12 +40,19 @@ def bures_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarr
     Evaluated as the squared nuclear norm of sqrt(rho) @ sqrt(sigma), which
     is the same quantity but does not square the conditioning the way an
     eigendecomposition of the triple product would.  Two stacks of equal
-    shape give an array with one fidelity per member; two single matrices
-    give a float.
+    batch shape give an array with one fidelity per member; two single
+    matrices give a float.
+
+    ``sigma`` may live on fewer levels than ``rho``, M = ``sigma.dim``: it
+    is then taken to be supported on rho's first M levels (zero in every
+    other row and column).  Its square root is zero there too, so only the
+    first M columns of sqrt(rho) enter, and the product is N x M: sigma is
+    diagonalized on its M levels, not on N.
     """
-    if rho.entries.shape != sigma.entries.shape:
+    m = sigma.dim
+    if rho.entries.shape[:-2] != sigma.entries.shape[:-2] or m > rho.dim:
         raise ValueError(f"dimension mismatch: {rho.entries.shape} vs {sigma.entries.shape}")
-    singulars = np.linalg.svd(matrix_sqrt(rho) @ matrix_sqrt(sigma), compute_uv=False)
+    singulars = np.linalg.svd(matrix_sqrt(rho)[..., :m] @ matrix_sqrt(sigma), compute_uv=False)
     fid = np.square(singulars.sum(axis=-1))
     # Snap round-off just above 1 back to 1, as _clamp_unit does; a squared
     # sum of singular values is never negative.
@@ -98,7 +105,8 @@ def purify(rho: DensityMatrix, dim_aux: int | None = None) -> BipartitePureState
     """
     if dim_aux is None:
         dim_aux = rho.dim
-    evals, vecs = np.linalg.eigh(single_entries(rho))
+    single_entries(rho)  # refuses a stack
+    evals, vecs = rho._eigh
     evals = np.clip(evals, 0.0, None)
     rank = int(np.sum(evals > 0.0))
     if dim_aux < rank:

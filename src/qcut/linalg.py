@@ -116,6 +116,11 @@ class DensityMatrix:
     an error reports the member that fails.  ``partial_trace``,
     ``matrix_sqrt`` and ``bures_fidelity`` accept stacks; a single matrix
     is their k = 1 case.
+
+    The PSD check solves the full eigenproblem, and the read-only
+    eigenvalues (ascending) and eigenvectors are kept as ``_eigh`` for
+    ``matrix_sqrt`` and ``purify``, so each density matrix is diagonalized
+    once.  They take as much memory as ``entries`` again.
     """
 
     dim: int
@@ -133,10 +138,14 @@ class DensityMatrix:
         off = traces[np.abs(traces - 1.0) > TRACE_ATOL]
         if off.size:
             raise ValueError(f"trace {complex(off[0])} is not 1 within {TRACE_ATOL}")
-        min_eig = float(np.min(np.linalg.eigvalsh(entries)[..., 0], initial=np.inf))
+        evals, vecs = np.linalg.eigh(entries)
+        min_eig = float(np.min(evals[..., 0], initial=np.inf))
         if min_eig < EIGENVALUE_FLOOR:
             raise ValueError(f"matrix is not PSD (min eigenvalue {min_eig})")
+        evals.setflags(write=False)
+        vecs.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_eigh", (evals, vecs))
 
     @classmethod
     def from_pure(cls, state: PureState) -> "DensityMatrix":
@@ -234,9 +243,10 @@ def matrix_sqrt(rho: DensityMatrix) -> np.ndarray:
     DensityMatrix type itself.  Positive eigenvalues below the eigensolver
     noise level (dim * eps * largest, per matrix) are also treated as exact
     zeros, since taking their square root would otherwise turn O(eps)
-    rank-deficiency noise into O(sqrt(eps)) errors in S.
+    rank-deficiency noise into O(sqrt(eps)) errors in S.  The
+    eigendecomposition is the one ``rho`` computed for its PSD check.
     """
-    evals, vecs = np.linalg.eigh(rho.entries)
+    evals, vecs = rho._eigh
     noise_floor = rho.dim * np.finfo(float).eps * evals[..., -1:]
     evals = np.where(evals < noise_floor, 0.0, evals)
     return (vecs * np.sqrt(evals)[..., None, :]) @ _dagger(vecs)

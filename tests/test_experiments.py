@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from qcut import experiments
 from qcut.experiments import (
@@ -21,7 +22,7 @@ from qcut.experiments import (
     run_experiment,
 )
 from qcut.haar import sample_state, sample_states
-from qcut.linalg import PureState
+from qcut.linalg import BipartitePureState, PureState
 from qcut.povm import CutPovm, sample_outcome
 from qcut.rng import stream
 
@@ -209,6 +210,30 @@ class TestMonteCarlo:
         assert est.bures_max_deviation is not None
         assert est.bures_max_deviation < 1e-8
 
+    def test_bures_check_refuses_post_cut_weight_outside_the_subset(self):
+        povm, rng = CutPovm(4, 2), stream(830)
+        states = sample_states(12, 5, rng).reshape(5, 4, 3)
+        outcomes = [sample_outcome(povm, BipartitePureState(4, 3, c.ravel()), rng) for c in states]
+        posts = np.array([outcome.post_state.matrix for outcome in outcomes])
+        chosen = np.array([outcome.subset.indices for outcome in outcomes])
+        shots = np.array([outcome.shot_fidelity for outcome in outcomes])
+        assert experiments._bures_deviation(states, posts, chosen, shots) < 1e-12
+        # One off-subset entry, weight 1e-6: the M-level reduced state alone
+        # would not see it.
+        posts[2, min(set(range(4)) - set(chosen[2])), 1] = 1e-3
+        with pytest.raises(ValueError, match="outside its subset"):
+            experiments._bures_deviation(states, posts, chosen, shots)
+
+    @pytest.mark.parametrize("n,m,r", [(3, 2, 1), (4, 2, 3), (16, 4, 4), (64, 8, 1)])
+    def test_cut_shots_follow_the_size_biased_beta_law(self, n, m, r):
+        # A Haar row's subset weight W_S is Beta(MR, (N-M)R); the cut keeps
+        # S with probability proportional to W_S and scores f = W_S, so f is
+        # the size-biased Beta(MR+1, (N-M)R).  One chunk of the shots the
+        # Bures check verifies.
+        config = ExperimentConfig(n=n, m=m, r=r, mode="mixed", samples=experiments.CHUNK, seed=7)
+        shots, _ = experiments._cut_chunk(config, experiments.CHUNK, stream(7), CutPovm(n, m), False)
+        assert stats.kstest(shots, stats.beta(m * r + 1, (n - m) * r).cdf).pvalue > 1e-3
+
     @pytest.mark.parametrize("mode", ["pure", "entangled", "state_estimation"])
     def test_bures_verification_needs_mixed_mode(self, mode):
         config = ExperimentConfig(n=3, m=2, mode=mode, samples=10, seed=808)
@@ -361,6 +386,16 @@ class TestEstimatorContracts:
         self.shard_peak(config, rows, True)
         peaks = [self.shard_peak(config, count, True) for count in (rows, 3 * rows)]
         assert peaks[1] < 1.2 * peaks[0]
+
+    @pytest.mark.parametrize("n,m,r,rows", [(32, 8, 2, 192), (16, 4, 4, 768), (2, 1, 64, 4096)])
+    def test_bures_shard_peak_is_within_the_guard_charge(self, n, m, r, rows):
+        # One-chunk shards of three Bures sub-batches, and at R > N a full
+        # chunk: a sub-batch sized by N x N alone would relabel all of its
+        # N x R rows at once.
+        assert rows >= 3 * experiments._bures_rows(n, r)
+        config = ExperimentConfig(n=n, m=m, r=r, mode="mixed", samples=rows, seed=832, shards=1)
+        self.shard_peak(config, rows, True)  # first-call allocations are not the shard's
+        assert self.shard_peak(config, rows, True) <= 16 * experiments._shard_values(config, True)
 
     def test_bures_verified_estimate_does_not_depend_on_threads(self):
         config = ExperimentConfig(n=4, m=2, r=3, mode="mixed", samples=3_000, seed=824)

@@ -72,6 +72,16 @@ class TestBures:
             assert abs(f - bures_fidelity(sigma, rho)) < 1e-9
             assert 0.0 <= f <= 1.0 + 1e-10
 
+    def test_sigma_on_more_levels_or_another_stack_is_refused(self):
+        rng = stream(606)
+        rho = partial_trace(random_bipartite(3, 2, rng), over="aux")
+        wider = partial_trace(random_bipartite(4, 2, rng), over="aux")
+        with pytest.raises(ValueError, match="mismatch"):
+            bures_fidelity(rho, wider)
+        stack = partial_trace(sample_states(6, 2, rng).reshape(2, 3, 2), over="aux")
+        with pytest.raises(ValueError, match="mismatch"):
+            bures_fidelity(stack, rho)
+
 
 class TestUhlmann:
     def test_two_purifications_of_the_same_state(self):

@@ -8,12 +8,15 @@ import itertools
 import math
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import bures_fidelity_full, embed
 
+from qcut import experiments
 from qcut.channel import ChannelState, teleport
 from qcut.fidelity import bures_fidelity
 from qcut.haar import MomentSpec, exact_moment_fraction, sample_states
@@ -149,24 +152,28 @@ def test_cut_commutes_with_partial_trace(cut, data):
     assert math.isclose(np.linalg.norm(post.matrix), 1.0, abs_tol=1e-12)
 
 
+def cut_stack(n, r, k, m, seed):
+    """Haar inputs (k, N, R), their cuts and the (k, M) subsets drawn, as the estimator stacks them."""
+    povm = CutPovm(n, m)
+    rng = stream(seed)
+    states = sample_states(n * r, k, rng).reshape(k, n, r)
+    outcomes = [sample_outcome(povm, BipartitePureState(n, r, c.ravel()), rng) for c in states]
+    posts = np.array([outcome.post_state.matrix for outcome in outcomes])
+    chosen = np.array([outcome.subset.indices for outcome in outcomes], dtype=np.intp)
+    return states, posts, chosen
+
+
 @st.composite
 def coefficient_stacks(draw, max_n=5, max_r=3, max_k=7):
-    """Haar inputs (k, N, R) and their cuts onto drawn subsets, as the estimator stacks them."""
     n = draw(st.integers(1, max_n))
     r = draw(st.integers(1, max_r))
     k = draw(st.integers(1, max_k))
-    povm = CutPovm(n, draw(st.integers(1, n)))
-    rng = stream(draw(st.integers(0, 2**32 - 1)))
-    states = sample_states(n * r, k, rng).reshape(k, n, r)
-    posts = np.array(
-        [sample_outcome(povm, BipartitePureState(n, r, c.ravel()), rng).post_state.matrix for c in states]
-    )
-    return states, posts
+    return cut_stack(n, r, k, draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1)))
 
 
 @given(coefficient_stacks())
 def test_stacked_kernels_match_one_at_a_time(stacks):
-    states, posts = stacks
+    states, posts, _ = stacks
     k, n, r = states.shape
     flat = states.reshape(k, n * r)
     joint = DensityMatrix(n * r, flat[:, :, None] * flat[:, None, :].conj())
@@ -201,7 +208,7 @@ def test_stacked_kernels_match_one_at_a_time(stacks):
 
 @given(coefficient_stacks(), st.sampled_from(["hermitian", "trace", "psd"]), st.data())
 def test_stack_with_one_bad_member_raises_that_members_error(stacks, fault, data):
-    states, _ = stacks
+    states = stacks[0]
     n, k = states.shape[1], len(states)
     entries = partial_trace(states).entries.copy()
     bad = entries[data.draw(st.integers(0, k - 1))]
@@ -216,6 +223,30 @@ def test_stack_with_one_bad_member_raises_that_members_error(stacks, fault, data
     with pytest.raises(ValueError) as stacked:
         DensityMatrix(n, entries)
     assert str(stacked.value) == str(alone.value)
+
+
+@given(coefficient_stacks())
+@example(cut_stack(5, 3, 7, 1, 830))
+@example(cut_stack(5, 2, 7, 5, 831))
+def test_bures_on_the_subset_levels_equals_the_full_route(stacks):
+    # The oracle takes each post-cut state on all N levels, with no relabel.
+    states, posts, chosen = stacks
+    _, n, r = states.shape
+    rho = partial_trace(states)
+    full = bures_fidelity_full(rho, partial_trace(posts))
+    # sigma on M levels is taken to be supported on rho's first M.
+    sigma = partial_trace(np.take_along_axis(posts, chosen[:, :, None], axis=1))
+    np.testing.assert_allclose(
+        bures_fidelity(rho, sigma), bures_fidelity_full(rho, embed(sigma, n)), rtol=0, atol=1e-12
+    )
+    # The estimator's check on the same outcomes, in one sub-batch and in
+    # sub-batches of two shots: shots equal to the oracle's fidelities
+    # leave no deviation.
+    assert experiments._bures_deviation(states, posts, chosen, full) <= 1e-12
+    with mock.patch.object(experiments, "BURES_ENTRIES", 2 * n * max(n, r)):
+        assert experiments._bures_deviation(states, posts, chosen, full) <= 1e-12
+        shifted = experiments._bures_deviation(states, posts, chosen, full + 0.5)
+        assert shifted == pytest.approx(0.5, abs=1e-12)
 
 
 @given(st.integers(1, 6), st.data())
