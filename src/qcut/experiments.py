@@ -46,9 +46,10 @@ CHUNK = 4096
 # check runs on max(1, BURES_ENTRIES // (N * max(N, R))) shots at a time.
 BURES_ENTRIES = 2**16
 # Stacked N x N arrays charged for one Bures sub-batch.  The check peaks
-# at about five (5.1 at (N, R) = (32, 2) and 5.4 at (8, 8) under
-# tracemalloc): the reduced input state, its eigenvectors and the
-# temporaries of its square root.  The post-cut state lives on M levels.
+# at 3.2 at (N, R) = (64, 1), 3.4 at (32, 2), 3.8 at (16, 4) and 5.8 at
+# (8, 8) under tracemalloc: the reduced input state, its eigenvectors
+# (N x min(N, R)) and the temporaries of its square root.  The post-cut
+# state lives on M levels.
 _BURES_ARRAYS = 8
 # Bytes of complex values a run (its running shards and the per-shard
 # bookkeeping, or a teleport-demo run) may hold at once.  Larger

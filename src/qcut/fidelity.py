@@ -99,9 +99,11 @@ def per_outcome_mixed_fidelity(
 def purify(rho: DensityMatrix, dim_aux: int | None = None) -> BipartitePureState:
     """Canonical purification of a density matrix on system x auxiliary.
 
-    Uses the eigendecomposition: sum_i sqrt(lambda_i) |i> x |i_aux>.  The
-    auxiliary dimension defaults to the system dimension and must be at
-    least the rank.
+    Uses the eigendecomposition: sum_i sqrt(lambda_i) |i> x |i_aux>, from
+    the eigenpairs ``rho`` keeps (for a reduced state of an (N, R)
+    coefficient matrix, the thin min(N, R) of them; its rank is at most
+    that).  The auxiliary dimension defaults to the system dimension and
+    must be at least the rank.
     """
     if dim_aux is None:
         dim_aux = rho.dim

@@ -25,7 +25,13 @@ EIGENVALUE_FLOOR = -1e-10
 
 
 def _frozen_complex_array(values, shape) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
+    """A read-only complex copy of ``values``, checked to have ``shape`` and
+    finite entries; the caller's array is left as it is."""
+    return _frozen(np.array(values, dtype=complex), shape)
+
+
+def _frozen(arr: np.ndarray, shape) -> np.ndarray:
+    """``arr`` itself, checked to have ``shape`` and finite entries, made read-only."""
     if arr.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr.view(float))):
@@ -117,10 +123,13 @@ class DensityMatrix:
     ``matrix_sqrt`` and ``bures_fidelity`` accept stacks; a single matrix
     is their k = 1 case.
 
-    The PSD check solves the full eigenproblem, and the read-only
+    The PSD check diagonalizes each matrix once, and the read-only
     eigenvalues (ascending) and eigenvectors are kept as ``_eigh`` for
-    ``matrix_sqrt`` and ``purify``, so each density matrix is diagonalized
-    once.  They take as much memory as ``entries`` again.
+    ``matrix_sqrt`` and ``purify``.  A matrix built from an array holds
+    all dim eigenpairs.  A reduced state c c^dagger of an (N, R)
+    coefficient matrix, as ``partial_trace`` builds it, has rank at most
+    min(N, R) and holds that many: at R < N they come from the R x R Gram
+    matrix (``_thin_eigh``), with N x R eigenvectors.
     """
 
     dim: int
@@ -131,6 +140,25 @@ class DensityMatrix:
             raise ValueError("dimension must be positive")
         shape = np.shape(self.entries)[:-2] + (self.dim, self.dim)
         entries = _frozen_complex_array(self.entries, shape)
+        self._settle(entries, np.linalg.eigh(entries))
+
+    @classmethod
+    def _trusted(cls, entries: np.ndarray, eigh) -> "DensityMatrix":
+        """A density matrix (or stack) with entries ``entries`` and eigenpairs ``eigh``.
+
+        For reductions: ``entries`` must be a freshly built (..., N, N)
+        array, which is checked as the constructor checks it but frozen and
+        kept as it is rather than copied; ``eigh`` holds its eigenvalues
+        (ascending) and eigenvectors, thin or full.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "dim", entries.shape[-1])
+        obj._settle(_frozen(entries, entries.shape), eigh)
+        return obj
+
+    def _settle(self, entries: np.ndarray, eigh) -> None:
+        # Check the frozen entries and the eigenvalues of their PSD check,
+        # then store both.
         herm_dev = float(np.max(np.abs(entries - _dagger(entries)), initial=0.0))
         if herm_dev > HERMITICITY_ATOL:
             raise ValueError(f"matrix is not Hermitian (deviation {herm_dev})")
@@ -138,7 +166,7 @@ class DensityMatrix:
         off = traces[np.abs(traces - 1.0) > TRACE_ATOL]
         if off.size:
             raise ValueError(f"trace {complex(off[0])} is not 1 within {TRACE_ATOL}")
-        evals, vecs = np.linalg.eigh(entries)
+        evals, vecs = eigh
         min_eig = float(np.min(evals[..., 0], initial=np.inf))
         if min_eig < EIGENVALUE_FLOOR:
             raise ValueError(f"matrix is not PSD (min eigenvalue {min_eig})")
@@ -217,22 +245,46 @@ def partial_trace(state, over: str = "aux", dims: tuple[int, int] | None = None)
         rho4 = state.entries.reshape(state.entries.shape[:-2] + (n, r, n, r))
         if over == "aux":
             reduced = np.einsum("...jkik->...ji", rho4)
-            kept = n
         else:
             reduced = np.einsum("...jkjl->...kl", rho4)
-            kept = r
-    else:
-        c = state if isinstance(state, np.ndarray) else state.matrix
-        n, r = c.shape[-2:]
-        if dims is not None and tuple(dims) != (n, r):
-            raise ValueError(f"dims {dims} inconsistent with state dims {(n, r)}")
-        if over == "aux":
-            reduced = c @ _dagger(c)
-            kept = n
-        else:
-            reduced = c.swapaxes(-1, -2) @ c.conj()
-            kept = r
-    return DensityMatrix(kept, reduced)
+        return DensityMatrix._trusted(reduced, np.linalg.eigh(reduced))
+    c = np.asarray(state if isinstance(state, np.ndarray) else state.matrix, dtype=complex)
+    if dims is not None and tuple(dims) != c.shape[-2:]:
+        raise ValueError(f"dims {dims} inconsistent with state dims {c.shape[-2:]}")
+    # The reduced state is rows @ rows^dagger: rows c over the auxiliary,
+    # rows c^T over the system.
+    rows = c if over == "aux" else c.swapaxes(-1, -2)
+    reduced = rows @ _dagger(rows)
+    n, r = rows.shape[-2:]
+    return DensityMatrix._trusted(reduced, _thin_eigh(rows) if r < n else np.linalg.eigh(reduced))
+
+
+def _noise_floor(dim: int, evals: np.ndarray) -> np.ndarray:
+    """Eigensolver noise level of each matrix: dim * eps * its largest eigenvalue."""
+    return dim * np.finfo(float).eps * evals[..., -1:]
+
+
+def _thin_eigh(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The R nonzero-spectrum eigenpairs of rows @ rows^dagger for (..., N, R) rows, R < N.
+
+    The R x R Gram matrix rows^dagger @ rows = W diag(lam) W^dagger has the
+    same nonzero eigenvalues (the Schmidt relation), and the columns of
+    rows @ W, of norm sqrt(lam), are the matching eigenvectors.  Each is
+    scaled to unit norm by its own computed norm, not by sqrt(lam): a small
+    lam carries the Gram eigensolver's absolute error, eps * largest, so
+    near the floor its relative error is of order one.  A column whose
+    eigenvalue lies below ``matrix_sqrt``'s noise floor, where that scaling
+    would blow up round-off, is set to zero instead.  The kept columns are
+    orthogonal to about eps * sqrt(largest / lam): within 1e-10 for lam
+    above about 1e-10 * largest, and about 1e-8 just above the floor, where
+    each column enters ``matrix_sqrt`` and ``purify`` weighted by sqrt(lam)
+    and the full N x N route is no more accurate.
+    """
+    evals, w = np.linalg.eigh(_dagger(rows) @ rows)
+    vecs = rows @ w
+    kept = (evals >= _noise_floor(rows.shape[-2], evals)) & (evals > 0.0)
+    vecs *= (kept / np.where(kept, np.linalg.norm(vecs, axis=-2), 1.0))[..., None, :]
+    return evals, vecs
 
 
 def matrix_sqrt(rho: DensityMatrix) -> np.ndarray:
@@ -244,11 +296,13 @@ def matrix_sqrt(rho: DensityMatrix) -> np.ndarray:
     noise level (dim * eps * largest, per matrix) are also treated as exact
     zeros, since taking their square root would otherwise turn O(eps)
     rank-deficiency noise into O(sqrt(eps)) errors in S.  The
-    eigendecomposition is the one ``rho`` computed for its PSD check.
+    eigendecomposition is the one ``rho`` computed for its PSD check; for a
+    reduced state of an (N, R) coefficient matrix it is thin, with
+    min(N, R) eigenpairs (rank at most min(N, R)), and S is built from
+    those alone.
     """
     evals, vecs = rho._eigh
-    noise_floor = rho.dim * np.finfo(float).eps * evals[..., -1:]
-    evals = np.where(evals < noise_floor, 0.0, evals)
+    evals = np.where(evals < _noise_floor(rho.dim, evals), 0.0, evals)
     return (vecs * np.sqrt(evals)[..., None, :]) @ _dagger(vecs)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,18 @@ from qcut.haar import sample_state, sample_states
 from qcut.linalg import BipartitePureState, PureState
 from qcut.povm import CutPovm, sample_outcome
 from qcut.rng import stream
+
+
+BETA_LAW_CONFIGS = [(3, 2, 1), (4, 2, 3), (16, 4, 4), (64, 8, 1)]
+
+
+@functools.cache
+def beta_law_chunk(n, m, r):
+    """The shots of one CHUNK-row mixed ``_cut_chunk`` at seed 7."""
+    config = ExperimentConfig(n=n, m=m, r=r, mode="mixed", samples=experiments.CHUNK, seed=7)
+    shots, _ = experiments._cut_chunk(config, experiments.CHUNK, stream(7), CutPovm(n, m), False)
+    shots.setflags(write=False)
+    return shots
 
 
 def within_sigma(estimate, k=4):
@@ -224,15 +237,30 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="outside its subset"):
             experiments._bures_deviation(states, posts, chosen, shots)
 
-    @pytest.mark.parametrize("n,m,r", [(3, 2, 1), (4, 2, 3), (16, 4, 4), (64, 8, 1)])
+    @pytest.mark.parametrize("n,m,r", BETA_LAW_CONFIGS)
     def test_cut_shots_follow_the_size_biased_beta_law(self, n, m, r):
         # A Haar row's subset weight W_S is Beta(MR, (N-M)R); the cut keeps
         # S with probability proportional to W_S and scores f = W_S, so f is
         # the size-biased Beta(MR+1, (N-M)R).  One chunk of the shots the
         # Bures check verifies.
-        config = ExperimentConfig(n=n, m=m, r=r, mode="mixed", samples=experiments.CHUNK, seed=7)
-        shots, _ = experiments._cut_chunk(config, experiments.CHUNK, stream(7), CutPovm(n, m), False)
+        shots = beta_law_chunk(n, m, r)
         assert stats.kstest(shots, stats.beta(m * r + 1, (n - m) * r).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n,m,r", BETA_LAW_CONFIGS)
+    def test_cut_shot_variance_is_the_beta_variance(self, n, m, r):
+        # The exact raw moments of Beta(a, b), a = MR+1 and a + b = NR+1,
+        # are E[f^k] = prod_{i<k} (a+i)/(a+b+i).  The unbiased sample
+        # variance s^2 of n shots has Var(s^2) = mu4/n - var^2 (n-3)/(n(n-1))
+        # (n = size here), so the 5 sigma bound comes from the exact fourth
+        # central moment.
+        shots = beta_law_chunk(n, m, r)
+        raw = [math.prod(Fraction(m * r + 1 + i, n * r + 1 + i) for i in range(k)) for k in range(5)]
+        mean = raw[1]
+        var = raw[2] - mean**2
+        mu4 = raw[4] - 4 * mean * raw[3] + 6 * mean**2 * raw[2] - 3 * mean**4
+        size = len(shots)
+        var_s2 = mu4 / size - var**2 * (size - 3) / (size * (size - 1))
+        assert abs(np.var(shots, ddof=1) - float(var)) < 5 * math.sqrt(var_s2)
 
     @pytest.mark.parametrize("mode", ["pure", "entangled", "state_estimation"])
     def test_bures_verification_needs_mixed_mode(self, mode):
@@ -387,11 +415,14 @@ class TestEstimatorContracts:
         peaks = [self.shard_peak(config, count, True) for count in (rows, 3 * rows)]
         assert peaks[1] < 1.2 * peaks[0]
 
-    @pytest.mark.parametrize("n,m,r,rows", [(32, 8, 2, 192), (16, 4, 4, 768), (2, 1, 64, 4096)])
+    @pytest.mark.parametrize(
+        "n,m,r,rows", [(32, 8, 2, 192), (16, 4, 4, 768), (2, 1, 64, 4096), (64, 8, 1, 48)]
+    )
     def test_bures_shard_peak_is_within_the_guard_charge(self, n, m, r, rows):
         # One-chunk shards of three Bures sub-batches, and at R > N a full
         # chunk: a sub-batch sized by N x N alone would relabel all of its
-        # N x R rows at once.
+        # N x R rows at once.  (64, 8, 1) is the widest N / R of the thin
+        # (R x R Gram) eigendecomposition of the reduced input.
         assert rows >= 3 * experiments._bures_rows(n, r)
         config = ExperimentConfig(n=n, m=m, r=r, mode="mixed", samples=rows, seed=832, shards=1)
         self.shard_peak(config, rows, True)  # first-call allocations are not the shard's

@@ -66,6 +66,25 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             pure.matrix[0, 0] = 1.0
 
+    def test_reductions_keep_their_fresh_array_and_caller_arrays_are_copied(self):
+        c = sample_states(6, 1, stream(307)).reshape(3, 2)
+        fresh = c @ c.conj().T
+        rho = DensityMatrix._trusted(fresh, np.linalg.eigh(fresh))
+        assert np.shares_memory(fresh, rho.entries)
+        assert not fresh.flags.writeable
+        caller = c @ c.conj().T
+        rho = DensityMatrix(3, caller)
+        assert not np.shares_memory(caller, rho.entries)
+        assert caller.flags.writeable and not rho.entries.flags.writeable
+        # partial_trace builds every reduction through _trusted, which
+        # still checks it.
+        bad = c.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            partial_trace(bad)
+        with pytest.raises(ValueError, match="trace"):
+            partial_trace(2 * c, over="sys")
+
     def test_density_matrix_rejects_nonhermitian(self):
         mat = np.array([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(ValueError, match="Hermitian"):

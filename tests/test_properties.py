@@ -18,7 +18,7 @@ from oracles import bures_fidelity_full, embed
 
 from qcut import experiments
 from qcut.channel import ChannelState, teleport
-from qcut.fidelity import bures_fidelity
+from qcut.fidelity import bures_fidelity, purify
 from qcut.haar import MomentSpec, exact_moment_fraction, sample_states
 from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt, partial_trace
 from qcut.povm import (
@@ -204,6 +204,65 @@ def test_stacked_kernels_match_one_at_a_time(stacks):
         single_fid = bures_fidelity(one, one_cut)
         assert isinstance(single_fid, float)
         assert fid[i] == pytest.approx(single_fid, abs=1e-12)
+
+
+def reduction_stack(n, r, k, kind, seed):
+    """A (k, N, R) stack of Haar coefficient matrices.  At R >= 2 the
+    ``deficient`` kind makes each one's first two columns equal, so its
+    Schmidt rank is below min(N, R) whenever R <= N, and the ``weak`` kind
+    scales its second column by 3e-5, for a squared Schmidt coefficient
+    near 1e-9."""
+    c = sample_states(n * r, k, stream(seed)).reshape(k, n, r)
+    if r > 1 and kind != "haar":
+        c[..., 1] = c[..., 0] if kind == "deficient" else 3e-5 * c[..., 1]
+        c /= np.linalg.norm(c, axis=(1, 2), keepdims=True)
+    return c
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.sampled_from(["haar", "deficient", "weak"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(6, 4, 5, "deficient", 840)  # R < N
+@example(4, 4, 5, "deficient", 841)  # R = N
+@example(2, 4, 5, "deficient", 842)  # R > N
+@example(6, 1, 5, "haar", 843)  # R = 1
+@example(6, 3, 5, "weak", 844)
+def test_reduced_states_hold_thin_eigenpairs(n, r, k, kind, seed):
+    # partial_trace diagonalizes the smaller Gram matrix: min(N, R)
+    # eigenpairs per member, which must rebuild the entries, stay finite
+    # and orthonormal, and serve matrix_sqrt, purify and bures_fidelity
+    # as the full N x N eigendecomposition does.
+    c = reduction_stack(n, r, k, kind, seed)
+    for over, dim in (("aux", n), ("sys", r)):
+        rho = partial_trace(c, over=over)
+        evals, vecs = rho._eigh
+        assert evals.shape == (k, min(n, r)) and vecs.shape == (k, dim, min(n, r))
+        assert np.isfinite(evals).all() and np.isfinite(vecs).all()
+        # Through the Gram matrix (min(N, R) < dim), exactly the columns
+        # below matrix_sqrt's noise floor, dim * eps * largest, are zero.
+        below = (evals < dim * np.finfo(float).eps * evals[..., -1:]) | (evals <= 0.0)
+        np.testing.assert_array_equal(np.all(vecs == 0, axis=-2), below & (min(n, r) < dim))
+        rebuilt = (vecs * evals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+        np.testing.assert_allclose(rebuilt, rho.entries, rtol=0, atol=1e-12)
+        for member in vecs:
+            kept = member[:, np.any(member != 0, axis=0)]
+            gram = kept.conj().T @ kept
+            np.testing.assert_allclose(gram, np.eye(len(gram)), rtol=0, atol=1e-10)
+        root = matrix_sqrt(rho)
+        np.testing.assert_allclose(root @ root, rho.entries, rtol=0, atol=1e-10)
+        for member in c:
+            one = partial_trace(member, over=over)
+            np.testing.assert_allclose(
+                partial_trace(purify(one)).entries, one.entries, rtol=0, atol=1e-12
+            )
+    # The oracle takes both states through the full N x N eigendecomposition.
+    rho, sigma = partial_trace(c), partial_trace(reduction_stack(n, r, k, kind, seed + 1))
+    full = bures_fidelity_full(DensityMatrix(n, rho.entries), DensityMatrix(n, sigma.entries))
+    np.testing.assert_allclose(bures_fidelity(rho, sigma), full, rtol=0, atol=1e-12)
 
 
 @given(coefficient_stacks(), st.sampled_from(["hermitian", "trace", "psd"]), st.data())
