@@ -17,7 +17,6 @@ path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +35,6 @@ class ChannelState:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("channel dimension must be positive")
-
-    @property
-    def joint(self) -> BipartitePureState:
-        """The resource state (1/sqrt(M)) sum_i |i, i>."""
-        coeffs = np.eye(self.m, dtype=complex) / math.sqrt(self.m)
-        return BipartitePureState(self.m, self.m, coeffs.ravel())
 
 
 @dataclass(frozen=True)

@@ -159,12 +159,6 @@ def analytic_entangled(n: int, m: int, r: int) -> float:
     return _float(_fidelity_ratio(n, m, r))
 
 
-def analytic_n_to_1(n: int, r: int) -> float:
-    """Fidelity of cutting all the way to one level: (R+1)/(NR+1)."""
-    _check_dims(n, 1, r)
-    return _float(_fidelity_ratio(n, 1, r))
-
-
 def analytic_state_estimation(n: int, m: int) -> float:
     """Best-guess estimation fidelity from one cut outcome: (1 + 1/M)/(N+1)."""
     _check_dims(n, m)
@@ -429,8 +423,8 @@ def _bures_sub_batch(
         raise ValueError("a post-cut state has weight outside its subset")
     # Subset levels first (False sorts first), each part in ascending order.
     order = np.argsort(outside, axis=1, kind="stable")
-    rho_cut = partial_trace(posts[rows, chosen], over="aux")
-    rho = partial_trace(states[rows, order], over="aux")
+    rho_cut = partial_trace(posts[rows, chosen])
+    rho = partial_trace(states[rows, order])
     return float(np.max(np.abs(shots - bures_fidelity(rho, rho_cut))))
 
 

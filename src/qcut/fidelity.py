@@ -4,16 +4,16 @@ The mixed-state fidelity comes in two equivalent forms that this package
 keeps deliberately separate so they can check each other: the matrix
 square-root form on density matrices, and the purification form where a
 maximization over auxiliary-space unitaries collapses to a trace norm.
+The canonical purification of a density matrix and the single-shot cut
+fidelity read off a purification are further routes that only the tests
+take, so they live with the tests' oracles.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .linalg import BipartitePureState, DensityMatrix, matrix_sqrt, single_entries
-from .povm import CutPovm, SubsetIndex, _validate_subset
+from .linalg import BipartitePureState, DensityMatrix, matrix_sqrt
 
 _CLAMP = 1e-10
 
@@ -72,50 +72,3 @@ def uhlmann_fidelity(phi0: BipartitePureState, phi1: BipartitePureState) -> floa
         raise ValueError("purifications must share both dimensions")
     cross = phi1.matrix.T @ phi0.matrix.conj()
     return _clamp_unit(float(np.linalg.svd(cross, compute_uv=False).sum()) ** 2)
-
-
-def per_outcome_mixed_fidelity(
-    povm: CutPovm, subset: SubsetIndex, purification: BipartitePureState
-) -> float:
-    """Single-shot mixed-state fidelity of one cut, from a purification.
-
-    For elements diagonal in a common basis the purification maximum sits
-    at U = identity, so the value reduces to
-    |<psi|(A x 1)|psi>|^2 / Tr(A rho A^dag) = norm_const * probability.
-    Tests confirm the reduction against ``bures_fidelity`` on the reduced
-    density matrices.
-    """
-    if purification.dim_sys != povm.n:
-        raise ValueError(f"system dimension {purification.dim_sys} != povm n={povm.n}")
-    idx = _validate_subset(povm, subset)
-    kept_weight = float(np.sum(np.abs(purification.matrix[idx, :]) ** 2))
-    if kept_weight <= 0.0:
-        raise ValueError(f"outcome {subset.indices} has zero probability")
-    overlap = kept_weight / povm.norm_const  # <psi|(A x 1)|psi>
-    denominator = kept_weight / povm.norm_const**2  # Tr(A rho A^dag)
-    return _clamp_unit(overlap**2 / denominator)
-
-
-def purify(rho: DensityMatrix, dim_aux: int | None = None) -> BipartitePureState:
-    """Canonical purification of a density matrix on system x auxiliary.
-
-    Uses the eigendecomposition: sum_i sqrt(lambda_i) |i> x |i_aux>, from
-    the eigenpairs ``rho`` keeps (for a reduced state of an (N, R)
-    coefficient matrix, the thin min(N, R) of them; its rank is at most
-    that).  The auxiliary dimension defaults to the system dimension and
-    must be at least the rank.
-    """
-    if dim_aux is None:
-        dim_aux = rho.dim
-    single_entries(rho)  # refuses a stack
-    evals, vecs = rho._eigh
-    evals = np.clip(evals, 0.0, None)
-    rank = int(np.sum(evals > 0.0))
-    if dim_aux < rank:
-        raise ValueError(f"auxiliary dimension {dim_aux} below rank {rank}")
-    c = np.zeros((rho.dim, dim_aux), dtype=complex)
-    # Descending order keeps the largest weights on the lowest aux indices.
-    order = np.argsort(evals)[::-1]
-    for k, i in enumerate(order[:dim_aux]):
-        c[:, k] = math.sqrt(evals[i]) * vecs[:, i]
-    return BipartitePureState(rho.dim, dim_aux, c.ravel())

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
 Immutable state containers with validated physical invariants, plus the
-kernels the rest of the package builds on: partial traces, PSD matrix
-square roots and Schmidt decompositions.
+kernels the rest of the package builds on: the partial trace of a pure
+state over its auxiliary, and PSD matrix square roots.
 
 One class holds a pure state, ``BipartitePureState``, as an (N, R)
 coefficient matrix; a ``PureState`` is its R = 1 case.
@@ -125,11 +125,11 @@ class DensityMatrix:
 
     The PSD check diagonalizes each matrix once, and the read-only
     eigenvalues (ascending) and eigenvectors are kept as ``_eigh`` for
-    ``matrix_sqrt`` and ``purify``.  A matrix built from an array holds
-    all dim eigenpairs.  A reduced state c c^dagger of an (N, R)
-    coefficient matrix, as ``partial_trace`` builds it, has rank at most
-    min(N, R) and holds that many: at R < N they come from the R x R Gram
-    matrix (``_thin_eigh``), with N x R eigenvectors.
+    ``matrix_sqrt``.  A matrix built from an array holds all dim
+    eigenpairs.  A reduced state c c^dagger of an (N, R) coefficient
+    matrix, as ``partial_trace`` builds it, has rank at most min(N, R) and
+    holds that many: at R < N they come from the R x R Gram matrix
+    (``_thin_eigh``), with N x R eigenvectors.
     """
 
     dim: int
@@ -175,44 +175,6 @@ class DensityMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_eigh", (evals, vecs))
 
-    @classmethod
-    def from_pure(cls, state: PureState) -> "DensityMatrix":
-        return cls(state.dim, np.outer(state.amps, state.amps.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(dim, np.eye(dim, dtype=complex) / dim)
-
-
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
-    """Schmidt form of a bipartite pure state.
-
-    ``coefficients`` are the nonnegative Schmidt coefficients sorted
-    descending; their squares sum to 1.  ``left_basis`` and ``right_basis``
-    hold the matching orthonormal vectors as rows.
-    """
-
-    coefficients: np.ndarray
-    left_basis: np.ndarray
-    right_basis: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.array(self.coefficients, dtype=float)
-        if np.any(coeffs < -NORM_ATOL) or np.any(np.diff(coeffs) > NORM_ATOL):
-            raise ValueError("coefficients must be nonnegative and sorted descending")
-        if abs(float(np.sum(coeffs**2)) - 1.0) > TRACE_ATOL:
-            raise ValueError("squared coefficients must sum to 1")
-        left = np.array(self.left_basis, dtype=complex)
-        right = np.array(self.right_basis, dtype=complex)
-        for basis in (left, right):
-            gram = basis @ basis.conj().T
-            if float(np.max(np.abs(gram - np.eye(len(coeffs))))) > HERMITICITY_ATOL:
-                raise ValueError("basis vectors are not orthonormal")
-        for name, arr in (("coefficients", coeffs), ("left_basis", left), ("right_basis", right)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
 
 def single_entries(rho: DensityMatrix) -> np.ndarray:
     """The (dim, dim) entries of one density matrix; a stack is refused.
@@ -224,39 +186,19 @@ def single_entries(rho: DensityMatrix) -> np.ndarray:
     return rho.entries
 
 
-def partial_trace(state, over: str = "aux", dims: tuple[int, int] | None = None) -> DensityMatrix:
-    """Trace out one subsystem of a bipartite state.
+def partial_trace(state) -> DensityMatrix:
+    """Trace the auxiliary out of a bipartite pure state: c @ c^dagger.
 
     ``state`` is a pure state with an (N, R) coefficient matrix (a
-    ``PureState`` is the R = 1 case; dims are taken from it), an array of
-    (..., N, R) coefficient matrices, or a DensityMatrix on the composite
-    space, in which case ``dims`` must give the (system, auxiliary)
-    factorization.  ``over`` names the subsystem that is traced out.
-    Leading batch axes carry through to the returned DensityMatrix.
+    ``PureState`` is the R = 1 case) or an array of (..., N, R) coefficient
+    matrices, whose leading batch axes carry through to the returned
+    DensityMatrix.  A trace over the system is the trace over the
+    auxiliary of the transposed coefficients, ``c.swapaxes(-1, -2)``.
     """
-    if over not in ("sys", "aux"):
-        raise ValueError("over must be 'sys' or 'aux'")
-    if isinstance(state, DensityMatrix):
-        if dims is None:
-            raise ValueError("dims=(n_sys, n_aux) required for a DensityMatrix input")
-        n, r = dims
-        if n < 1 or r < 1 or n * r != state.dim:
-            raise ValueError(f"dims {dims} do not factor dimension {state.dim}")
-        rho4 = state.entries.reshape(state.entries.shape[:-2] + (n, r, n, r))
-        if over == "aux":
-            reduced = np.einsum("...jkik->...ji", rho4)
-        else:
-            reduced = np.einsum("...jkjl->...kl", rho4)
-        return DensityMatrix._trusted(reduced, np.linalg.eigh(reduced))
     c = np.asarray(state if isinstance(state, np.ndarray) else state.matrix, dtype=complex)
-    if dims is not None and tuple(dims) != c.shape[-2:]:
-        raise ValueError(f"dims {dims} inconsistent with state dims {c.shape[-2:]}")
-    # The reduced state is rows @ rows^dagger: rows c over the auxiliary,
-    # rows c^T over the system.
-    rows = c if over == "aux" else c.swapaxes(-1, -2)
-    reduced = rows @ _dagger(rows)
-    n, r = rows.shape[-2:]
-    return DensityMatrix._trusted(reduced, _thin_eigh(rows) if r < n else np.linalg.eigh(reduced))
+    reduced = c @ _dagger(c)
+    n, r = c.shape[-2:]
+    return DensityMatrix._trusted(reduced, _thin_eigh(c) if r < n else np.linalg.eigh(reduced))
 
 
 def _noise_floor(dim: int, evals: np.ndarray) -> np.ndarray:
@@ -277,8 +219,8 @@ def _thin_eigh(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     would blow up round-off, is set to zero instead.  The kept columns are
     orthogonal to about eps * sqrt(largest / lam): within 1e-10 for lam
     above about 1e-10 * largest, and about 1e-8 just above the floor, where
-    each column enters ``matrix_sqrt`` and ``purify`` weighted by sqrt(lam)
-    and the full N x N route is no more accurate.
+    each column enters ``matrix_sqrt`` weighted by sqrt(lam) and the full
+    N x N route is no more accurate.
     """
     evals, w = np.linalg.eigh(_dagger(rows) @ rows)
     vecs = rows @ w
@@ -304,9 +246,3 @@ def matrix_sqrt(rho: DensityMatrix) -> np.ndarray:
     evals, vecs = rho._eigh
     evals = np.where(evals < _noise_floor(rho.dim, evals), 0.0, evals)
     return (vecs * np.sqrt(evals)[..., None, :]) @ _dagger(vecs)
-
-
-def schmidt_decompose(state: BipartitePureState) -> SchmidtDecomposition:
-    """Schmidt decomposition of a bipartite pure state via SVD."""
-    u, s, vh = np.linalg.svd(state.matrix, full_matrices=False)
-    return SchmidtDecomposition(s, np.ascontiguousarray(u.T), vh)

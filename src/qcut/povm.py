@@ -6,15 +6,15 @@ scaled by 1/norm_const with norm_const = C(N-1, M-1), which is exactly what
 makes the family resolve the identity: every basis index appears in
 C(N-1, M-1) subsets.
 
-Elements are kept implicit as index subsets; dense matrices are only
-materialized on demand, and outcome sampling never enumerates the C(N, M)
-subsets.  Instead a pivot index j is drawn with probability equal to the
-state's j-th squared-amplitude weight and the remaining M-1 indices are
-drawn uniformly among the other N-1.  Each subset is reached once per
-contained pivot, so its total probability is (1/norm_const) * sum of its
-weights, the Born probability of the corresponding element.  A brute-force
-enumeration test discharges this equivalence.  ``sample_subsets`` draws
-the subsets of many states at once, with the same draws and arithmetic.
+Elements are kept implicit as index subsets, and outcome sampling never
+enumerates the C(N, M) subsets.  Instead a pivot index j is drawn with
+probability equal to the state's j-th squared-amplitude weight and the
+remaining M-1 indices are drawn uniformly among the other N-1.  Each
+subset is reached once per contained pivot, so its total probability is
+(1/norm_const) * sum of its weights, the Born probability of the
+corresponding element.  A brute-force enumeration test discharges this
+equivalence.  ``sample_subsets`` draws the subsets of many states at
+once, with the same draws and arithmetic.
 
 Pure inputs of either type are cut by one kernel acting on their (N, R)
 coefficient matrix; density matrices have the one separate path.
@@ -82,9 +82,6 @@ class CutPovm:
             raise ValueError("need 1 <= m <= n")
         object.__setattr__(self, "norm_const", math.comb(self.n - 1, self.m - 1))
 
-    def subset_count(self) -> int:
-        return math.comb(self.n, self.m)
-
 
 @dataclass(frozen=True, eq=False)
 class MeasurementOutcome:
@@ -118,32 +115,6 @@ def _weights(povm: CutPovm, state) -> np.ndarray:
     if len(w) != povm.n:
         raise ValueError(f"state dimension {len(w)} != povm n={povm.n}")
     return w
-
-
-def element_matrix(povm: CutPovm, subset: SubsetIndex) -> np.ndarray:
-    """Dense matrix of one POVM element: 1/norm_const on the subset diagonal."""
-    idx = _validate_subset(povm, subset)
-    mat = np.zeros((povm.n, povm.n), dtype=complex)
-    mat[idx, idx] = 1.0 / povm.norm_const
-    return mat
-
-
-def subsets(povm: CutPovm, cap: int = ENUMERATION_CAP):
-    """Iterate over all subsets in lexicographic order (exact sums only)."""
-    total = povm.subset_count()
-    if total > cap:
-        raise ValueError(f"{total} subsets exceed the enumeration cap {cap}")
-    for combo in itertools.combinations(range(povm.n), povm.m):
-        yield SubsetIndex(combo)
-
-
-def outcome_probability(povm: CutPovm, subset: SubsetIndex, state) -> float:
-    """Born probability of one element: (1/norm_const) * sum of subset weights.
-
-    Accepts pure, bipartite (system marginal) and density-matrix inputs.
-    """
-    weights = _weights(povm, state)
-    return float(weights[_validate_subset(povm, subset)].sum() / povm.norm_const)
 
 
 def _project(povm: CutPovm, subset: SubsetIndex, state):
@@ -272,17 +243,14 @@ def sample_subsets(povm: CutPovm, weights: np.ndarray, rng: np.random.Generator)
 
 
 def _max_completeness_deviation(n: int, m: int, cap: int) -> Fraction:
+    """Max deviation of the summed N -> M POVM elements from the identity.
+
+    The sum is diagonal, so the deviation is the worst diagonal entry: how
+    far each index's count over the enumerated subsets is from norm_const,
+    in exact rational arithmetic.
+    """
     if math.comb(n, m) > cap:
         raise ValueError(f"{math.comb(n, m)} subsets exceed the enumeration cap {cap}")
     counts = Counter(itertools.chain.from_iterable(itertools.combinations(range(n), m)))
     norm = math.comb(n - 1, m - 1)
     return Fraction(max(abs(counts[j] - norm) for j in range(n)), norm)
-
-
-def completeness_check(povm: CutPovm, cap: int = ENUMERATION_CAP) -> float:
-    """Max deviation of the summed POVM elements from the identity.
-
-    The sum is diagonal, so the deviation is the worst diagonal entry,
-    computed in exact rational arithmetic over an explicit enumeration.
-    """
-    return float(_max_completeness_deviation(povm.n, povm.m, cap))

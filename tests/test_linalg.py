@@ -1,18 +1,11 @@
 import numpy as np
 import pytest
+from oracles import from_pure, maximally_mixed, partial_trace_joint
 
-from qcut.linalg import (
-    BipartitePureState,
-    DensityMatrix,
-    PureState,
-    matrix_sqrt,
-    partial_trace,
-    schmidt_decompose,
-)
 from qcut.channel import full_protocol
-from qcut.fidelity import purify
 from qcut.haar import sample_states
-from qcut.povm import CutPovm, SubsetIndex, apply_cut_density, outcome_probability, sample_outcome
+from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt, partial_trace
+from qcut.povm import CutPovm, SubsetIndex, apply_cut_density, sample_outcome
 from qcut.rng import stream
 
 
@@ -20,7 +13,7 @@ def random_density(dim, rng, rank=None):
     """Density matrix induced by tracing out a Haar-random purification."""
     rank = rank or dim
     amps = sample_states(dim * rank, 1, rng)[0]
-    return partial_trace(BipartitePureState(dim, rank, amps), over="aux")
+    return partial_trace(BipartitePureState(dim, rank, amps))
 
 
 class TestStateTypes:
@@ -83,7 +76,7 @@ class TestStateTypes:
         with pytest.raises(ValueError, match="finite"):
             partial_trace(bad)
         with pytest.raises(ValueError, match="trace"):
-            partial_trace(2 * c, over="sys")
+            partial_trace((2 * c).T)
 
     def test_density_matrix_rejects_nonhermitian(self):
         mat = np.array([[0.5, 0.5], [0.0, 0.5]])
@@ -103,10 +96,8 @@ class TestStateTypes:
         stack = partial_trace(sample_states(6, 3, stream(302)).reshape(3, 3, 2))
         povm, subset = CutPovm(3, 2), SubsetIndex((0, 1))
         calls = [
-            lambda: outcome_probability(povm, subset, stack),
             lambda: apply_cut_density(povm, subset, stack),
             lambda: sample_outcome(povm, stack, stream(303)),
-            lambda: purify(stack),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="stack of shape"):
@@ -172,64 +163,54 @@ class TestPartialTrace:
         phi = np.array([0.6, 0.8j])
         chi = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
         state = BipartitePureState(2, 3, np.kron(phi, chi))
-        rho = partial_trace(state, over="aux")
+        rho = partial_trace(state)
         np.testing.assert_allclose(rho.entries, np.outer(phi, phi.conj()), atol=1e-14)
 
     def test_maximally_entangled_channel_traces_to_maximally_mixed(self):
         joint = BipartitePureState(2, 2, np.array([1, 0, 0, 1]) / np.sqrt(2))
-        rho = partial_trace(joint, over="aux")
+        rho = partial_trace(joint)
         np.testing.assert_allclose(rho.entries, np.eye(2) / 2, atol=1e-14)
 
     def test_reduced_spectrum_matches_squared_schmidt_coefficients(self):
         rng = stream(303)
         state = BipartitePureState(2, 3, sample_states(6, 1, rng)[0])
-        dec = schmidt_decompose(state)
-        evals = np.sort(np.linalg.eigvalsh(partial_trace(state, over="aux").entries))[::-1]
-        np.testing.assert_allclose(evals[: len(dec.coefficients)], dec.coefficients**2, atol=1e-10)
+        coefficients = np.linalg.svd(state.matrix, compute_uv=False)
+        evals = np.sort(np.linalg.eigvalsh(partial_trace(state).entries))[::-1]
+        np.testing.assert_allclose(evals[: len(coefficients)], coefficients**2, atol=1e-10)
 
     def test_both_reductions_share_nonzero_spectrum(self):
         rng = stream(304)
         for _ in range(20):
             state = BipartitePureState(3, 5, sample_states(15, 1, rng)[0])
-            sys_evals = np.sort(np.linalg.eigvalsh(partial_trace(state, over="aux").entries))[::-1]
-            aux_evals = np.sort(np.linalg.eigvalsh(partial_trace(state, over="sys").entries))[::-1]
+            sys_evals = np.sort(np.linalg.eigvalsh(partial_trace(state).entries))[::-1]
+            aux_evals = np.sort(np.linalg.eigvalsh(partial_trace(state.matrix.T).entries))[::-1]
             np.testing.assert_allclose(sys_evals[:3], aux_evals[:3], atol=1e-9)
 
     def test_density_matrix_input_agrees_with_pure_input(self):
         rng = stream(305)
         state = BipartitePureState(2, 2, sample_states(4, 1, rng)[0])
         joint = DensityMatrix(4, np.outer(state.amps, state.amps.conj()))
-        from_pure = partial_trace(state, over="aux")
-        from_density = partial_trace(joint, over="aux", dims=(2, 2))
-        np.testing.assert_allclose(from_density.entries, from_pure.entries, atol=1e-12)
-        traced_sys = partial_trace(joint, over="sys", dims=(2, 2))
-        np.testing.assert_allclose(
-            traced_sys.entries, partial_trace(state, over="sys").entries, atol=1e-12
-        )
+        # Oracle: the einsum trace of the joint density matrix.
+        traced_aux = partial_trace_joint(joint, (2, 2))
+        np.testing.assert_allclose(traced_aux.entries, partial_trace(state).entries, atol=1e-12)
+        traced_sys = partial_trace_joint(joint, (2, 2), over="sys")
+        np.testing.assert_allclose(traced_sys.entries, partial_trace(state.matrix.T).entries, atol=1e-12)
 
     def test_pure_state_is_the_one_level_auxiliary_case(self):
         rng = stream(306)
         state = PureState(3, sample_states(3, 1, rng)[0])
         np.testing.assert_allclose(
-            partial_trace(state, over="aux").entries, DensityMatrix.from_pure(state).entries, atol=1e-15
+            partial_trace(state).entries, from_pure(state).entries, atol=1e-15
         )
-        np.testing.assert_allclose(partial_trace(state, over="sys").entries, [[1.0]], atol=1e-15)
-
-    def test_inconsistent_dims_rejected(self):
-        rho = DensityMatrix.maximally_mixed(6)
-        with pytest.raises(ValueError, match="factor"):
-            partial_trace(rho, over="aux", dims=(4, 2))
-        with pytest.raises(ValueError, match="dims"):
-            partial_trace(rho, over="aux")
-
+        np.testing.assert_allclose(partial_trace(state.matrix.T).entries, [[1.0]], atol=1e-15)
 
 class TestMatrixSqrt:
     def test_scalar_matrix(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = maximally_mixed(2)
         np.testing.assert_allclose(matrix_sqrt(rho), np.eye(2) / np.sqrt(2), atol=1e-14)
 
     def test_projector_is_fixed_point(self):
-        rho = DensityMatrix.from_pure(PureState.basis_state(2, 0))
+        rho = from_pure(PureState.basis_state(2, 0))
         np.testing.assert_allclose(matrix_sqrt(rho), rho.entries, atol=1e-14)
 
     def test_square_reconstructs_for_random_psd(self):
@@ -243,24 +224,28 @@ class TestMatrixSqrt:
 
 
 class TestSchmidt:
+    """The eigenvalues a reduced state keeps are its squared Schmidt coefficients."""
+
+    @staticmethod
+    def kept_spectrum(state):
+        # Descending, as the singular values come.
+        return partial_trace(state)._eigh[0][::-1]
+
     def test_product_state_has_single_coefficient(self):
         state = BipartitePureState(2, 2, np.kron([1.0, 0.0], [0.0, 1.0]))
-        dec = schmidt_decompose(state)
-        np.testing.assert_allclose(dec.coefficients, [1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(self.kept_spectrum(state), [1.0, 0.0], atol=1e-14)
 
     def test_maximally_entangled_coefficients_are_uniform(self):
-        amps = np.eye(3).ravel() / np.sqrt(3)
-        dec = schmidt_decompose(BipartitePureState(3, 3, amps))
-        np.testing.assert_allclose(dec.coefficients, np.full(3, 1 / np.sqrt(3)), atol=1e-14)
+        state = BipartitePureState(3, 3, np.eye(3).ravel() / np.sqrt(3))
+        np.testing.assert_allclose(self.kept_spectrum(state), np.full(3, 1 / 3), atol=1e-14)
 
     def test_reconstruction_and_weight_normalization(self):
+        # Through the N x N eigendecomposition (R >= N) and through the
+        # R x R Gram matrix (R < N).
         rng = stream(307)
-        for _ in range(20):
-            state = BipartitePureState(3, 4, sample_states(12, 1, rng)[0])
-            dec = schmidt_decompose(state)
-            assert abs(np.sum(dec.coefficients**2) - 1.0) < 1e-10
-            rebuilt = (dec.left_basis.T * dec.coefficients) @ dec.right_basis
-            np.testing.assert_allclose(rebuilt, state.matrix, atol=1e-10)
-            evals = np.sort(np.linalg.eigvalsh(partial_trace(state, over="aux").entries))[::-1]
-            np.testing.assert_allclose(evals, dec.coefficients**2, atol=1e-10)
-
+        for n, r in [(3, 4), (4, 3)] * 10:
+            state = BipartitePureState(n, r, sample_states(n * r, 1, rng)[0])
+            coefficients = np.linalg.svd(state.matrix, compute_uv=False)
+            evals = self.kept_spectrum(state)
+            assert abs(np.sum(evals) - 1.0) < 1e-10
+            np.testing.assert_allclose(evals, coefficients**2, atol=1e-10)

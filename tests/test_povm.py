@@ -3,21 +3,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import element_matrix, from_pure, maximally_mixed, outcome_probability, subsets
 
-from qcut.linalg import BipartitePureState, DensityMatrix, PureState, partial_trace
 from qcut.haar import sample_state, sample_states
+from qcut.linalg import BipartitePureState, DensityMatrix, PureState, partial_trace
 from qcut.povm import (
+    ENUMERATION_CAP,
     CutPovm,
     SubsetIndex,
+    _max_completeness_deviation,
     apply_cut_density,
-    completeness_check,
-    element_matrix,
-    outcome_probability,
     project_bipartite,
     project_pure,
     sample_outcome,
     sample_subsets,
-    subsets,
 )
 from qcut.rng import stream
 
@@ -119,7 +118,7 @@ class TestProjection:
             r = int(rng.integers(2, 5))
             povm = CutPovm(n, m)
             entangled = BipartitePureState(n, r, sample_states(n * r, 1, rng)[0])
-            inputs = (sample_state(n, rng), entangled, partial_trace(entangled, over="aux"))
+            inputs = (sample_state(n, rng), entangled, partial_trace(entangled))
             for state in inputs:
                 outcome = sample_outcome(povm, state, rng)
                 assert abs(outcome.shot_fidelity - povm.norm_const * outcome.probability) < 1e-12
@@ -172,7 +171,7 @@ class TestProjection:
 class TestDensityCut:
     def test_maximally_mixed(self):
         povm = CutPovm(3, 2)
-        rho = DensityMatrix.maximally_mixed(3)
+        rho = maximally_mixed(3)
         for subset in subsets(povm):
             post, prob = apply_cut_density(povm, subset, rho)
             assert prob == pytest.approx(1 / 3)
@@ -183,7 +182,7 @@ class TestDensityCut:
 
     def test_supported_pure_density_unchanged(self):
         povm = CutPovm(3, 2)
-        rho = DensityMatrix.from_pure(PureState.basis_state(3, 0))
+        rho = from_pure(PureState.basis_state(3, 0))
         post, prob = apply_cut_density(povm, SubsetIndex((0, 1)), rho)
         np.testing.assert_allclose(post.entries, rho.entries)
         assert prob == pytest.approx(0.5)
@@ -192,7 +191,7 @@ class TestDensityCut:
         rng = stream(504)
         for _ in range(50):
             state = BipartitePureState(4, 4, sample_states(16, 1, rng)[0])
-            rho = partial_trace(state, over="aux")
+            rho = partial_trace(state)
             povm = CutPovm(4, 2)
             outcome = sample_outcome(povm, rho, rng)
             post = outcome.post_state
@@ -205,10 +204,10 @@ class TestDensityCut:
         rng = stream(505)
         for _ in range(50):
             state = BipartitePureState(4, 3, sample_states(12, 1, rng)[0])
-            rho = partial_trace(state, over="aux")
+            rho = partial_trace(state)
             povm = CutPovm(4, 2)
             outcome = sample_outcome(povm, state, rng)
-            cut_then_trace = partial_trace(outcome.post_state, over="aux")
+            cut_then_trace = partial_trace(outcome.post_state)
             trace_then_cut, prob = apply_cut_density(povm, outcome.subset, rho)
             np.testing.assert_allclose(cut_then_trace.entries, trace_then_cut.entries, atol=1e-10)
             assert abs(prob - outcome.probability) < 1e-12
@@ -268,15 +267,15 @@ class TestSampling:
 
 class TestCompleteness:
     def test_small_case_is_exact(self):
-        assert completeness_check(CutPovm(3, 2)) == 0.0
+        assert _max_completeness_deviation(3, 2, ENUMERATION_CAP) == 0
 
     @pytest.mark.parametrize("n,m", [(10, 4), (12, 6)])
     def test_larger_cases(self, n, m):
-        assert completeness_check(CutPovm(n, m)) < 1e-12
+        assert _max_completeness_deviation(n, m, ENUMERATION_CAP) < 1e-12
 
     def test_enumeration_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            completeness_check(CutPovm(12, 6), cap=100)
+            _max_completeness_deviation(12, 6, 100)
 
     def test_sum_of_elements_is_identity_matrix(self):
         povm = CutPovm(6, 3)

@@ -14,25 +14,30 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import bures_fidelity_full, embed
+from oracles import (
+    bures_fidelity_full,
+    element_matrix,
+    embed,
+    outcome_probability,
+    partial_trace_joint,
+    subsets,
+)
 
 from qcut import experiments
 from qcut.channel import ChannelState, teleport
-from qcut.fidelity import bures_fidelity, purify
+from qcut.fidelity import bures_fidelity
 from qcut.haar import MomentSpec, exact_moment_fraction, sample_states
 from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt, partial_trace
 from qcut.povm import (
+    ENUMERATION_CAP,
     CutPovm,
     SubsetIndex,
+    _max_completeness_deviation,
     apply_cut_density,
-    completeness_check,
-    element_matrix,
-    outcome_probability,
     project_bipartite,
     project_pure,
     sample_outcome,
     sample_subsets,
-    subsets,
 )
 from qcut.rng import stream
 
@@ -143,10 +148,8 @@ def test_cut_commutes_with_partial_trace(cut, data):
     subset = SubsetIndex(sorted(chosen))
     project = project_pure if isinstance(state, PureState) else project_bipartite
     post, fidelity = project(povm, subset, state)
-    trace_then_cut, probability = apply_cut_density(povm, subset, partial_trace(state, over="aux"))
-    np.testing.assert_allclose(
-        partial_trace(post, over="aux").entries, trace_then_cut.entries, atol=1e-12
-    )
+    trace_then_cut, probability = apply_cut_density(povm, subset, partial_trace(state))
+    np.testing.assert_allclose(partial_trace(post).entries, trace_then_cut.entries, atol=1e-12)
     assert probability == pytest.approx(outcome_probability(povm, subset, state), abs=1e-12)
     assert fidelity == pytest.approx(min(povm.norm_const * probability, 1.0), abs=1e-12)
     assert math.isclose(np.linalg.norm(post.matrix), 1.0, abs_tol=1e-12)
@@ -180,9 +183,7 @@ def test_stacked_kernels_match_one_at_a_time(stacks):
     rho, rho_cut = partial_trace(states), partial_trace(posts)
     stacked = {
         "aux": rho.entries,
-        "sys": partial_trace(states, over="sys").entries,
-        "joint aux": partial_trace(joint, dims=(n, r)).entries,
-        "joint sys": partial_trace(joint, over="sys", dims=(n, r)).entries,
+        "sys": partial_trace(states.swapaxes(-1, -2)).entries,
         "cut": rho_cut.entries,
         "sqrt cut": matrix_sqrt(rho_cut),
     }
@@ -190,17 +191,17 @@ def test_stacked_kernels_match_one_at_a_time(stacks):
     assert fid.shape == (k,)
     for i, (c, post) in enumerate(zip(states, posts)):
         one, one_cut = partial_trace(BipartitePureState(n, r, c.ravel())), partial_trace(post)
+        # Oracle: the einsum traces of the member's joint density matrix.
         member = DensityMatrix(n * r, joint.entries[i])
         singles = {
-            "aux": one.entries,
-            "sys": partial_trace(c, over="sys").entries,
-            "joint aux": partial_trace(member, dims=(n, r)).entries,
-            "joint sys": partial_trace(member, over="sys", dims=(n, r)).entries,
-            "cut": one_cut.entries,
-            "sqrt cut": matrix_sqrt(one_cut),
+            "aux": [one.entries, partial_trace_joint(member, (n, r)).entries],
+            "sys": [partial_trace(c.T).entries, partial_trace_joint(member, (n, r), "sys").entries],
+            "cut": [one_cut.entries],
+            "sqrt cut": [matrix_sqrt(one_cut)],
         }
-        for name, value in singles.items():
-            np.testing.assert_allclose(stacked[name][i], value, rtol=0, atol=1e-12, err_msg=name)
+        for name, values in singles.items():
+            for value in values:
+                np.testing.assert_allclose(stacked[name][i], value, rtol=0, atol=1e-12, err_msg=name)
         single_fid = bures_fidelity(one, one_cut)
         assert isinstance(single_fid, float)
         assert fid[i] == pytest.approx(single_fid, abs=1e-12)
@@ -234,11 +235,12 @@ def reduction_stack(n, r, k, kind, seed):
 def test_reduced_states_hold_thin_eigenpairs(n, r, k, kind, seed):
     # partial_trace diagonalizes the smaller Gram matrix: min(N, R)
     # eigenpairs per member, which must rebuild the entries, stay finite
-    # and orthonormal, and serve matrix_sqrt, purify and bures_fidelity
-    # as the full N x N eigendecomposition does.
+    # and orthonormal, and serve matrix_sqrt and bures_fidelity as the
+    # full N x N eigendecomposition does.  The trace over the system is
+    # the trace over the auxiliary of the transposed coefficients.
     c = reduction_stack(n, r, k, kind, seed)
-    for over, dim in (("aux", n), ("sys", r)):
-        rho = partial_trace(c, over=over)
+    for rows, dim in ((c, n), (c.swapaxes(-1, -2), r)):
+        rho = partial_trace(rows)
         evals, vecs = rho._eigh
         assert evals.shape == (k, min(n, r)) and vecs.shape == (k, dim, min(n, r))
         assert np.isfinite(evals).all() and np.isfinite(vecs).all()
@@ -254,11 +256,6 @@ def test_reduced_states_hold_thin_eigenpairs(n, r, k, kind, seed):
             np.testing.assert_allclose(gram, np.eye(len(gram)), rtol=0, atol=1e-10)
         root = matrix_sqrt(rho)
         np.testing.assert_allclose(root @ root, rho.entries, rtol=0, atol=1e-10)
-        for member in c:
-            one = partial_trace(member, over=over)
-            np.testing.assert_allclose(
-                partial_trace(purify(one)).entries, one.entries, rtol=0, atol=1e-12
-            )
     # The oracle takes both states through the full N x N eigendecomposition.
     rho, sigma = partial_trace(c), partial_trace(reduction_stack(n, r, k, kind, seed + 1))
     full = bures_fidelity_full(DensityMatrix(n, rho.entries), DensityMatrix(n, sigma.entries))
@@ -311,11 +308,11 @@ def test_bures_on_the_subset_levels_equals_the_full_route(stacks):
 @given(st.integers(1, 6), st.data())
 def test_cut_povm_is_complete(n, data):
     povm = CutPovm(n, data.draw(st.integers(1, n)))
-    assert completeness_check(povm) == 0.0
+    assert _max_completeness_deviation(povm.n, povm.m, ENUMERATION_CAP) == 0
     total = sum(element_matrix(povm, s) for s in subsets(povm))
     np.testing.assert_allclose(total, np.eye(n), rtol=0, atol=1e-12)
     state = haar_state(n, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2**32 - 1)))
-    for each in (state, partial_trace(state, over="aux")):
+    for each in (state, partial_trace(state)):
         total_probability = math.fsum(outcome_probability(povm, s, each) for s in subsets(povm))
         assert total_probability == pytest.approx(1.0, abs=1e-12)
 
