@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import BipartitePureState, DensityMatrix, matrix_sqrt
+from .linalg import BipartitePureState, DensityMatrix, _sqrt_columns, matrix_sqrt
 
 _CLAMP = 1e-10
 
@@ -46,13 +46,13 @@ def bures_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarr
     ``sigma`` may live on fewer levels than ``rho``, M = ``sigma.dim``: it
     is then taken to be supported on rho's first M levels (zero in every
     other row and column).  Its square root is zero there too, so only the
-    first M columns of sqrt(rho) enter, and the product is N x M: sigma is
-    diagonalized on its M levels, not on N.
+    first M columns of sqrt(rho) enter and only those are built, and the
+    product is N x M: sigma is diagonalized on its M levels, not on N.
     """
     m = sigma.dim
     if rho.entries.shape[:-2] != sigma.entries.shape[:-2] or m > rho.dim:
         raise ValueError(f"dimension mismatch: {rho.entries.shape} vs {sigma.entries.shape}")
-    singulars = np.linalg.svd(matrix_sqrt(rho)[..., :m] @ matrix_sqrt(sigma), compute_uv=False)
+    singulars = np.linalg.svd(_sqrt_columns(rho, m) @ matrix_sqrt(sigma), compute_uv=False)
     fid = np.square(singulars.sum(axis=-1))
     # Snap round-off just above 1 back to 1, as _clamp_unit does; a squared
     # sum of singular values is never negative.

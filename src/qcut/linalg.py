@@ -125,8 +125,9 @@ class DensityMatrix:
 
     The PSD check diagonalizes each matrix once, and the read-only
     eigenvalues (ascending) and eigenvectors are kept as ``_eigh`` for
-    ``matrix_sqrt``.  A matrix built from an array holds all dim
-    eigenpairs.  A reduced state c c^dagger of an (N, R) coefficient
+    ``matrix_sqrt`` and for the columns of it that ``bures_fidelity``
+    uses.  A matrix built from an array holds all dim eigenpairs.  A
+    reduced state c c^dagger of an (N, R) coefficient
     matrix, as ``partial_trace`` builds it, has rank at most min(N, R) and
     holds that many: at R < N they come from the R x R Gram matrix
     (``_thin_eigh``), with N x R eigenvectors.
@@ -243,6 +244,12 @@ def matrix_sqrt(rho: DensityMatrix) -> np.ndarray:
     min(N, R) eigenpairs (rank at most min(N, R)), and S is built from
     those alone.
     """
+    return _sqrt_columns(rho, rho.dim)
+
+
+def _sqrt_columns(rho: DensityMatrix, m: int) -> np.ndarray:
+    """The first ``m`` columns of ``matrix_sqrt(rho)``, (V sqrt(L)) @ V[:m]^dagger
+    for the eigenpairs (L, V) of each member, built without the others."""
     evals, vecs = rho._eigh
     evals = np.where(evals < _noise_floor(rho.dim, evals), 0.0, evals)
-    return (vecs * np.sqrt(evals)[..., None, :]) @ _dagger(vecs)
+    return (vecs * np.sqrt(evals)[..., None, :]) @ _dagger(vecs[..., :m, :])

@@ -389,7 +389,7 @@ class TestEstimatorContracts:
     def shard_peak(config, count, verify_bures=False):
         tracemalloc.start()
         try:
-            experiments._shard(config, count, 0, verify_bures)
+            experiments._group(config, [count], verify_bures, range(1))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -428,11 +428,60 @@ class TestEstimatorContracts:
         self.shard_peak(config, rows, True)  # first-call allocations are not the shard's
         assert self.shard_peak(config, rows, True) <= 16 * experiments._shard_values(config, True)
 
-    def test_bures_verified_estimate_does_not_depend_on_threads(self):
-        config = ExperimentConfig(n=4, m=2, r=3, mode="mixed", samples=3_000, seed=824)
+    @pytest.mark.parametrize(
+        "n,m,r,samples,groups",
+        # One group of all 16 shards (a group holds at most 910 rows at
+        # (3, 2, 2)), then 16 shards of 187-188 rows in eight groups of two
+        # (at most 512 rows at (4, 2, 3)).
+        [(3, 2, 2, 100, 1), (4, 2, 3, 3_000, 8)],
+    )
+    def test_bures_verified_estimate_does_not_depend_on_threads(self, n, m, r, samples, groups):
+        config = ExperimentConfig(n=n, m=m, r=r, mode="mixed", samples=samples, seed=824)
+        sizes = experiments._shard_sizes(config.samples, config.shards)
+        assert len(list(experiments._groups(sizes, experiments._group_rows(n, r)))) == groups
         single = run_experiment(config, threads=1, verify_bures=True)
         assert single.bures_max_deviation < 1e-12
         assert run_experiment(config, threads=2, verify_bures=True) == single
+
+    @pytest.mark.parametrize(
+        "n,m,r,samples,shards,checks",
+        [
+            # Eight groups of two 16-row shards (a group holds at most 32
+            # rows at (16, 4, 4)), one check of 32 rows each.
+            (16, 4, 4, 256, 16, [32] * 8),
+            # Two shards of 4500 rows, each larger than a group (910 rows
+            # at (3, 2, 2)): each checks its two chunks one at a time.
+            (3, 2, 2, 9_000, 2, [4096, 404] * 2),
+        ],
+    )
+    def test_pooled_bures_check_equals_the_per_chunk_checks(
+        self, monkeypatch, n, m, r, samples, shards, checks
+    ):
+        config = ExperimentConfig(n=n, m=m, r=r, mode="mixed", samples=samples, seed=833, shards=shards)
+        povm, chunks = CutPovm(n, m), []
+        for shard, count in enumerate(experiments._shard_sizes(config.samples, config.shards)):
+            rng = stream(config.seed, shard)
+            for start in range(0, count, experiments.CHUNK):
+                size = min(experiments.CHUNK, count - start)
+                chunks.append(experiments._cut_chunk(config, size, rng, povm, True)[1])
+        oracle = max(experiments._bures_deviation(*inputs) for inputs in chunks)
+        rows, check = [], experiments._bures_deviation
+
+        def counted(*inputs):
+            rows.append(len(inputs[0]))
+            return check(*inputs)
+
+        monkeypatch.setattr(experiments, "_bures_deviation", counted)
+        assert run_experiment(config, threads=2, verify_bures=True).bures_max_deviation == oracle
+        assert sorted(rows) == sorted(checks)
+
+    def test_groups_pool_consecutive_shards_by_their_rows(self):
+        groups = experiments._groups
+        assert list(groups([3, 3, 3, 5, 2], 6)) == [range(0, 2), range(2, 3), range(3, 4), range(4, 5)]
+        # A shard larger than a group is a group of its own.
+        assert list(groups([10, 1, 1], 6)) == [range(0, 1), range(1, 3)]
+        # Without the Bures check each shard is a group.
+        assert list(groups([1, 1, 1], 0)) == [range(0, 1), range(1, 2), range(2, 3)]
 
     def test_sampler_peak_is_within_what_the_guard_charges(self):
         rows = experiments.CHUNK
@@ -465,27 +514,49 @@ class TestEstimatorContracts:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
-        "config",
+        "config,verify_bures",
         [
             # 4000 shards of one row each: the run's peak is its per-shard
             # sizes, merge parts and (with threads) futures.
-            ExperimentConfig(n=2, m=1, mode="pure", samples=4_000, seed=828, shards=4_000),
+            pytest.param(
+                ExperimentConfig(n=2, m=1, mode="pure", samples=4_000, seed=828, shards=4_000),
+                False,
+                id="bookkeeping",
+            ),
             # Two one-chunk shards: with two threads both working sets are live.
-            ExperimentConfig(
-                n=64, m=8, mode="state_estimation", samples=2 * experiments.CHUNK, seed=829, shards=2
+            pytest.param(
+                ExperimentConfig(
+                    n=64, m=8, mode="state_estimation", samples=2 * experiments.CHUNK, seed=829, shards=2
+                ),
+                False,
+                id="working-sets",
+            ),
+            # Groups of several shards that pool a group's whole rows (32 at
+            # (16, 4, 4), 8 at (32, 8, 2)); with two threads two groups are live.
+            pytest.param(
+                ExperimentConfig(n=16, m=4, r=4, mode="mixed", samples=128, seed=834), True, id="bures-16-4-4"
+            ),
+            pytest.param(
+                ExperimentConfig(n=32, m=8, r=2, mode="mixed", samples=64, seed=835), True, id="bures-32-8-2"
             ),
         ],
-        ids=["bookkeeping", "working-sets"],
     )
-    def test_run_peak_is_within_the_guard_charge(self, config, threads):
-        run_experiment(dataclasses.replace(config, samples=4, shards=4), threads=threads)
+    def test_run_peak_is_within_the_guard_charge(self, config, verify_bures, threads):
+        if verify_bures:
+            sizes = experiments._shard_sizes(config.samples, config.shards)
+            rows = experiments._group_rows(config.n, config.r)
+            groups = list(experiments._groups(sizes, rows))
+            assert [sum(sizes[shard] for shard in group) for group in groups] == [rows] * len(groups)
+            assert min(len(group) for group in groups) > 1
+        small = dataclasses.replace(config, samples=4, shards=4)
+        run_experiment(small, threads=threads, verify_bures=verify_bures)
         tracemalloc.start()
         try:
-            run_experiment(config, threads=threads)
+            run_experiment(config, threads=threads, verify_bures=verify_bures)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * experiments._run_values(config, False, threads)
+        assert peak <= 16 * experiments._run_values(config, verify_bures, threads)
 
     def test_shard_count_is_charged_before_allocation(self):
         # At least 256 B per shard: a billion shards would ask for 256 GB.
