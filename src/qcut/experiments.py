@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -225,33 +226,20 @@ def _moment(dim: int, leading: tuple[int, ...], moments: dict) -> tuple[int, int
     return moments[key]
 
 
-def _via_moments(n: int, m: int, reduced: tuple[int, int]) -> float:
-    # (M-1)/(N-1) + (N-M)/(N-1) * reduced, with reduced the subset-averaged
-    # single-level term.
-    num, den = reduced
-    return _float(((m - 1) * den + (n - m) * num, (n - 1) * den))
-
-
 def exact_pure_via_moments(n: int, m: int, *, moments: dict | None = None) -> float:
-    """Pure-state average fidelity derived through the amplitude moments.
-
-    An independent route to the closed form: the subset-average reduces to
-    N * E[|c_1|^4] plus combinatorial prefactors.  A sweep passes one
-    ``moments`` table (see ``_moment``) to every call, so that each distinct
-    moment is evaluated once.
-    """
-    _check_dims(n, m)
-    if n == 1:
-        return 1.0
-    num, den = _moment(n, (2,), {} if moments is None else moments)
-    return _via_moments(n, m, (n * num, den))
+    """Pure-state average fidelity derived through the amplitude moments:
+    the R = 1 case of ``exact_entangled_via_moments``, through the same
+    ``moments`` table."""
+    return exact_entangled_via_moments(n, m, 1, moments=moments)
 
 
 def exact_entangled_via_moments(n: int, m: int, r: int, *, moments: dict | None = None) -> float:
     """Entangled average fidelity from fourth and cross moments on N*R.
 
-    ``moments`` is shared with ``exact_pure_via_moments`` (the R = 1 fourth
-    moment is the pure one).
+    An independent route to the closed form: the subset average reduces to
+    N*R * (E|c_1|^4 + (R-1) * E|c_1|^2|c_2|^2) plus combinatorial
+    prefactors.  A sweep passes one ``moments`` table (see ``_moment``) to
+    every call, so that each distinct moment is evaluated once.
     """
     _check_dims(n, m, r)
     if n == 1:
@@ -260,12 +248,11 @@ def exact_entangled_via_moments(n: int, m: int, r: int, *, moments: dict | None 
     moments = {} if moments is None else moments
     fourth_num, fourth_den = _moment(nr, (2,), moments)
     cross_num, cross_den = _moment(nr, (1, 1), moments)
-    # N*R * (E|c_1|^4 + (R-1) * E|c_1|^2|c_2|^2)
-    reduced = (
-        nr * (fourth_num * cross_den + (r - 1) * cross_num * fourth_den),
-        fourth_den * cross_den,
-    )
-    return _via_moments(n, m, reduced)
+    # (M-1)/(N-1) + (N-M)/(N-1) * num/den, with num/den the subset-averaged
+    # single-level term.
+    num = nr * (fourth_num * cross_den + (r - 1) * cross_num * fourth_den)
+    den = fourth_den * cross_den
+    return _float(((m - 1) * den + (n - m) * num, (n - 1) * den))
 
 
 # --- Monte Carlo estimators ---
@@ -597,7 +584,9 @@ def run_experiment(
     else:
         # map yields in group order, so the parts come in shard order, the
         # order the variance merge fixes.
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # No more workers than CPUs: the executor starts a thread per queued
+        # group up to its cap, and the bits do not depend on the count.
+        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
             parts = list(chain.from_iterable(pool.map(run, groups)))
     count, total, centered_sq, worst = _merge(parts)
     mean = total / count

@@ -159,8 +159,10 @@ class DensityMatrix:
 
     def _settle(self, entries: np.ndarray, eigh) -> None:
         # Check the frozen entries and the eigenvalues of their PSD check,
-        # then store both.
-        herm_dev = float(np.max(np.abs(entries - _dagger(entries)), initial=0.0))
+        # then store both.  The Hermiticity difference is taken in place in
+        # the conjugate copy, so the check holds one copy of the entries.
+        skew = _dagger(entries)
+        herm_dev = float(np.max(np.abs(np.subtract(entries, skew, out=skew)), initial=0.0))
         if herm_dev > HERMITICITY_ATOL:
             raise ValueError(f"matrix is not Hermitian (deviation {herm_dev})")
         traces = entries.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
@@ -175,16 +177,6 @@ class DensityMatrix:
         vecs.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_eigh", (evals, vecs))
-
-
-def single_entries(rho: DensityMatrix) -> np.ndarray:
-    """The (dim, dim) entries of one density matrix; a stack is refused.
-
-    For the functions defined on a single matrix only.
-    """
-    if rho.entries.ndim != 2:
-        raise ValueError(f"expected one density matrix, got a stack of shape {rho.entries.shape}")
-    return rho.entries
 
 
 def partial_trace(state) -> DensityMatrix:

@@ -16,8 +16,9 @@ corresponding element.  A brute-force enumeration test discharges this
 equivalence.  ``sample_subsets`` draws the subsets of many states at
 once, with the same draws and arithmetic.
 
-Pure inputs of either type are cut by one kernel acting on their (N, R)
-coefficient matrix; density matrices have the one separate path.
+Every input is a pure state, cut by one kernel acting on its (N, R)
+coefficient matrix (a ``PureState`` is R = 1); a mixed state enters as its
+purification, whose cut reduces to the cut of the mixed state.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import BipartitePureState, DensityMatrix, PureState, single_entries
+from .linalg import BipartitePureState, PureState
 
 ENUMERATION_CAP = 10**6
 
@@ -90,7 +91,7 @@ class MeasurementOutcome:
 
     subset: SubsetIndex
     probability: float
-    post_state: BipartitePureState | DensityMatrix
+    post_state: BipartitePureState
     shot_fidelity: float
 
     def __post_init__(self):
@@ -104,17 +105,6 @@ def _validate_subset(povm: CutPovm, subset: SubsetIndex) -> np.ndarray:
     if len(subset) != povm.m or subset.indices[-1] >= povm.n:
         raise ValueError(f"subset {subset.indices} invalid for n={povm.n}, m={povm.m}")
     return subset._array
-
-
-def _weights(povm: CutPovm, state) -> np.ndarray:
-    """Per-basis-index weights: the diagonal of the state in the cut basis."""
-    if isinstance(state, DensityMatrix):
-        w = np.clip(np.real(np.diagonal(single_entries(state))), 0.0, None)
-    else:
-        w = (np.abs(state.matrix) ** 2).sum(axis=1)
-    if len(w) != povm.n:
-        raise ValueError(f"state dimension {len(w)} != povm n={povm.n}")
-    return w
 
 
 def _project(povm: CutPovm, subset: SubsetIndex, state):
@@ -152,38 +142,28 @@ def project_bipartite(
     return _project(povm, subset, state)
 
 
-def apply_cut_density(
-    povm: CutPovm, subset: SubsetIndex, rho: DensityMatrix
-) -> tuple[DensityMatrix, float]:
-    """Conditional post-measurement density matrix and the outcome probability.
-
-    The element is proportional to a projector, so the returned probability
-    Tr(A rho) also fixes Tr(A rho A^dag) = Tr(A rho) / norm_const.
-    """
-    if rho.dim != povm.n:
-        raise ValueError(f"density dimension {rho.dim} != povm n={povm.n}")
-    entries = single_entries(rho)
-    idx = _validate_subset(povm, subset)
-    if povm.m == povm.n:
-        return rho, 1.0
-    diag_weight = float(np.real(np.diagonal(entries)[idx].sum()))
-    if diag_weight <= 0.0:
-        raise ValueError(f"outcome {subset.indices} has zero probability")
-    post = np.zeros_like(entries)
-    post[np.ix_(idx, idx)] = entries[np.ix_(idx, idx)] / diag_weight
-    return DensityMatrix(povm.n, post), diag_weight / povm.norm_const
-
-
-def sample_outcome(povm: CutPovm, state, rng: np.random.Generator) -> MeasurementOutcome:
+def sample_outcome(
+    povm: CutPovm, state: BipartitePureState, rng: np.random.Generator
+) -> MeasurementOutcome:
     """Draw one measurement outcome with its exact Born probability.
 
-    Pivot sampling: draw index j with probability weight_j, then complete
-    the subset with M-1 uniform partners among the other N-1 indices
-    (implemented by ranking random keys, with the pivot's key forced
-    smallest).  Runs in O(N) per draw for any subset count.
+    ``state`` is a pure state with an (N, R) coefficient matrix (a
+    ``PureState`` is R = 1); a mixed state enters as its purification, and
+    a ``DensityMatrix`` is refused before any draw.  Pivot sampling: draw
+    index j with probability weight_j, then complete the subset with M-1
+    uniform partners among the other N-1 indices (implemented by ranking
+    random keys, with the pivot's key forced smallest).  Runs in O(N) per
+    draw for any subset count.
     """
+    if not isinstance(state, BipartitePureState):
+        raise ValueError(
+            f"expected a pure state, got {type(state).__name__}; "
+            "a mixed state is cut through its purification"
+        )
     n, m = povm.n, povm.m
-    w = _weights(povm, state)
+    w = (np.abs(state.matrix) ** 2).sum(axis=1)
+    if len(w) != n:
+        raise ValueError(f"state dimension {len(w)} != povm n={povm.n}")
     if m == n:
         chosen = np.arange(n)
     else:
@@ -196,13 +176,8 @@ def sample_outcome(povm: CutPovm, state, rng: np.random.Generator) -> Measuremen
         chosen = np.sort(np.argpartition(keys, m - 1)[:m])
     subset = SubsetIndex._trusted(chosen)
     probability = float(w[chosen].sum()) / povm.norm_const
-    if isinstance(state, DensityMatrix):
-        post, probability = apply_cut_density(povm, subset, state)
-        fidelity = min(povm.norm_const * probability, 1.0)
-    elif isinstance(state, PureState):
-        post, fidelity = project_pure(povm, subset, state)
-    else:
-        post, fidelity = project_bipartite(povm, subset, state)
+    project = project_pure if isinstance(state, PureState) else project_bipartite
+    post, fidelity = project(povm, subset, state)
     return MeasurementOutcome(subset, probability, post, fidelity)
 
 

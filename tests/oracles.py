@@ -8,7 +8,8 @@ that the shipped one shortcuts, so the tests can hold the two together:
 - linalg: density matrices built directly, and the partial trace of a
   joint density matrix by einsum;
 - povm: subset enumeration, dense elements and Born probabilities (the
-  exact law of the pivot sampler);
+  exact law of the pivot sampler), and the cut of a density matrix (the
+  trace-then-cut side of the cut's commutation with the partial trace);
 - fidelity: the purification routes of the mixed-state fidelity, and the
   Bures fidelity on all N levels;
 - channel: the resource state, the dense Weyl operators and the
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt
-from qcut.povm import SubsetIndex, _validate_subset, _weights
+from qcut.povm import SubsetIndex, _validate_subset
 
 # --- haar ---
 
@@ -94,8 +95,33 @@ def element_matrix(povm, subset):
 def outcome_probability(povm, subset, state):
     """Born probability of one element, (1/norm_const) * sum of subset weights,
     for a pure, bipartite (system marginal) or density-matrix input."""
-    weights = _weights(povm, state)
+    if isinstance(state, DensityMatrix):
+        weights = np.real(np.diagonal(state.entries))
+    else:
+        weights = (np.abs(state.matrix) ** 2).sum(axis=1)
+    if len(weights) != povm.n:
+        raise ValueError(f"state dimension {len(weights)} != povm n={povm.n}")
     return float(weights[_validate_subset(povm, subset)].sum() / povm.norm_const)
+
+
+def apply_cut_density(povm, subset, rho):
+    """Conditional post-measurement density matrix of one density matrix and
+    the outcome probability.
+
+    The element is proportional to a projector, so the returned probability
+    Tr(A rho) also fixes Tr(A rho A^dag) = Tr(A rho) / norm_const.
+    """
+    if rho.dim != povm.n:
+        raise ValueError(f"density dimension {rho.dim} != povm n={povm.n}")
+    idx = _validate_subset(povm, subset)
+    if povm.m == povm.n:
+        return rho, 1.0
+    diag_weight = float(np.real(np.diagonal(rho.entries)[idx].sum()))
+    if diag_weight <= 0.0:
+        raise ValueError(f"outcome {subset.indices} has zero probability")
+    post = np.zeros_like(rho.entries)
+    post[np.ix_(idx, idx)] = rho.entries[np.ix_(idx, idx)] / diag_weight
+    return DensityMatrix(povm.n, post), diag_weight / povm.norm_const
 
 
 # --- fidelity ---

@@ -167,12 +167,12 @@ class TestMomentDerivations:
                 value = exact_entangled_via_moments(4, m, r, moments=moments)
                 assert value == analytic_entangled(4, m, r)
         assert exact_pure_via_moments(4, 2, moments=moments) == analytic_pure(4, 2)
-        # (2,) and (1, 1) on 4 and 8 amplitudes; the pure route reuses (4, (2,)).
+        # (2,) and (1, 1) on 4 and 8 amplitudes; the pure route, R = 1, reuses both on 4.
         assert [(spec.dim, spec.exponents) for spec in calls] == [
             (4, (2,)), (4, (1, 1)), (8, (2,)), (8, (1, 1))
         ]
         assert exact_pure_via_moments(4, 2) == analytic_pure(4, 2)
-        assert len(calls) == 5  # no table given: nothing is reused
+        assert len(calls) == 6  # no table given: nothing is reused
 
 
 class TestMonteCarlo:
@@ -337,6 +337,31 @@ class TestEstimatorContracts:
             single = run_experiment(config, threads=1)
             for threads in (2, 4, 8):
                 assert run_experiment(config, threads=threads) == single
+
+    def test_worker_threads_are_capped_at_the_cpu_count(self, monkeypatch):
+        # The stand-in records the pool size and maps serially: no thread starts.
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
+        config = ExperimentConfig(n=2, m=1, mode="pure", samples=100, seed=815, shards=100)
+        single = run_experiment(config)
+        for cpus, threads in ((4, 100_000), (4, 3), (None, 8)):
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda cpus=cpus: cpus)
+            assert run_experiment(config, threads=threads) == single
+        assert workers == [4, 3, 1]
 
     def test_different_shard_count_changes_the_stream(self):
         base = ExperimentConfig(n=3, m=2, mode="pure", samples=5_000, seed=814, shards=16)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import from_pure, maximally_mixed, partial_trace_joint
@@ -5,7 +7,7 @@ from oracles import from_pure, maximally_mixed, partial_trace_joint
 from qcut.channel import full_protocol
 from qcut.haar import sample_states
 from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt, partial_trace
-from qcut.povm import CutPovm, SubsetIndex, apply_cut_density, sample_outcome
+from qcut.povm import CutPovm, sample_outcome
 from qcut.rng import stream
 
 
@@ -92,16 +94,30 @@ class TestStateTypes:
         with pytest.raises(ValueError, match="PSD"):
             DensityMatrix(2, mat)
 
-    def test_single_matrix_functions_refuse_a_stack(self):
-        stack = partial_trace(sample_states(6, 3, stream(302)).reshape(3, 3, 2))
-        povm, subset = CutPovm(3, 2), SubsetIndex((0, 1))
-        calls = [
-            lambda: apply_cut_density(povm, subset, stack),
-            lambda: sample_outcome(povm, stack, stream(303)),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match="stack of shape"):
-                call()
+    def test_sample_outcome_refuses_a_density_matrix(self):
+        # A mixed state is cut through its purification; a density matrix,
+        # single or stacked, is refused before any draw.
+        states = sample_states(6, 3, stream(302)).reshape(3, 3, 2)
+        rng = stream(303)
+        for rho in (partial_trace(states[0]), partial_trace(states)):
+            with pytest.raises(ValueError, match="purification"):
+                sample_outcome(CutPovm(3, 2), rho, rng)
+        assert rng.random() == stream(303).random()
+
+    def test_hermiticity_check_holds_one_copy_of_the_entries(self):
+        # A (250, 16, 4) stack: the reduced states (0.98 MiB), one conjugate
+        # copy that takes the Hermiticity difference in place, its moduli
+        # (half a copy) and the 16 x 4 eigenvectors (a quarter) make 2.75
+        # copies; a difference beside the conjugate copy makes 3.4.
+        states = sample_states(64, 250, stream(310)).reshape(250, 16, 4)
+        partial_trace(states[:2])  # first-call allocations are not the reduction's
+        tracemalloc.start()
+        try:
+            rho = partial_trace(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * rho.entries.nbytes
 
     def test_density_invariants_hold_for_random_constructions(self):
         rng = stream(301)

@@ -3,16 +3,22 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import element_matrix, from_pure, maximally_mixed, outcome_probability, subsets
+from oracles import (
+    apply_cut_density,
+    element_matrix,
+    from_pure,
+    maximally_mixed,
+    outcome_probability,
+    subsets,
+)
 
 from qcut.haar import sample_state, sample_states
-from qcut.linalg import BipartitePureState, DensityMatrix, PureState, partial_trace
+from qcut.linalg import BipartitePureState, PureState, partial_trace
 from qcut.povm import (
     ENUMERATION_CAP,
     CutPovm,
     SubsetIndex,
     _max_completeness_deviation,
-    apply_cut_density,
     project_bipartite,
     project_pure,
     sample_outcome,
@@ -118,8 +124,7 @@ class TestProjection:
             r = int(rng.integers(2, 5))
             povm = CutPovm(n, m)
             entangled = BipartitePureState(n, r, sample_states(n * r, 1, rng)[0])
-            inputs = (sample_state(n, rng), entangled, partial_trace(entangled))
-            for state in inputs:
+            for state in (sample_state(n, rng), entangled):
                 outcome = sample_outcome(povm, state, rng)
                 assert abs(outcome.shot_fidelity - povm.norm_const * outcome.probability) < 1e-12
 
@@ -191,10 +196,9 @@ class TestDensityCut:
         rng = stream(504)
         for _ in range(50):
             state = BipartitePureState(4, 4, sample_states(16, 1, rng)[0])
-            rho = partial_trace(state)
             povm = CutPovm(4, 2)
-            outcome = sample_outcome(povm, rho, rng)
-            post = outcome.post_state
+            outcome = sample_outcome(povm, state, rng)
+            post = partial_trace(outcome.post_state)
             assert abs(np.trace(post.entries) - 1.0) < 1e-10
             outside = [j for j in range(4) if j not in outcome.subset.indices]
             assert np.all(post.entries[outside, :] == 0)
@@ -245,11 +249,10 @@ class TestSampling:
         assert tv < 0.01
 
     def test_zero_weight_index_never_sampled(self):
-        rho = DensityMatrix(2, np.diag([1.0, 0.0]).astype(complex))
+        state = PureState.basis_state(2, 0)
         rng = stream(509)
         for _ in range(50):
-            assert sample_outcome(CutPovm(2, 1), rho, rng).subset.indices == (0,)
-
+            assert sample_outcome(CutPovm(2, 1), state, rng).subset.indices == (0,)
 
     def test_batched_draw_refuses_bad_weights(self):
         povm = CutPovm(3, 2)

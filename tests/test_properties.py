@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import (
+    apply_cut_density,
     bures_fidelity_full,
     element_matrix,
     embed,
@@ -33,7 +34,6 @@ from qcut.povm import (
     CutPovm,
     SubsetIndex,
     _max_completeness_deviation,
-    apply_cut_density,
     project_bipartite,
     project_pure,
     sample_outcome,
