@@ -21,7 +21,7 @@ from .experiments import (
     run_experiment,
 )
 from .fidelity import bures_fidelity, overlap_fidelity, uhlmann_fidelity
-from .haar import sample_state, sample_states
+from .haar import sample_state, sample_states, sample_weights
 from .linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt, partial_trace
 from .povm import CutPovm, sample_outcome
 from .rng import stream

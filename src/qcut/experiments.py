@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fidelity import bures_fidelity
-from .haar import SAMPLER_PEAK, MomentSpec, exact_moment_fraction, sample_states
+from .haar import SAMPLER_PEAK, MomentSpec, exact_moment_fraction, sample_states, sample_weights
 from .linalg import BipartitePureState, partial_trace
 from .povm import CutPovm, sample_outcome, sample_subsets
 from .rng import check_seed, stream
@@ -303,16 +303,14 @@ def _cut_chunk(
 def _guess_chunk(
     config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, verify_bures: bool
 ):
-    """Draw ``size`` Haar rows and score the guess of each one's smallest drawn index.
+    """Draw the weights |c|^2 of ``size`` Haar rows, with no amplitudes formed
+    (``sample_weights``), and score the guess of each one's smallest drawn index.
 
-    Each row's subset is drawn by ``sample_subsets`` from the weights |c|^2,
-    and its shot is the weight at the guessed index; isotropy makes any
-    fixed choice of index equivalent, which the tests check.  The amplitudes
-    are dropped once their weights are formed, so the chunk never holds
-    more than the sampler does while it draws.
+    Each row's subset is drawn by ``sample_subsets`` from its weights, and
+    its shot is the weight at the guessed index; isotropy makes any fixed
+    choice of index equivalent, which the tests check.
     """
-    weights = np.abs(sample_states(config.n, size, rng))
-    np.square(weights, out=weights)
+    weights = sample_weights(config.n, size, rng)
     chosen = sample_subsets(povm, weights, rng)
     return weights[np.arange(size), chosen[:, 0]], None
 
@@ -515,10 +513,10 @@ def _chunk(
     shots, inputs = _MODES[config.mode].score(config, size, rng, povm, pool is not None)
     if inputs is not None:
         pool.add(inputs)
-    values = memoryview(shots)  # yields Python floats, cheaper to iterate than numpy scalars
-    total = math.fsum(values)
-    mean = total / size
-    return size, total, math.fsum((f - mean) ** 2 for f in values), None
+    total = math.fsum(memoryview(shots))  # Python floats, cheaper to iterate than numpy scalars
+    deviations = shots - total / size
+    np.square(deviations, out=deviations)
+    return size, total, math.fsum(memoryview(deviations)), None
 
 
 def _shard(config: ExperimentConfig, count: int, shard: int, pool: _BuresPool | None):

@@ -21,7 +21,7 @@ from qcut.experiments import (
     relation_check,
     run_experiment,
 )
-from qcut.haar import sample_state, sample_states
+from qcut.haar import sample_state, sample_states, sample_weights
 from qcut.linalg import BipartitePureState, PureState
 from qcut.povm import CutPovm, sample_outcome
 from qcut.rng import stream
@@ -294,7 +294,8 @@ class TestMonteCarlo:
     def test_batched_state_estimation_equals_the_per_shot_reference(self, n, m):
         # N = 64 puts numpy's row sums in their unrolled pairwise regime (N >= 8).
         # Two shards of two chunks each, scored one shot at a time through
-        # sample_outcome and reduced as the estimator reduces them.
+        # sample_outcome on the real amplitudes sqrt(w) of each weights row,
+        # and reduced as the estimator reduces them.
         config = ExperimentConfig(
             n=n, m=m, mode="state_estimation", samples=3 * experiments.CHUNK, seed=826, shards=2
         )
@@ -305,11 +306,11 @@ class TestMonteCarlo:
             parts = []
             for start in range(0, count, experiments.CHUNK):
                 shots = []
-                for row in sample_states(n, min(experiments.CHUNK, count - start), rng):
-                    subset = sample_outcome(povm, PureState(n, row), rng).subset
-                    shots.append(float((np.abs(row) ** 2)[subset.indices[0]]))
+                for row in sample_weights(n, min(experiments.CHUNK, count - start), rng):
+                    subset = sample_outcome(povm, PureState(n, np.sqrt(row)), rng).subset
+                    shots.append(float(row[subset.indices[0]]))
                 mean = math.fsum(shots) / len(shots)
-                parts.append((len(shots), math.fsum(shots), math.fsum((f - mean) ** 2 for f in shots), None))
+                parts.append((len(shots), math.fsum(shots), math.fsum((f - mean) * (f - mean) for f in shots), None))
             assert len(parts) == 2
             shards.append(functools.reduce(lambda a, b: experiments._merge((a, b)), parts))
         count, total, centered_sq, _ = experiments._merge(shards)
@@ -530,7 +531,7 @@ class TestEstimatorContracts:
         assert 16 * experiments._shard_values(longer, False) == charged
         assert self.shard_peak(longer, 3 * rows) <= charged
 
-    @pytest.mark.parametrize("n,m", [(64, 8), (64, 63), (5, 2)])
+    @pytest.mark.parametrize("n,m", [(64, 8), (64, 63), (5, 2), (2, 1), (1, 1)])
     def test_state_estimation_chunk_peak_is_within_the_guard_charge(self, n, m):
         rows = experiments.CHUNK
         config = ExperimentConfig(n=n, m=m, mode="state_estimation", samples=rows, seed=827, shards=1)

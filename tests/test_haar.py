@@ -7,7 +7,8 @@ from scipy import integrate, stats
 
 from oracles import point_to_state, sample_point, sample_states_gaussian
 
-from qcut.haar import MomentSpec, exact_moment_fraction, sample_state, sample_states
+from qcut.haar import MomentSpec, exact_moment_fraction, sample_state, sample_states, sample_weights
+from qcut.povm import CutPovm, sample_subsets
 from qcut.rng import stream
 
 
@@ -58,6 +59,8 @@ class TestSamplers:
             sample_state(0, rng)
         with pytest.raises(ValueError, match="dimension"):
             sample_states(0, 5, rng)
+        with pytest.raises(ValueError, match="dimension"):
+            sample_weights(0, 5, rng)
 
     def test_mean_weight_is_uniform(self):
         rng = stream(405)
@@ -102,7 +105,7 @@ class TestSamplers:
     def test_in_place_rows_equal_the_direct_formula_bit_for_bit(self, dim):
         # Oracle: the same inverse-CDF map written out with temporaries.  At
         # dim 1 there are no angles and every magnitude is one.
-        a, b = stream(410, dim), stream(410, dim)
+        a, b, c = stream(410, dim), stream(410, dim), stream(410, dim)
         for count in (0, 1, 7, 300):
             v = b.random((count, dim - 1))
             u = v ** (1.0 / (dim - 1 - np.arange(dim - 1)))
@@ -115,6 +118,46 @@ class TestSamplers:
             rows = sample_states(dim, count, a)
             assert rows.shape == expected.shape
             assert rows.tobytes() == expected.tobytes()
+            # The weights draw stops before the square root.
+            assert sample_weights(dim, count, c).tobytes() == mags.tobytes()
+
+
+class TestWeights:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 64])
+    def test_weights_equal_the_angular_route_within_a_few_ulp(self, dim):
+        # Oracle: |amplitude|^2 of the angles mapped one amplitude at a time.
+        # Row by row from two equal streams, which stay aligned only if each
+        # weights row takes all 2N - 1 doubles of its state.  The oracle's
+        # cos(arcsin(sqrt(u)))^2 loses the relative accuracy of 1 - u near
+        # u = 1, so the bound is in ulp of the row's unit norm.
+        a, b = stream(416, dim), stream(416, dim)
+        for _ in range(200):
+            weights = sample_weights(dim, 1, a)[0]
+            expected = np.abs(point_to_state(*sample_point(dim, b)).amps) ** 2
+            np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 64])
+    def test_weights_equal_the_squared_amplitudes_within_a_few_ulp(self, dim):
+        a, b = stream(420, dim), stream(420, dim)
+        weights, rows = sample_weights(dim, 300, a), sample_states(dim, 300, b)
+        np.testing.assert_allclose(weights, np.abs(rows) ** 2, rtol=1.5e-15, atol=0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 64])
+    def test_draw_leaves_the_stream_where_sample_states_leaves_it(self, dim):
+        a, b = stream(417, dim), stream(417, dim)
+        for count in (0, 1, 7, 300):
+            sample_weights(dim, count, a)
+            sample_states(dim, count, b)
+            assert a.random() == b.random()
+
+    @pytest.mark.parametrize("n,m", [(64, 8), (5, 2), (4, 4), (2, 1)])
+    def test_subsets_from_the_weights_equal_those_from_the_amplitudes(self, n, m):
+        povm = CutPovm(n, m)
+        for seed in range(3):
+            a, b = stream(418, seed), stream(418, seed)
+            weights = sample_weights(n, 4096, a)
+            squared = np.abs(sample_states(n, 4096, b)) ** 2
+            assert np.array_equal(sample_subsets(povm, weights, a), sample_subsets(povm, squared, b))
 
 
 class TestExactMoments:
