@@ -82,9 +82,11 @@ def cmd_estimate(args) -> int:
     )
     if args.threads < 1:
         raise _UsageError("need at least one thread")
-    _checked(experiments.check_run, config, args.verify_bures, args.threads)
+    if args.check_bures and args.mode != "mixed":
+        raise _UsageError("the Bures check needs mode mixed")
+    _checked(experiments.check_run, config, args.threads)
     start = time.perf_counter()
-    estimate = experiments.run_experiment(config, threads=args.threads, verify_bures=args.verify_bures)
+    estimate = experiments.run_experiment(config, threads=args.threads)
     elapsed = time.perf_counter() - start
 
     estimate_fields = {
@@ -93,7 +95,7 @@ def cmd_estimate(args) -> int:
         "samples": estimate.samples,
         "seed": estimate.seed,
     }
-    if args.verify_bures:
+    if estimate.bures_max_deviation is not None:
         estimate_fields["bures_max_deviation"] = estimate.bures_max_deviation
     record = {
         "config": asdict(config),
@@ -284,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--samples", type=int, required=True)
     est.add_argument("--seed", type=int, default=None)
     est.add_argument("--format", choices=["json", "csv"], default="json")
-    est.add_argument("--verify-bures", action="store_true")
+    est.add_argument("--verify-bures", dest="check_bures", action="store_true", help="implied in mixed mode")
     est.add_argument("--threads", type=int, default=1)
     est.add_argument("--shards", type=int, default=experiments.DEFAULT_SHARDS)
     est.add_argument("--output", default=None)

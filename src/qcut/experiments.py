@@ -17,8 +17,8 @@ shortcut.  A shard reduces each CHUNK-row block to its
 exactly rounded sum and centered sum of squares once it is scored, so its
 memory does not grow with its rows; one merge folds the blocks in draw
 order and combines the shards in shard order, independent of thread count.
-The optional Bures check of the mixed mode pools the shots of consecutive
-small shards and checks them together, once per group of shards.
+The mixed mode rechecks every shot through the Bures fidelity of the
+reduced states, once per group of consecutive small shards.
 """
 
 from __future__ import annotations
@@ -271,37 +271,39 @@ def _estimation_target(n: int, m: int, r: int) -> float:
 class _Mode(NamedTuple):
     target: Callable[[int, int, int], float]  # closed form of (n, m, r)
     # Draws and scores one chunk of a shard: (config, size, rng, povm,
-    # verify_bures) -> (shot values, the chunk's Bures check inputs or None).
+    # checked) -> (shot values, the chunk's Bures check inputs or None).
     score: Callable
+    values: Callable  # (config, rows) -> complex values' worth of a chunk's peak, shots aside
     takes_aux: bool  # whether r > 1 is allowed
+    checked: bool = False  # whether every shot gets the Bures check, pooled across shards
 
 
 def _cut_chunk(
-    config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, verify_bures: bool
+    config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, checked: bool
 ):
     """Draw ``size`` Haar rows and cut each one through ``sample_outcome``.
 
-    With ``verify_bures`` each shot's post-cut rows and (M,) subset are
-    kept, and the chunk's inputs to ``_bures_deviation`` are returned with
-    its shots: input rows, post-cut rows, subsets and shots.
+    If ``checked``, each shot's post-cut rows and (M,) subset are kept, and
+    the chunk's inputs to ``_bures_deviation`` are returned with its shots:
+    input rows, post-cut rows, subsets and shots.
     """
     n, r = config.n, config.r
     rows = sample_states(n * r, size, rng).reshape(size, n, r)
     shots = np.empty(size)
-    if verify_bures:
+    if checked:
         posts = np.empty_like(rows)
         chosen = np.empty((size, config.m), dtype=np.intp)
     for i, row in enumerate(rows):
         outcome = sample_outcome(povm, BipartitePureState._trusted(row), rng)
         shots[i] = outcome.shot_fidelity
-        if verify_bures:
+        if checked:
             posts[i] = outcome.post_state.matrix
             chosen[i] = outcome.subset.indices
-    return shots, (rows, posts, chosen, shots) if verify_bures else None
+    return shots, (rows, posts, chosen, shots) if checked else None
 
 
 def _guess_chunk(
-    config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, verify_bures: bool
+    config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, checked: bool
 ):
     """Draw the weights |c|^2 of ``size`` Haar rows, with no amplitudes formed
     (``sample_weights``), and score the guess of each one's smallest drawn index.
@@ -315,11 +317,42 @@ def _guess_chunk(
     return weights[np.arange(size), chosen[:, 0]], None
 
 
+def _drawn_values(config: ExperimentConfig, rows: int) -> int:
+    """N * R Haar amplitudes a row, held SAMPLER_PEAK times over while drawn (a
+    state-estimation chunk holds less: its weights, subset draws and ranking)."""
+    return SAMPLER_PEAK * rows * config.n * config.r
+
+
+def _checked_values(config: ExperimentConfig, rows: int) -> int:
+    """``_drawn_values`` with the chunk's Bures check inputs pending until
+    they are checked: its input and post-cut rows (2 N R values a row), its
+    subsets (M / 2) and its shots (1 / 2).  The check holds them and one
+    sub-batch of stacked N x N matrices (a sub-batch at R > N has fewer
+    rows, so that its N x R arrays take no more).  A shard larger than a
+    group (``_group_rows``) checks each chunk once it is scored, so only
+    that chunk is pending.  Smaller shards pool their chunks, up to a
+    group's rows: the chunks pending before a group's last one are held
+    while it is drawn, and with more than one of them all are held twice
+    over while they are stacked for the check."""
+    n, r = config.n, config.r
+    group = _group_rows(n, r)
+    pending = min(group, config.samples) if rows <= group else rows
+
+    def held(count: int) -> int:
+        return -(-count * (4 * n * r + config.m + 1) // 2)
+
+    return max(
+        _drawn_values(config, rows) + held(pending - rows),
+        held(pending) + _BURES_ARRAYS * _bures_rows(n) * n * n,
+        2 * held(pending) if pending > rows else 0,
+    )
+
+
 _MODES = {
-    "pure": _Mode(analytic_entangled, _cut_chunk, False),
-    "entangled": _Mode(analytic_entangled, _cut_chunk, True),
-    "mixed": _Mode(analytic_entangled, _cut_chunk, True),
-    "state_estimation": _Mode(_estimation_target, _guess_chunk, False),
+    "pure": _Mode(analytic_entangled, _cut_chunk, _drawn_values, False),
+    "entangled": _Mode(analytic_entangled, _cut_chunk, _drawn_values, True),
+    "mixed": _Mode(analytic_entangled, _cut_chunk, _checked_values, True, checked=True),
+    "state_estimation": _Mode(_estimation_target, _guess_chunk, _drawn_values, False),
 }
 
 
@@ -344,67 +377,36 @@ def check_memory(values: int, what: str) -> None:
         )
 
 
-def _shard_values(config: ExperimentConfig, verify_bures: bool) -> int:
+def _shard_values(config: ExperimentConfig) -> int:
     """Complex values' worth of memory one group of shards of ``config``
-    (``_groups``) holds at its peak.
-
-    The largest shard works on one chunk of min(CHUNK, shard rows) rows at
-    a time: their N * R Haar amplitudes each, which the sampler holds
-    SAMPLER_PEAK times over while it draws, and one 8 B shot value each,
-    half a complex value.  A state-estimation chunk holds less once drawn:
-    the rows' float weights, then its subset draws and their ranking.
-
-    With the Bures check a chunk's check inputs are pending until they are
-    checked: its input and post-cut rows (2 N R values a row), its subsets
-    (M / 2) and its shots (1 / 2).  The check holds them and one sub-batch
-    of stacked N x N matrices (a sub-batch at R > N has fewer rows, so that
-    its N x R arrays take no more).  A shard larger than a group
-    (``_group_rows``) checks each chunk once it is scored, so only that
-    chunk is pending.  Smaller shards pool their chunks, up to a group's
-    rows: the chunks pending before a group's last one are held while it
-    is drawn, and with more than one of them all are held twice over while
-    they are stacked for the check.
-    """
-    n, r = config.n, config.r
+    (``_groups``) holds at its peak: its largest shard works on one chunk of
+    min(CHUNK, shard rows) rows at a time, its mode's working set
+    (``_Mode.values``) and one 8 B shot value a row, half a complex value."""
     rows = min(CHUNK, -(-config.samples // config.shards))
-    values = SAMPLER_PEAK * rows * n * r
-    if verify_bures:
-        group = _group_rows(n, r)
-        pending = min(group, config.samples) if rows <= group else rows
-
-        def held(count: int) -> int:
-            return -(-count * (4 * n * r + config.m + 1) // 2)
-
-        values = max(
-            values + held(pending - rows),
-            held(pending) + _BURES_ARRAYS * _bures_rows(n) * n * n,
-            2 * held(pending) if pending > rows else 0,
-        )
-    return -(-rows // 2) + values
+    return -(-rows // 2) + _MODES[config.mode].values(config, rows)
 
 
-def _run_values(config: ExperimentConfig, verify_bures: bool, threads: int = 1) -> int:
+def _workers(threads: int) -> int:
+    """Threads a pool for ``threads`` starts at most: no more than CPUs."""
+    return min(threads, os.cpu_count() or 1)
+
+
+def _run_values(config: ExperimentConfig, threads: int = 1) -> int:
     """Complex values' worth of memory a run of ``config`` on ``threads``
     threads holds at its peak: the working sets (``_shard_values``) of the
-    groups of shards it runs at once, one per thread and at most one per
-    shard, and the bookkeeping of every shard (SHARD_BYTES, or
-    THREADED_SHARD_BYTES with more than one thread)."""
+    groups it runs at once, at most one per worker (``_workers``) and per
+    shard, and each shard's SHARD_BYTES (THREADED_SHARD_BYTES in a pool)."""
     shards = min(config.shards, config.samples)
     if threads > 1:
-        running, per_shard = min(threads, shards), THREADED_SHARD_BYTES
+        running, per_shard = min(_workers(threads), shards), THREADED_SHARD_BYTES
     else:
         running, per_shard = 1, SHARD_BYTES
-    return running * _shard_values(config, verify_bures) + -(-per_shard * shards // 16)
+    return running * _shard_values(config) + -(-per_shard * shards // 16)
 
 
-def check_run(config: ExperimentConfig, verify_bures: bool, threads: int = 1) -> None:
-    """Refuse a run on ``threads`` threads before it allocates anything: a
-    Bures check outside mixed mode, or a working set (``_run_values``) above
-    MEMORY_CAP.
-    """
-    if verify_bures and config.mode != "mixed":
-        raise ValueError("the Bures check needs mode mixed")
-    check_memory(_run_values(config, verify_bures, threads), "a run")
+def check_run(config: ExperimentConfig, threads: int = 1) -> None:
+    """Refuse a run whose working set (``_run_values``) is above MEMORY_CAP."""
+    check_memory(_run_values(config, threads), "a run")
 
 
 def _bures_deviation(
@@ -543,48 +545,44 @@ def _groups(sizes: list[int], rows: int):
     yield range(start, len(sizes))
 
 
-def _group(config: ExperimentConfig, sizes: list[int], verify_bures: bool, shards: range):
-    """The merge parts of ``shards``, in shard order.  With ``verify_bures``
-    their chunks' Bures check inputs are pooled (``_BuresPool``), and the
-    group's largest deviation rides in its last part."""
-    pool = _BuresPool(_group_rows(config.n, config.r)) if verify_bures else None
+def _group(config: ExperimentConfig, sizes: list[int], shards: range):
+    """The merge parts of ``shards``, in shard order.  A checked mode pools
+    their chunks' Bures check inputs (``_BuresPool``), and the group's
+    largest deviation rides in its last part."""
+    pool = _BuresPool(_group_rows(config.n, config.r)) if _MODES[config.mode].checked else None
     parts = [_shard(config, sizes[shard], shard, pool) for shard in shards]
     if pool is not None:
         parts[-1] = (*parts[-1][:3], pool.close())
     return parts
 
 
-def run_experiment(
-    config: ExperimentConfig, threads: int = 1, verify_bures: bool = False
-) -> FidelityEstimate:
+def run_experiment(config: ExperimentConfig, threads: int = 1) -> FidelityEstimate:
     """Estimate the average fidelity of ``config.mode`` by sampling cut outcomes.
 
     Pure, entangled and mixed inputs share the shot, the single-shot cut
     fidelity, and the target (MR+1)/(NR+1); pure is R = 1.  Mixed inputs
     are the partial traces of the entangled ones: the purification maximum
     sits at the identity, so the per-shot fidelity is the entangled one.
-    With ``verify_bures`` (mixed mode only; other modes raise ValueError)
-    every shot is recomputed through the matrix square-root formula on the
-    reduced states, in stacked sub-batches that pool the shots of
-    consecutive small shards (``_groups``), and the worst disagreement is
-    reported.  State estimation scores the weight of one guessed basis
-    state of the outcome against (1 + 1/M)/(N+1).  ``check_run`` refuses
-    the run before any sampling if it would hold more than MEMORY_CAP
-    bytes.
+    The mixed mode also recomputes every shot through the matrix
+    square-root formula on the reduced states, in stacked sub-batches that
+    pool the shots of consecutive small shards (``_groups``), and reports
+    the worst disagreement.  State estimation scores the weight of one
+    guessed basis state of the outcome against (1 + 1/M)/(N+1).
+    ``check_run`` refuses the run before any sampling if it would hold
+    more than MEMORY_CAP bytes.
     """
-    check_run(config, verify_bures, threads)
-    target = _MODES[config.mode].target(config.n, config.m, config.r)
+    check_run(config, threads)
+    mode = _MODES[config.mode]
+    target = mode.target(config.n, config.m, config.r)
     sizes = _shard_sizes(config.samples, config.shards)
-    groups = _groups(sizes, _group_rows(config.n, config.r) if verify_bures else 0)
-    run = functools.partial(_group, config, sizes, verify_bures)
+    groups = _groups(sizes, _group_rows(config.n, config.r) if mode.checked else 0)
+    run = functools.partial(_group, config, sizes)
     if threads <= 1:
         parts = list(chain.from_iterable(map(run, groups)))
     else:
         # map yields in group order, so the parts come in shard order, the
         # order the variance merge fixes.
-        # No more workers than CPUs: the executor starts a thread per queued
-        # group up to its cap, and the bits do not depend on the count.
-        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
+        with ThreadPoolExecutor(max_workers=_workers(threads)) as pool:
             parts = list(chain.from_iterable(pool.map(run, groups)))
     count, total, centered_sq, worst = _merge(parts)
     mean = total / count

@@ -68,16 +68,14 @@ def test_criterion_2_entangled_fidelity():
 
 def test_criterion_3_mixed_state_fidelity():
     est = run_experiment(ExperimentConfig(n=2, m=1, r=2, mode="mixed", samples=SAMPLES, seed=1020))
-    ok = abs(est.mean - 3 / 5) < 3 * est.stderr
-    verify = run_experiment(
-        ExperimentConfig(n=3, m=2, r=2, mode="mixed", samples=1_000, seed=1021),
-        verify_bures=True,
-    )
+    ok = abs(est.mean - 3 / 5) < 3 * est.stderr and est.bures_max_deviation < 1e-8
+    verify = run_experiment(ExperimentConfig(n=3, m=2, r=2, mode="mixed", samples=1_000, seed=1021))
     ok = ok and verify.bures_max_deviation < 1e-8
     report(
         3,
         ok,
-        f"mixed-state fidelity; (2,1,2): mean={est.mean:.5f} z={est.z_score:+.2f}, "
+        f"mixed-state fidelity; (2,1,2): mean={est.mean:.5f} z={est.z_score:+.2f} "
+        f"Bures deviation={est.bures_max_deviation:.1e}, "
         f"per-shot Bures deviation={verify.bures_max_deviation:.1e} over 1000 shots at (3,2,2)",
     )
 

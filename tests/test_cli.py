@@ -555,9 +555,11 @@ class TestGoldenTranscripts:
                 ESTIMATE + ("--n", "3", "--m", "2", "--r", "2", "--mode", "mixed", "--verify-bures"),
                 ESTIMATE_MIXED,
             ),
+            # The flag is implied: mixed mode always runs its Bures check.
+            (ESTIMATE + ("--n", "3", "--m", "2", "--r", "2", "--mode", "mixed"), ESTIMATE_MIXED),
             (ESTIMATE + ("--n", "5", "--m", "2", "--mode", "state-estimation"), ESTIMATE_STATE_ESTIMATION),
         ],
-        ids=["teleport-5-2", "teleport-4-4", "pure", "entangled", "mixed-bures", "state-estimation"],
+        ids=["teleport-5-2", "teleport-4-4", "pure", "entangled", "mixed-bures", "mixed", "state-estimation"],
     )
     def test_transcript(self, capsys, argv, expected):
         code, out = run_cli(capsys, *argv)

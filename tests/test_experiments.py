@@ -39,6 +39,21 @@ def beta_law_chunk(n, m, r):
     return shots
 
 
+# (n, m, r, rows) of one-shard runs per mode, whose peak must stay within
+# what the mode's ``values`` charges.  Pure: the sampler's dimensions, and a
+# shard of three chunks, which holds one at a time (m = n keeps its shots
+# cheap).  Mixed: one-chunk shards of three Bures sub-batches, and at R > N
+# a full chunk: a sub-batch sized by N x N alone would relabel all of its
+# N x R rows at once.  (64, 8, 1) is the widest N / R of the thin (R x R
+# Gram) eigendecomposition of the reduced input.
+CHUNK_PEAK_CASES = {
+    "pure": [(dim, dim, 1, experiments.CHUNK) for dim in (1, 2, 3)] + [(64, 64, 1, 3 * experiments.CHUNK)],
+    "entangled": [(16, 4, 4, experiments.CHUNK)],
+    "mixed": [(32, 8, 2, 192), (16, 4, 4, 768), (2, 1, 64, 4096), (64, 8, 1, 48)],
+    "state_estimation": [(n, m, 1, experiments.CHUNK) for n, m in [(64, 8), (64, 63), (5, 2), (2, 1), (1, 1)]],
+}
+
+
 def within_sigma(estimate, k=4):
     return abs(estimate.mean - estimate.analytic_target) < k * max(estimate.stderr, 1e-15)
 
@@ -216,10 +231,7 @@ class TestMonteCarlo:
         assert est.mean == 1.0
 
     def test_mixed_bures_verification(self):
-        est = run_experiment(
-            ExperimentConfig(n=3, m=2, r=2, mode="mixed", samples=1_000, seed=808),
-            verify_bures=True,
-        )
+        est = run_experiment(ExperimentConfig(n=3, m=2, r=2, mode="mixed", samples=1_000, seed=808))
         assert est.bures_max_deviation is not None
         assert est.bures_max_deviation < 1e-8
 
@@ -261,12 +273,6 @@ class TestMonteCarlo:
         size = len(shots)
         var_s2 = mu4 / size - var**2 * (size - 3) / (size * (size - 1))
         assert abs(np.var(shots, ddof=1) - float(var)) < 5 * math.sqrt(var_s2)
-
-    @pytest.mark.parametrize("mode", ["pure", "entangled", "state_estimation"])
-    def test_bures_verification_needs_mixed_mode(self, mode):
-        config = ExperimentConfig(n=3, m=2, mode=mode, samples=10, seed=808)
-        with pytest.raises(ValueError, match="mixed"):
-            run_experiment(config, verify_bures=True)
 
     def test_state_estimation_converges(self):
         est = run_experiment(
@@ -398,7 +404,7 @@ class TestEstimatorContracts:
             shots.extend(values.tolist())
             return values, dev
 
-        mode = experiments._Mode(lambda n, m, r: 0.999, score, False)
+        mode = experiments._MODES["pure"]._replace(target=lambda n, m, r: 0.999, score=score)
         monkeypatch.setitem(experiments._MODES, "pure", mode)
         # 16 shards of one chunk each, then one shard of five chunks.
         for shards in (16, 1):
@@ -412,10 +418,10 @@ class TestEstimatorContracts:
             assert est.stderr == pytest.approx(expected, rel=1e-6, abs=0)
 
     @staticmethod
-    def shard_peak(config, count, verify_bures=False):
+    def shard_peak(config, count):
         tracemalloc.start()
         try:
-            experiments._group(config, [count], verify_bures, range(1))
+            experiments._group(config, [count], range(1))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -437,22 +443,20 @@ class TestEstimatorContracts:
         # The check holds one sub-batch of stacked N x N matrices at a time.
         rows = experiments._bures_rows(32)
         config = ExperimentConfig(n=32, m=8, r=2, mode="mixed", samples=3 * rows, seed=823)
-        self.shard_peak(config, rows, True)
-        peaks = [self.shard_peak(config, count, True) for count in (rows, 3 * rows)]
+        self.shard_peak(config, rows)
+        peaks = [self.shard_peak(config, count) for count in (rows, 3 * rows)]
         assert peaks[1] < 1.2 * peaks[0]
 
     @pytest.mark.parametrize(
-        "n,m,r,rows", [(32, 8, 2, 192), (16, 4, 4, 768), (2, 1, 64, 4096), (64, 8, 1, 48)]
+        "mode,n,m,r,rows",
+        [(mode, *case) for mode in experiments._MODES for case in CHUNK_PEAK_CASES[mode]],
     )
-    def test_bures_shard_peak_is_within_the_guard_charge(self, n, m, r, rows):
-        # One-chunk shards of three Bures sub-batches, and at R > N a full
-        # chunk: a sub-batch sized by N x N alone would relabel all of its
-        # N x R rows at once.  (64, 8, 1) is the widest N / R of the thin
-        # (R x R Gram) eigendecomposition of the reduced input.
-        assert rows >= 3 * experiments._bures_rows(n, r)
-        config = ExperimentConfig(n=n, m=m, r=r, mode="mixed", samples=rows, seed=832, shards=1)
-        self.shard_peak(config, rows, True)  # first-call allocations are not the shard's
-        assert self.shard_peak(config, rows, True) <= 16 * experiments._shard_values(config, True)
+    def test_shard_peak_is_within_its_mode_charge(self, mode, n, m, r, rows):
+        if experiments._MODES[mode].checked:
+            assert rows >= 3 * experiments._bures_rows(n, r)
+        config = ExperimentConfig(n=n, m=m, r=r, mode=mode, samples=rows, seed=832, shards=1)
+        self.shard_peak(config, rows)  # first-call allocations are not the shard's
+        assert self.shard_peak(config, rows) <= 16 * experiments._shard_values(config)
 
     @pytest.mark.parametrize(
         "n,m,r,samples,groups",
@@ -465,9 +469,9 @@ class TestEstimatorContracts:
         config = ExperimentConfig(n=n, m=m, r=r, mode="mixed", samples=samples, seed=824)
         sizes = experiments._shard_sizes(config.samples, config.shards)
         assert len(list(experiments._groups(sizes, experiments._group_rows(n, r)))) == groups
-        single = run_experiment(config, threads=1, verify_bures=True)
+        single = run_experiment(config, threads=1)
         assert single.bures_max_deviation < 1e-12
-        assert run_experiment(config, threads=2, verify_bures=True) == single
+        assert run_experiment(config, threads=2) == single
 
     @pytest.mark.parametrize(
         "n,m,r,samples,shards,checks",
@@ -498,7 +502,7 @@ class TestEstimatorContracts:
             return check(*inputs)
 
         monkeypatch.setattr(experiments, "_bures_deviation", counted)
-        assert run_experiment(config, threads=2, verify_bures=True).bures_max_deviation == oracle
+        assert run_experiment(config, threads=2).bures_max_deviation == oracle
         assert sorted(rows) == sorted(checks)
 
     def test_groups_pool_consecutive_shards_by_their_rows(self):
@@ -509,44 +513,14 @@ class TestEstimatorContracts:
         # Without the Bures check each shard is a group.
         assert list(groups([1, 1, 1], 0)) == [range(0, 1), range(1, 2), range(2, 3)]
 
-    def test_sampler_peak_is_within_what_the_guard_charges(self):
-        rows = experiments.CHUNK
-        for dim in (1, 2, 3, 64):
-            rng = stream(825, dim)
-            sample_states(dim, rows, rng)  # first-call allocations are not the sampler's
-            tracemalloc.start()
-            try:
-                out = sample_states(dim, rows, rng)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert out.nbytes < peak <= experiments.SAMPLER_PEAK * out.nbytes, dim
-        # The guard charges SAMPLER_PEAK chunks plus one chunk's 8 B shot values.
-        config = ExperimentConfig(n=dim, m=1, mode="pure", samples=rows, seed=825, shards=1)
-        charged = experiments.SAMPLER_PEAK * out.nbytes + 8 * rows
-        assert 16 * experiments._shard_values(config, False) == charged
-        # A shard of three chunks holds one chunk and its shot values at a
-        # time, and is charged the same (m = n keeps its shots cheap).
-        longer = dataclasses.replace(config, m=dim, samples=3 * rows)
-        assert 16 * experiments._shard_values(longer, False) == charged
-        assert self.shard_peak(longer, 3 * rows) <= charged
-
-    @pytest.mark.parametrize("n,m", [(64, 8), (64, 63), (5, 2), (2, 1), (1, 1)])
-    def test_state_estimation_chunk_peak_is_within_the_guard_charge(self, n, m):
-        rows = experiments.CHUNK
-        config = ExperimentConfig(n=n, m=m, mode="state_estimation", samples=rows, seed=827, shards=1)
-        self.shard_peak(config, rows)  # first-call allocations are not the shard's
-        assert self.shard_peak(config, rows) <= 16 * experiments._shard_values(config, False)
-
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
-        "config,verify_bures",
+        "config",
         [
             # 4000 shards of one row each: the run's peak is its per-shard
             # sizes, merge parts and (with threads) futures.
             pytest.param(
                 ExperimentConfig(n=2, m=1, mode="pure", samples=4_000, seed=828, shards=4_000),
-                False,
                 id="bookkeeping",
             ),
             # Two one-chunk shards: with two threads both working sets are live.
@@ -554,62 +528,75 @@ class TestEstimatorContracts:
                 ExperimentConfig(
                     n=64, m=8, mode="state_estimation", samples=2 * experiments.CHUNK, seed=829, shards=2
                 ),
-                False,
                 id="working-sets",
             ),
             # Groups of several shards that pool a group's whole rows (32 at
             # (16, 4, 4), 8 at (32, 8, 2)); with two threads two groups are live.
-            pytest.param(
-                ExperimentConfig(n=16, m=4, r=4, mode="mixed", samples=128, seed=834), True, id="bures-16-4-4"
-            ),
-            pytest.param(
-                ExperimentConfig(n=32, m=8, r=2, mode="mixed", samples=64, seed=835), True, id="bures-32-8-2"
-            ),
+            pytest.param(ExperimentConfig(n=16, m=4, r=4, mode="mixed", samples=128, seed=834), id="bures-16-4-4"),
+            pytest.param(ExperimentConfig(n=32, m=8, r=2, mode="mixed", samples=64, seed=835), id="bures-32-8-2"),
         ],
     )
-    def test_run_peak_is_within_the_guard_charge(self, config, verify_bures, threads):
-        if verify_bures:
+    def test_run_peak_is_within_the_guard_charge(self, monkeypatch, config, threads):
+        # Two CPUs, so that two threads start two workers on any host.
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        if experiments._MODES[config.mode].checked:
             sizes = experiments._shard_sizes(config.samples, config.shards)
             rows = experiments._group_rows(config.n, config.r)
             groups = list(experiments._groups(sizes, rows))
             assert [sum(sizes[shard] for shard in group) for group in groups] == [rows] * len(groups)
             assert min(len(group) for group in groups) > 1
         small = dataclasses.replace(config, samples=4, shards=4)
-        run_experiment(small, threads=threads, verify_bures=verify_bures)
+        run_experiment(small, threads=threads)
         tracemalloc.start()
         try:
-            run_experiment(config, threads=threads, verify_bures=verify_bures)
+            run_experiment(config, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * experiments._run_values(config, verify_bures, threads)
+        assert peak <= 16 * experiments._run_values(config, threads)
 
-    def test_shard_count_is_charged_before_allocation(self):
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_shard_count_is_charged_before_allocation(self, monkeypatch, cpus):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         # At least 256 B per shard: a billion shards would ask for 256 GB.
         config = ExperimentConfig(n=2, m=1, samples=10**12, seed=0, shards=10**9)
         with pytest.raises(ValueError, match="MiB cap"):
-            experiments.check_run(config, verify_bures=False)
+            experiments.check_run(config)
         # More shards than samples run one sample per shard, and are charged so.
-        experiments.check_run(dataclasses.replace(config, samples=16), verify_bures=False)
+        experiments.check_run(dataclasses.replace(config, samples=16))
         # 200,000 one-row shards hold about 50 MB of bookkeeping on one
-        # thread; with threads each also queues a future, about 400 MB.
+        # thread; with threads each also queues a future, about 400 MB, even
+        # where the pool starts one worker.
         many = dataclasses.replace(config, samples=200_000, shards=200_000)
-        experiments.check_run(many, verify_bures=False)
+        experiments.check_run(many)
         with pytest.raises(ValueError, match="MiB cap"):
-            experiments.check_run(many, verify_bures=False, threads=2)
+            experiments.check_run(many, threads=2)
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 4, 64])
+    def test_threads_are_charged_as_the_pool_starts_them(self, monkeypatch, cpus):
+        # Sixteen shards of one 4096-row (64, 8, 8) chunk, 64 MiB of
+        # working set each: the cap holds three running at once, not four.
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        config = ExperimentConfig(n=64, m=8, r=8, mode="entangled", samples=65_536)
+        for threads in (1, 2, 3, 4, 100):
+            if min(threads, cpus or 1) < 4:
+                experiments.check_run(config, threads)
+            else:
+                with pytest.raises(ValueError, match="MiB cap"):
+                    experiments.check_run(config, threads)
 
     def test_oversized_working_set_is_refused_before_allocation(self):
         huge = ExperimentConfig(n=10**6, m=1, r=10**4, mode="entangled", samples=100, seed=0)
         with pytest.raises(ValueError, match="MiB cap"):
             run_experiment(huge)
         # A shard's memory does not grow with its rows, so no sample count is refused.
-        experiments.check_run(ExperimentConfig(n=2, m=1, samples=10**12), verify_bures=False)
+        experiments.check_run(ExperimentConfig(n=2, m=1, samples=10**12))
         # One 8192 x 8192 matrix per Bures sub-batch is over the cap; the
-        # unverified run holds one 8192-amplitude row per shard.
+        # unchecked entangled run holds one 8192-amplitude row per shard.
         wide = ExperimentConfig(n=8192, m=1, mode="mixed", samples=16, seed=0)
         with pytest.raises(ValueError, match="MiB cap"):
-            run_experiment(wide, verify_bures=True)
-        experiments.check_run(wide, verify_bures=False)
+            run_experiment(wide)
+        experiments.check_run(dataclasses.replace(wide, mode="entangled"))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="mode"):
@@ -640,6 +627,14 @@ class TestEstimatorContracts:
             ExperimentConfig(n=3, m=2, r=1, mode="entangled", samples=2_000, seed=818)
         )
         assert pure == entangled
+        # The mixed mode scores the entangled shots, and always checks them.
+        for r in (1, 2):
+            config = ExperimentConfig(n=3, m=2, r=r, mode="entangled", samples=2_000, seed=818)
+            entangled = run_experiment(config)
+            mixed = run_experiment(dataclasses.replace(config, mode="mixed"))
+            assert (mixed.mean, mixed.stderr) == (entangled.mean, entangled.stderr)
+            assert entangled.bures_max_deviation is None
+            assert mixed.bures_max_deviation < 1e-8
 
     def test_zero_stderr_off_target_has_no_z_score(self):
         est = run_experiment(ExperimentConfig(n=3, m=2, mode="pure", samples=1, seed=819))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ from scipy import integrate, stats
 
 from oracles import point_to_state, sample_point, sample_states_gaussian
 
-from qcut.haar import MomentSpec, exact_moment_fraction, sample_state, sample_states, sample_weights
+from qcut import experiments
+from qcut.experiments import CHUNK, ExperimentConfig
+from qcut.haar import SAMPLER_PEAK, MomentSpec, exact_moment_fraction, sample_state, sample_states, sample_weights
 from qcut.povm import CutPovm, sample_subsets
 from qcut.rng import stream
 
@@ -120,6 +123,22 @@ class TestSamplers:
             assert rows.tobytes() == expected.tobytes()
             # The weights draw stops before the square root.
             assert sample_weights(dim, count, c).tobytes() == mags.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 64])
+    def test_chunk_draw_peaks_within_the_sampler_peak(self, dim):
+        rng = stream(825, dim)
+        sample_states(dim, CHUNK, rng)  # first-call allocations are not the sampler's
+        tracemalloc.start()
+        try:
+            out = sample_states(dim, CHUNK, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes < peak <= SAMPLER_PEAK * out.nbytes
+        # A pure chunk is charged that and its 8 B shot values, at any shard length.
+        for samples in (CHUNK, 3 * CHUNK):
+            config = ExperimentConfig(n=dim, m=dim, samples=samples, shards=1)
+            assert 16 * experiments._shard_values(config) == SAMPLER_PEAK * out.nbytes + 8 * CHUNK
 
 
 class TestWeights:
