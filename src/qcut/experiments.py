@@ -45,23 +45,17 @@ DEFAULT_SHARDS = 16
 # for any sample count, and it is part of the (seed, shards) contract: a
 # shard of more rows interleaves its state draws with its outcome draws.
 CHUNK = 4096
-# Entries per stacked N x N (or N x R) matrix in one Bures sub-batch: the
-# check runs on max(1, BURES_ENTRIES // (N * max(N, R))) shots at a time.
+# Values per shot (``_bures_row_values``) in one Bures sub-batch: the
+# check runs on max(1, BURES_ENTRIES // those) shots at a time.
 BURES_ENTRIES = 2**16
 # The same for the consecutive small shards pooled into one Bures check.
 # Pooling saves the fixed cost of the check's NumPy and LAPACK calls, which
 # weighs most while a stack is small, and a larger group holds more: at
-# (N, M, R) = (16, 4, 4) a 250-sample run took 33.4 ms unpooled, 28.5 ms
-# in 32-row groups and 24.8 ms in one 250-row group (medians of 20
-# interleaved rounds, 2-CPU Xeon), but the one group raised the process's
-# peak RSS by 3.3 MB against 0.2 MB.
-BURES_GROUP_ENTRIES = 2**13
-# Stacked N x N arrays charged for one Bures sub-batch.  The check peaks
-# at 3.2 at (N, R) = (64, 1), 3.4 at (32, 2), 3.8 at (16, 4) and 5.8 at
-# (8, 8) under tracemalloc: the reduced input state, its eigenvectors
-# (N x min(N, R)) and the temporaries of its square root.  The post-cut
-# state lives on M levels.
-_BURES_ARRAYS = 8
+# (N, M, R) = (16, 4, 4) a 250-sample run took 29.3 ms unpooled, 26.3 ms
+# in 51-row groups, 25.2 ms in these 102-row ones and 24.0 ms in one
+# 250-row group (medians of 40 interleaved rounds, 2-CPU Xeon), which
+# raised the process's peak RSS by 1.8 MB against 0.4 MB.
+BURES_GROUP_ENTRIES = 2**14
 # Bytes of complex values a run (its running shards and the per-shard
 # bookkeeping, or a teleport-demo run) may hold at once.  Larger
 # configurations are refused before anything is allocated.
@@ -71,6 +65,9 @@ MEMORY_CAP = 2**28
 # (about 1.95 kB in all).
 SHARD_BYTES = 256
 THREADED_SHARD_BYTES = 2048
+# Bytes a running group holds whatever its rows: its shard's stream, POVM
+# and call frames (6-10.5 kB under tracemalloc at one row).
+GROUP_BYTES = 16384
 
 
 @dataclass(frozen=True)
@@ -318,32 +315,35 @@ def _guess_chunk(
 
 
 def _drawn_values(config: ExperimentConfig, rows: int) -> int:
-    """N * R Haar amplitudes a row, held SAMPLER_PEAK times over while drawn (a
-    state-estimation chunk holds less: its weights, subset draws and ranking)."""
-    return SAMPLER_PEAK * rows * config.n * config.r
+    """N * R Haar amplitudes a row, held SAMPLER_PEAK times over while drawn,
+    then once beside one shot's cut temporaries, about two rows (a state-
+    estimation chunk holds less: its weights, subset draws and ranking)."""
+    return max(SAMPLER_PEAK * rows, rows + 2) * config.n * config.r
 
 
 def _checked_values(config: ExperimentConfig, rows: int) -> int:
     """``_drawn_values`` with the chunk's Bures check inputs pending until
     they are checked: its input and post-cut rows (2 N R values a row), its
     subsets (M / 2) and its shots (1 / 2).  The check holds them and one
-    sub-batch of stacked N x N matrices (a sub-batch at R > N has fewer
-    rows, so that its N x R arrays take no more).  A shard larger than a
-    group (``_group_rows``) checks each chunk once it is scored, so only
-    that chunk is pending.  Smaller shards pool their chunks, up to a
-    group's rows: the chunks pending before a group's last one are held
-    while it is drawn, and with more than one of them all are held twice
-    over while they are stacked for the check."""
-    n, r = config.n, config.r
-    group = _group_rows(n, r)
+    sub-batch (at most what is pending) of ``_bures_row_values`` a shot
+    three times over: under tracemalloc a sub-batch peaks at 1.3 times its
+    values at (N, M, R) = (2, 1, 64), 1.6 at (64, 8, 1), 2.1 at (16, 4, 4)
+    and 2.6 at (3, 2, 2).  A shard larger than a group (``_group_rows``)
+    checks each chunk once it is scored, so only that chunk is pending.
+    Smaller shards pool their chunks, up to a group's rows: the chunks
+    pending before a group's last one are held while it is drawn, and with
+    more than one of them all are held twice over while stacked."""
+    n, m, r = config.n, config.m, config.r
+    group = _group_rows(n, m, r)
     pending = min(group, config.samples) if rows <= group else rows
 
     def held(count: int) -> int:
-        return -(-count * (4 * n * r + config.m + 1) // 2)
+        return -(-count * (4 * n * r + m + 1) // 2)
 
+    checked = min(pending, _bures_rows(n, m, r))
     return max(
         _drawn_values(config, rows) + held(pending - rows),
-        held(pending) + _BURES_ARRAYS * _bures_rows(n) * n * n,
+        held(pending) + 3 * checked * _bures_row_values(n, m, r),
         2 * held(pending) if pending > rows else 0,
     )
 
@@ -356,16 +356,22 @@ _MODES = {
 }
 
 
-def _bures_rows(n: int, r: int = 1) -> int:
-    """Shots per Bures sub-batch at system dimension ``n`` and auxiliary
-    dimension ``r``; r <= n gives the N x N count."""
-    return max(1, BURES_ENTRIES // (n * max(n, r)))
+def _bures_row_values(n: int, m: int, r: int) -> int:
+    """Values one shot's Bures check works on: its relabeled input and
+    post-cut rows, (N + M) R, the eigenvectors of its reduced input,
+    N min(N, R), and the M x M square root of its post-cut state."""
+    return (n + m) * r + n * min(n, r) + m * m
 
 
-def _group_rows(n: int, r: int) -> int:
+def _bures_rows(n: int, m: int, r: int) -> int:
+    """Shots per Bures sub-batch at (N, M, R): BURES_ENTRIES values."""
+    return max(1, BURES_ENTRIES // _bures_row_values(n, m, r))
+
+
+def _group_rows(n: int, m: int, r: int) -> int:
     """Rows of the consecutive shards pooled into one Bures check: at most
     one chunk, and one sub-batch of BURES_GROUP_ENTRIES."""
-    return min(CHUNK, max(1, BURES_GROUP_ENTRIES // (n * max(n, r))))
+    return min(CHUNK, max(1, BURES_GROUP_ENTRIES // _bures_row_values(n, m, r)))
 
 
 def check_memory(values: int, what: str) -> None:
@@ -381,9 +387,10 @@ def _shard_values(config: ExperimentConfig) -> int:
     """Complex values' worth of memory one group of shards of ``config``
     (``_groups``) holds at its peak: its largest shard works on one chunk of
     min(CHUNK, shard rows) rows at a time, its mode's working set
-    (``_Mode.values``) and one 8 B shot value a row, half a complex value."""
+    (``_Mode.values``) and one 8 B shot value a row, half a complex value.
+    A group also holds GROUP_BYTES whatever its rows."""
     rows = min(CHUNK, -(-config.samples // config.shards))
-    return -(-rows // 2) + _MODES[config.mode].values(config, rows)
+    return GROUP_BYTES // 16 + -(-rows // 2) + _MODES[config.mode].values(config, rows)
 
 
 def _workers(threads: int) -> int:
@@ -416,9 +423,9 @@ def _bures_deviation(
     coefficient matrices, whose shots kept the (k, M) subsets ``chosen``.
 
     The reduced input and post-cut states are compared through the matrix
-    square-root form, one sub-batch of ``_bures_rows(N, R)`` shots per call.
+    square-root form, one sub-batch of ``_bures_rows(N, M, R)`` shots per call.
     """
-    step = _bures_rows(*states.shape[1:])
+    step = _bures_rows(states.shape[1], chosen.shape[1], states.shape[2])
     return max(
         _bures_sub_batch(*(part[lo : lo + step] for part in (states, posts, chosen, shots)))
         for lo in range(0, len(states), step)
@@ -549,7 +556,8 @@ def _group(config: ExperimentConfig, sizes: list[int], shards: range):
     """The merge parts of ``shards``, in shard order.  A checked mode pools
     their chunks' Bures check inputs (``_BuresPool``), and the group's
     largest deviation rides in its last part."""
-    pool = _BuresPool(_group_rows(config.n, config.r)) if _MODES[config.mode].checked else None
+    checked = _MODES[config.mode].checked
+    pool = _BuresPool(_group_rows(config.n, config.m, config.r)) if checked else None
     parts = [_shard(config, sizes[shard], shard, pool) for shard in shards]
     if pool is not None:
         parts[-1] = (*parts[-1][:3], pool.close())
@@ -575,7 +583,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> FidelityEstima
     mode = _MODES[config.mode]
     target = mode.target(config.n, config.m, config.r)
     sizes = _shard_sizes(config.samples, config.shards)
-    groups = _groups(sizes, _group_rows(config.n, config.r) if mode.checked else 0)
+    groups = _groups(sizes, _group_rows(config.n, config.m, config.r) if mode.checked else 0)
     run = functools.partial(_group, config, sizes)
     if threads <= 1:
         parts = list(chain.from_iterable(map(run, groups)))

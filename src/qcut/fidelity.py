@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import BipartitePureState, DensityMatrix, _sqrt_columns, matrix_sqrt
+from .linalg import BipartitePureState, DensityMatrix, _dagger, _sqrt_eigh, matrix_sqrt
 
 _CLAMP = 1e-10
 
@@ -45,14 +45,20 @@ def bures_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarr
 
     ``sigma`` may live on fewer levels than ``rho``, M = ``sigma.dim``: it
     is then taken to be supported on rho's first M levels (zero in every
-    other row and column).  Its square root is zero there too, so only the
-    first M columns of sqrt(rho) enter and only those are built, and the
-    product is N x M: sigma is diagonalized on its M levels, not on N.
+    other row and column), and it is diagonalized on its M levels, not on
+    N.  Only the first M columns of sqrt(rho) = V sqrt(L) V^dagger enter,
+    over the r' eigenpairs (L, V) that rho keeps (r' = min(N, R) for a
+    reduced state).  V's kept columns are orthonormal, so the N x M product
+    has the singular values of the r' x M core sqrt(L) V[:M]^dagger
+    sqrt(sigma), and only that core is built.
     """
     m = sigma.dim
-    if rho.entries.shape[:-2] != sigma.entries.shape[:-2] or m > rho.dim:
-        raise ValueError(f"dimension mismatch: {rho.entries.shape} vs {sigma.entries.shape}")
-    singulars = np.linalg.svd(_sqrt_columns(rho, m) @ matrix_sqrt(sigma), compute_uv=False)
+    batch, sigma_batch = rho._eigh[0].shape[:-1], sigma._eigh[0].shape[:-1]
+    if batch != sigma_batch or m > rho.dim:
+        raise ValueError(f"dimension mismatch: {batch} of dim {rho.dim} vs {sigma_batch} of dim {m}")
+    roots, vecs = _sqrt_eigh(rho)
+    core = (roots[..., :, None] * _dagger(vecs[..., :m, :])) @ matrix_sqrt(sigma)
+    singulars = np.linalg.svd(core, compute_uv=False)
     fid = np.square(singulars.sum(axis=-1))
     # Snap round-off just above 1 back to 1, as _clamp_unit does; a squared
     # sum of singular values is never negative.

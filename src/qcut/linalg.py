@@ -125,12 +125,12 @@ class DensityMatrix:
 
     The PSD check diagonalizes each matrix once, and the read-only
     eigenvalues (ascending) and eigenvectors are kept as ``_eigh`` for
-    ``matrix_sqrt`` and for the columns of it that ``bures_fidelity``
-    uses.  A matrix built from an array holds all dim eigenpairs.  A
-    reduced state c c^dagger of an (N, R) coefficient
-    matrix, as ``partial_trace`` builds it, has rank at most min(N, R) and
-    holds that many: at R < N they come from the R x R Gram matrix
-    (``_thin_eigh``), with N x R eigenvectors.
+    ``matrix_sqrt`` and ``bures_fidelity``.  A matrix built from an array
+    holds all dim eigenpairs.  A reduced state c c^dagger of an (N, R)
+    coefficient matrix, as ``partial_trace`` builds it, has rank at most
+    min(N, R) and holds that many: at R < N they come from the R x R Gram
+    matrix c^dagger c, which is checked in place of the N x N entries, and
+    the entries are built (and checked) on their first read.
     """
 
     dim: int
@@ -140,43 +140,85 @@ class DensityMatrix:
         if self.dim < 1:
             raise ValueError("dimension must be positive")
         shape = np.shape(self.entries)[:-2] + (self.dim, self.dim)
-        entries = _frozen_complex_array(self.entries, shape)
-        self._settle(entries, np.linalg.eigh(entries))
+        self._settle(_frozen_complex_array(self.entries, shape))
 
     @classmethod
-    def _trusted(cls, entries: np.ndarray, eigh) -> "DensityMatrix":
-        """A density matrix (or stack) with entries ``entries`` and eigenpairs ``eigh``.
+    def _reduced(cls, rows: np.ndarray) -> "DensityMatrix":
+        """The reduced state rows @ rows^dagger of (..., N, R) coefficient rows.
 
-        For reductions: ``entries`` must be a freshly built (..., N, N)
-        array, which is checked as the constructor checks it but frozen and
-        kept as it is rather than copied; ``eigh`` holds its eigenvalues
-        (ascending) and eigenvectors, thin or full.
+        At R >= N the entries are built and checked as the constructor's,
+        but kept rather than copied.  At R < N the R x R Gram matrix
+        rows^dagger @ rows, of the same nonzero spectrum (the Schmidt
+        relation), is checked and diagonalized instead, and the entries are
+        built from the kept rows (copied if the caller can write them) on
+        their first read.
         """
         obj = object.__new__(cls)
-        object.__setattr__(obj, "dim", entries.shape[-1])
-        obj._settle(_frozen(entries, entries.shape), eigh)
+        n, r = rows.shape[-2:]
+        object.__setattr__(obj, "dim", n)
+        if r >= n:
+            obj._settle(_frozen(rows @ _dagger(rows), rows.shape[:-1] + (n,)))
+            return obj
+        if rows.flags.writeable:
+            rows = rows.copy()
+        rows.setflags(write=False)
+        object.__setattr__(obj, "_rows", rows)
+        obj._settle(_frozen(_dagger(rows) @ rows, rows.shape[:-2] + (r, r)), rows)
         return obj
 
-    def _settle(self, entries: np.ndarray, eigh) -> None:
-        # Check the frozen entries and the eigenvalues of their PSD check,
-        # then store both.  The Hermiticity difference is taken in place in
-        # the conjugate copy, so the check holds one copy of the entries.
-        skew = _dagger(entries)
-        herm_dev = float(np.max(np.abs(np.subtract(entries, skew, out=skew)), initial=0.0))
-        if herm_dev > HERMITICITY_ATOL:
-            raise ValueError(f"matrix is not Hermitian (deviation {herm_dev})")
-        traces = entries.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
-        off = traces[np.abs(traces - 1.0) > TRACE_ATOL]
-        if off.size:
-            raise ValueError(f"trace {complex(off[0])} is not 1 within {TRACE_ATOL}")
-        evals, vecs = eigh
+    def _settle(self, checked: np.ndarray, rows: np.ndarray | None = None) -> None:
+        # Check the frozen matrices that are diagonalized (the entries, or
+        # the Gram matrices of ``rows``), diagonalize them, check the
+        # eigenvalues and store the eigenpairs (and the entries).
+        _check_unit_hermitian(checked)
+        evals, vecs = np.linalg.eigh(checked)
         min_eig = float(np.min(evals[..., 0], initial=np.inf))
         if min_eig < EIGENVALUE_FLOOR:
             raise ValueError(f"matrix is not PSD (min eigenvalue {min_eig})")
+        if rows is None:
+            object.__setattr__(self, "entries", checked)
+        else:
+            # The columns of rows @ W, of norm sqrt(lam), are eigenvectors.
+            # Each is scaled by its own computed norm, since a small lam
+            # carries the eigensolver's absolute error, eps * largest; one
+            # below ``matrix_sqrt``'s noise floor is set to zero instead.
+            # The kept columns are orthogonal to about eps * sqrt(largest /
+            # lam), 1e-8 just above the floor, where each is weighted by
+            # sqrt(lam) and the full N x N route is no more accurate.
+            vecs = rows @ vecs
+            kept = (evals >= _noise_floor(self.dim, evals)) & (evals > 0.0)
+            vecs *= (kept / np.where(kept, np.linalg.norm(vecs, axis=-2), 1.0))[..., None, :]
         evals.setflags(write=False)
         vecs.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_eigh", (evals, vecs))
+
+    def __getattr__(self, name: str):
+        # Only a reduction at R < N lacks its entries, until they are read;
+        # they get the constructor's checks, the PSD one done on the Gram.
+        rows = self.__dict__.get("_rows")
+        if name != "entries" or rows is None:
+            raise AttributeError(name)
+        entries = _frozen(rows @ _dagger(rows), rows.shape[:-1] + (self.dim,))
+        _check_unit_hermitian(entries)
+        object.__setattr__(self, "entries", entries)
+        return entries
+
+
+def _check_unit_hermitian(matrix: np.ndarray) -> None:
+    """Refuse a (stack of) matrix that is not Hermitian or not of unit trace.
+
+    The Hermiticity difference is taken in place in the conjugate copy, so
+    the check holds one copy of the matrix.  A Gram matrix rows^dagger @ rows
+    has the trace of rows @ rows^dagger, the sum of their shared eigenvalues.
+    """
+    skew = _dagger(matrix)
+    herm_dev = float(np.max(np.abs(np.subtract(matrix, skew, out=skew)), initial=0.0))
+    if herm_dev > HERMITICITY_ATOL:
+        raise ValueError(f"matrix is not Hermitian (deviation {herm_dev})")
+    traces = matrix.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
+    off = traces[np.abs(traces - 1.0) > TRACE_ATOL]
+    if off.size:
+        raise ValueError(f"trace {complex(off[0])} is not 1 within {TRACE_ATOL}")
 
 
 def partial_trace(state) -> DensityMatrix:
@@ -189,9 +231,7 @@ def partial_trace(state) -> DensityMatrix:
     auxiliary of the transposed coefficients, ``c.swapaxes(-1, -2)``.
     """
     c = np.asarray(state if isinstance(state, np.ndarray) else state.matrix, dtype=complex)
-    reduced = c @ _dagger(c)
-    n, r = c.shape[-2:]
-    return DensityMatrix._trusted(reduced, _thin_eigh(c) if r < n else np.linalg.eigh(reduced))
+    return DensityMatrix._reduced(c)
 
 
 def _noise_floor(dim: int, evals: np.ndarray) -> np.ndarray:
@@ -199,27 +239,10 @@ def _noise_floor(dim: int, evals: np.ndarray) -> np.ndarray:
     return dim * np.finfo(float).eps * evals[..., -1:]
 
 
-def _thin_eigh(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The R nonzero-spectrum eigenpairs of rows @ rows^dagger for (..., N, R) rows, R < N.
-
-    The R x R Gram matrix rows^dagger @ rows = W diag(lam) W^dagger has the
-    same nonzero eigenvalues (the Schmidt relation), and the columns of
-    rows @ W, of norm sqrt(lam), are the matching eigenvectors.  Each is
-    scaled to unit norm by its own computed norm, not by sqrt(lam): a small
-    lam carries the Gram eigensolver's absolute error, eps * largest, so
-    near the floor its relative error is of order one.  A column whose
-    eigenvalue lies below ``matrix_sqrt``'s noise floor, where that scaling
-    would blow up round-off, is set to zero instead.  The kept columns are
-    orthogonal to about eps * sqrt(largest / lam): within 1e-10 for lam
-    above about 1e-10 * largest, and about 1e-8 just above the floor, where
-    each column enters ``matrix_sqrt`` weighted by sqrt(lam) and the full
-    N x N route is no more accurate.
-    """
-    evals, w = np.linalg.eigh(_dagger(rows) @ rows)
-    vecs = rows @ w
-    kept = (evals >= _noise_floor(rows.shape[-2], evals)) & (evals > 0.0)
-    vecs *= (kept / np.where(kept, np.linalg.norm(vecs, axis=-2), 1.0))[..., None, :]
-    return evals, vecs
+def _sqrt_eigh(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(L) and V for the eigenpairs (L, V) rho keeps, floored as ``matrix_sqrt`` says."""
+    evals, vecs = rho._eigh
+    return np.sqrt(np.where(evals < _noise_floor(rho.dim, evals), 0.0, evals)), vecs
 
 
 def matrix_sqrt(rho: DensityMatrix) -> np.ndarray:
@@ -236,12 +259,5 @@ def matrix_sqrt(rho: DensityMatrix) -> np.ndarray:
     min(N, R) eigenpairs (rank at most min(N, R)), and S is built from
     those alone.
     """
-    return _sqrt_columns(rho, rho.dim)
-
-
-def _sqrt_columns(rho: DensityMatrix, m: int) -> np.ndarray:
-    """The first ``m`` columns of ``matrix_sqrt(rho)``, (V sqrt(L)) @ V[:m]^dagger
-    for the eigenpairs (L, V) of each member, built without the others."""
-    evals, vecs = rho._eigh
-    evals = np.where(evals < _noise_floor(rho.dim, evals), 0.0, evals)
-    return (vecs * np.sqrt(evals)[..., None, :]) @ _dagger(vecs[..., :m, :])
+    roots, vecs = _sqrt_eigh(rho)
+    return (vecs * roots[..., None, :]) @ _dagger(vecs)

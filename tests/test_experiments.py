@@ -40,17 +40,23 @@ def beta_law_chunk(n, m, r):
 
 
 # (n, m, r, rows) of one-shard runs per mode, whose peak must stay within
-# what the mode's ``values`` charges.  Pure: the sampler's dimensions, and a
-# shard of three chunks, which holds one at a time (m = n keeps its shots
-# cheap).  Mixed: one-chunk shards of three Bures sub-batches, and at R > N
-# a full chunk: a sub-batch sized by N x N alone would relabel all of its
-# N x R rows at once.  (64, 8, 1) is the widest N / R of the thin (R x R
-# Gram) eigendecomposition of the reduced input.
+# what the mode's ``values`` charges.  Every mode runs 1, 8 and 48 rows,
+# where a group's fixed cost weighs most.  Pure: also the sampler's
+# dimensions, and a shard of three chunks, which holds one at a time (m = n
+# keeps its shots cheap).  Mixed: also a one-chunk shard of three Bures
+# sub-batches, and at R > N a full chunk, whose relabeled N x R rows a
+# sub-batch holds; (64, 8, 1) is the widest N / R of the thin (R x R Gram)
+# eigendecomposition of the reduced input, and (8, 3, 8) has R = N.
+FEW_ROWS = (1, 8, 48)
 CHUNK_PEAK_CASES = {
-    "pure": [(dim, dim, 1, experiments.CHUNK) for dim in (1, 2, 3)] + [(64, 64, 1, 3 * experiments.CHUNK)],
-    "entangled": [(16, 4, 4, experiments.CHUNK)],
-    "mixed": [(32, 8, 2, 192), (16, 4, 4, 768), (2, 1, 64, 4096), (64, 8, 1, 48)],
-    "state_estimation": [(n, m, 1, experiments.CHUNK) for n, m in [(64, 8), (64, 63), (5, 2), (2, 1), (1, 1)]],
+    "pure": [(dim, dim, 1, experiments.CHUNK) for dim in (1, 2, 3)]
+    + [(64, 64, 1, 3 * experiments.CHUNK)]
+    + [(64, 8, 1, rows) for rows in FEW_ROWS],
+    "entangled": [(16, 4, 4, rows) for rows in (*FEW_ROWS, experiments.CHUNK)],
+    "mixed": [(32, 8, 2, 3 * experiments._bures_rows(32, 8, 2)), (2, 1, 64, experiments.CHUNK)]
+    + [(*dims, rows) for dims in [(64, 8, 1), (16, 4, 4), (8, 3, 8), (2, 1, 64)] for rows in FEW_ROWS],
+    "state_estimation": [(n, m, 1, experiments.CHUNK) for n, m in [(64, 8), (64, 63), (5, 2), (2, 1), (1, 1)]]
+    + [(64, 8, 1, rows) for rows in FEW_ROWS],
 }
 
 
@@ -440,11 +446,20 @@ class TestEstimatorContracts:
         assert peak - base < 8 * 1024
 
     def test_bures_check_memory_does_not_grow_with_its_sub_batches(self):
-        # The check holds one sub-batch of stacked N x N matrices at a time.
-        rows = experiments._bures_rows(32)
+        # Beside its inputs, the check holds one sub-batch at a time.
+        rows = experiments._bures_rows(32, 8, 2)
         config = ExperimentConfig(n=32, m=8, r=2, mode="mixed", samples=3 * rows, seed=823)
-        self.shard_peak(config, rows)
-        peaks = [self.shard_peak(config, count) for count in (rows, 3 * rows)]
+        inputs = experiments._cut_chunk(config, 3 * rows, stream(823), CutPovm(32, 8), True)[1]
+        experiments._bures_deviation(*(array[:2] for array in inputs))  # first-call allocations
+        peaks = []
+        for count in (rows, 3 * rows):
+            part = [array[:count] for array in inputs]
+            tracemalloc.start()
+            try:
+                experiments._bures_deviation(*part)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
         assert peaks[1] < 1.2 * peaks[0]
 
     @pytest.mark.parametrize(
@@ -452,23 +467,21 @@ class TestEstimatorContracts:
         [(mode, *case) for mode in experiments._MODES for case in CHUNK_PEAK_CASES[mode]],
     )
     def test_shard_peak_is_within_its_mode_charge(self, mode, n, m, r, rows):
-        if experiments._MODES[mode].checked:
-            assert rows >= 3 * experiments._bures_rows(n, r)
         config = ExperimentConfig(n=n, m=m, r=r, mode=mode, samples=rows, seed=832, shards=1)
         self.shard_peak(config, rows)  # first-call allocations are not the shard's
         assert self.shard_peak(config, rows) <= 16 * experiments._shard_values(config)
 
     @pytest.mark.parametrize(
         "n,m,r,samples,groups",
-        # One group of all 16 shards (a group holds at most 910 rows at
+        # One group of all 16 shards (a group holds at most 819 rows at
         # (3, 2, 2)), then 16 shards of 187-188 rows in eight groups of two
-        # (at most 512 rows at (4, 2, 3)).
+        # (at most 481 rows at (4, 2, 3)).
         [(3, 2, 2, 100, 1), (4, 2, 3, 3_000, 8)],
     )
     def test_bures_verified_estimate_does_not_depend_on_threads(self, n, m, r, samples, groups):
         config = ExperimentConfig(n=n, m=m, r=r, mode="mixed", samples=samples, seed=824)
         sizes = experiments._shard_sizes(config.samples, config.shards)
-        assert len(list(experiments._groups(sizes, experiments._group_rows(n, r)))) == groups
+        assert len(list(experiments._groups(sizes, experiments._group_rows(n, m, r)))) == groups
         single = run_experiment(config, threads=1)
         assert single.bures_max_deviation < 1e-12
         assert run_experiment(config, threads=2) == single
@@ -476,10 +489,10 @@ class TestEstimatorContracts:
     @pytest.mark.parametrize(
         "n,m,r,samples,shards,checks",
         [
-            # Eight groups of two 16-row shards (a group holds at most 32
-            # rows at (16, 4, 4)), one check of 32 rows each.
-            (16, 4, 4, 256, 16, [32] * 8),
-            # Two shards of 4500 rows, each larger than a group (910 rows
+            # Groups of six, six and four 16-row shards (a group holds at
+            # most 102 rows at (16, 4, 4)), one check each.
+            (16, 4, 4, 256, 16, [96, 96, 64]),
+            # Two shards of 4500 rows, each larger than a group (819 rows
             # at (3, 2, 2)): each checks its two chunks one at a time.
             (3, 2, 2, 9_000, 2, [4096, 404] * 2),
         ],
@@ -530,10 +543,16 @@ class TestEstimatorContracts:
                 ),
                 id="working-sets",
             ),
-            # Groups of several shards that pool a group's whole rows (32 at
-            # (16, 4, 4), 8 at (32, 8, 2)); with two threads two groups are live.
-            pytest.param(ExperimentConfig(n=16, m=4, r=4, mode="mixed", samples=128, seed=834), id="bures-16-4-4"),
-            pytest.param(ExperimentConfig(n=32, m=8, r=2, mode="mixed", samples=64, seed=835), id="bures-32-8-2"),
+            # Two groups of six shards that pool a group's whole rows (102
+            # at (16, 4, 4), 78 at (32, 8, 2)); with two threads both are live.
+            pytest.param(
+                ExperimentConfig(n=16, m=4, r=4, mode="mixed", samples=204, seed=834, shards=12),
+                id="bures-16-4-4",
+            ),
+            pytest.param(
+                ExperimentConfig(n=32, m=8, r=2, mode="mixed", samples=156, seed=835, shards=12),
+                id="bures-32-8-2",
+            ),
         ],
     )
     def test_run_peak_is_within_the_guard_charge(self, monkeypatch, config, threads):
@@ -541,7 +560,7 @@ class TestEstimatorContracts:
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         if experiments._MODES[config.mode].checked:
             sizes = experiments._shard_sizes(config.samples, config.shards)
-            rows = experiments._group_rows(config.n, config.r)
+            rows = experiments._group_rows(config.n, config.m, config.r)
             groups = list(experiments._groups(sizes, rows))
             assert [sum(sizes[shard] for shard in group) for group in groups] == [rows] * len(groups)
             assert min(len(group) for group in groups) > 1
@@ -585,15 +604,27 @@ class TestEstimatorContracts:
                 with pytest.raises(ValueError, match="MiB cap"):
                     experiments.check_run(config, threads)
 
+    def test_wide_mixed_runs_are_checked_without_n_by_n_arrays(self):
+        # The check holds about N min(N, R) + M^2 values a shot: at R = 1 a
+        # mixed run is charged about what the entangled one is, where one
+        # N x N matrix a shot charged (4096, 8, 1) 2049 MiB.
+        experiments.check_run(ExperimentConfig(n=4096, m=8, r=1, mode="mixed", samples=100))
+        config = ExperimentConfig(n=1024, m=8, r=1, mode="mixed", samples=64, seed=836)
+        mixed = run_experiment(config)
+        entangled = run_experiment(dataclasses.replace(config, mode="entangled"))
+        assert (mixed.mean, mixed.stderr) == (entangled.mean, entangled.stderr)
+        assert mixed.bures_max_deviation < 1e-8
+
     def test_oversized_working_set_is_refused_before_allocation(self):
         huge = ExperimentConfig(n=10**6, m=1, r=10**4, mode="entangled", samples=100, seed=0)
         with pytest.raises(ValueError, match="MiB cap"):
             run_experiment(huge)
         # A shard's memory does not grow with its rows, so no sample count is refused.
         experiments.check_run(ExperimentConfig(n=2, m=1, samples=10**12))
-        # One 8192 x 8192 matrix per Bures sub-batch is over the cap; the
-        # unchecked entangled run holds one 8192-amplitude row per shard.
-        wide = ExperimentConfig(n=8192, m=1, mode="mixed", samples=16, seed=0)
+        # At R = N the Bures check holds the N x N reduced input (36 MiB at
+        # N = 1536) several times over, and is over the cap; the entangled
+        # run holds one 1536 x 1536 row per shard, drawn and cut.
+        wide = ExperimentConfig(n=1536, m=1, r=1536, mode="mixed", samples=16, seed=0)
         with pytest.raises(ValueError, match="MiB cap"):
             run_experiment(wide)
         experiments.check_run(dataclasses.replace(wide, mode="entangled"))

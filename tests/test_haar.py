@@ -135,10 +135,12 @@ class TestSamplers:
         finally:
             tracemalloc.stop()
         assert out.nbytes < peak <= SAMPLER_PEAK * out.nbytes
-        # A pure chunk is charged that and its 8 B shot values, at any shard length.
+        # A pure chunk is charged that, its 8 B shot values and its group's
+        # GROUP_BYTES, at any shard length.
         for samples in (CHUNK, 3 * CHUNK):
             config = ExperimentConfig(n=dim, m=dim, samples=samples, shards=1)
-            assert 16 * experiments._shard_values(config) == SAMPLER_PEAK * out.nbytes + 8 * CHUNK
+            charge = SAMPLER_PEAK * out.nbytes + 8 * CHUNK + experiments.GROUP_BYTES
+            assert 16 * experiments._shard_values(config) == charge
 
 
 class TestWeights:

@@ -61,24 +61,30 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             pure.matrix[0, 0] = 1.0
 
-    def test_reductions_keep_their_fresh_array_and_caller_arrays_are_copied(self):
+    def test_thin_reductions_build_their_entries_on_first_read(self):
         c = sample_states(6, 1, stream(307)).reshape(3, 2)
-        fresh = c @ c.conj().T
-        rho = DensityMatrix._trusted(fresh, np.linalg.eigh(fresh))
-        assert np.shares_memory(fresh, rho.entries)
-        assert not fresh.flags.writeable
-        caller = c @ c.conj().T
+        expected = c @ c.conj().T
+        # At R < N the entries wait for their first read; the caller's rows
+        # are copied, so writing them later changes nothing.
+        rho = partial_trace(c)
+        assert "entries" not in vars(rho)
+        c[0, 0] = 0.0
+        assert rho.entries is rho.entries
+        np.testing.assert_array_equal(rho.entries, expected)
+        assert not rho.entries.flags.writeable and c.flags.writeable
+        caller = expected.copy()
         rho = DensityMatrix(3, caller)
         assert not np.shares_memory(caller, rho.entries)
         assert caller.flags.writeable and not rho.entries.flags.writeable
-        # partial_trace builds every reduction through _trusted, which
-        # still checks it.
+        # partial_trace checks every reduction: at R < N through its Gram
+        # matrix, at R >= N through its entries.
         bad = c.copy()
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             partial_trace(bad)
-        with pytest.raises(ValueError, match="trace"):
-            partial_trace((2 * c).T)
+        for rows in (2 * c, (2 * c).T):
+            with pytest.raises(ValueError, match="trace"):
+                partial_trace(rows)
 
     def test_density_matrix_rejects_nonhermitian(self):
         mat = np.array([[0.5, 0.5], [0.0, 0.5]])
@@ -104,20 +110,36 @@ class TestStateTypes:
                 sample_outcome(CutPovm(3, 2), rho, rng)
         assert rng.random() == stream(303).random()
 
-    def test_hermiticity_check_holds_one_copy_of_the_entries(self):
-        # A (250, 16, 4) stack: the reduced states (0.98 MiB), one conjugate
-        # copy that takes the Hermiticity difference in place, its moduli
-        # (half a copy) and the 16 x 4 eigenvectors (a quarter) make 2.75
-        # copies; a difference beside the conjugate copy makes 3.4.
-        states = sample_states(64, 250, stream(310)).reshape(250, 16, 4)
-        partial_trace(states[:2])  # first-call allocations are not the reduction's
+    @staticmethod
+    def reduction_peak(states, read):
+        partial_trace(states[:2]).entries  # first-call allocations are not the reduction's
         tracemalloc.start()
         try:
             rho = partial_trace(states)
-            peak = tracemalloc.get_traced_memory()[1]
+            if read:
+                rho.entries
+            return tracemalloc.get_traced_memory()[1], rho.entries.nbytes
         finally:
             tracemalloc.stop()
-        assert peak < 3 * rho.entries.nbytes
+
+    def test_hermiticity_check_holds_one_copy_of_the_entries(self):
+        # A (250, 16, 4) stack whose entries (0.98 MiB) are read: they are
+        # checked with one conjugate copy that takes the Hermiticity
+        # difference in place and its moduli (half a copy); with the kept
+        # copy of the rows and the eigenvectors (a quarter each) that makes
+        # three copies, where a difference beside the conjugate copy would
+        # make four.
+        states = sample_states(64, 250, stream(310)).reshape(250, 16, 4)
+        peak, entries = self.reduction_peak(states, read=True)
+        assert peak < 3.5 * entries
+
+    def test_thin_reduction_holds_no_n_by_n_array(self):
+        # A (64, 64, 2) stack left unread holds its rows, Gram matrices and
+        # thin eigenvectors, with temporaries of about five N x R arrays:
+        # 0.16 of its N x N entries.
+        states = sample_states(128, 64, stream(311)).reshape(64, 64, 2)
+        peak, entries = self.reduction_peak(states, read=False)
+        assert peak < entries / 4
 
     def test_density_invariants_hold_for_random_constructions(self):
         rng = stream(301)

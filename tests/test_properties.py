@@ -262,6 +262,42 @@ def test_reduced_states_hold_thin_eigenpairs(n, r, k, kind, seed):
     np.testing.assert_allclose(bures_fidelity(rho, sigma), full, rtol=0, atol=1e-12)
 
 
+@st.composite
+def levels_kept(draw, max_n=64):
+    n = draw(st.integers(1, max_n))
+    return n, draw(st.integers(1, n))
+
+
+@given(
+    levels_kept(),
+    st.sampled_from([1, 2, 4]),
+    st.sampled_from([None, 1, 3]),
+    st.sampled_from(["haar", "deficient", "weak"]),
+    st.integers(0, 2**32 - 1),
+)
+@example((64, 8), 1, None, "haar", 850)  # rank 1 of 64
+@example((64, 5), 4, 3, "deficient", 851)  # rank 3 of 64
+def test_bures_fidelity_of_a_projected_state_is_its_probability(levels, r, k, kind, seed):
+    # The exact anchor of the Bures check: for a projector P with
+    # p = Tr(P rho) > 0, F(rho, P rho P / p) = p, because
+    # sqrt(rho) P rho P sqrt(rho) = (sqrt(rho) P sqrt(rho))^2 with
+    # sqrt(rho) P sqrt(rho) PSD.  P keeps rho's first M levels, where an
+    # M-level sigma is supported; rho = c c^dagger has rank at most R, and
+    # k = None is a single matrix.  Each step (eigensolver, square roots,
+    # product, SVD) is backward stable to a few N eps of the unit trace;
+    # 16 N eps is allowed, and at most 4 N eps (at N = 1) was seen over
+    # 3000 draws.
+    n, m = levels
+    c = reduction_stack(n, r, k or 1, kind, seed)
+    if k is None:
+        c = c[0]
+    p = np.sum(np.abs(c[..., :m, :]) ** 2, axis=(-2, -1))
+    sigma = partial_trace(c[..., :m, :] / np.sqrt(p)[..., None, None])
+    fid = bures_fidelity(partial_trace(c), sigma)
+    assert np.shape(fid) == np.shape(p) and isinstance(fid, float) == (k is None)
+    np.testing.assert_allclose(fid, p, rtol=0, atol=16 * n * np.finfo(float).eps)
+
+
 @given(coefficient_stacks(), st.sampled_from(["hermitian", "trace", "psd"]), st.data())
 def test_stack_with_one_bad_member_raises_that_members_error(stacks, fault, data):
     states = stacks[0]
@@ -299,7 +335,7 @@ def test_bures_on_the_subset_levels_equals_the_full_route(stacks):
     # sub-batches of two shots: shots equal to the oracle's fidelities
     # leave no deviation.
     assert experiments._bures_deviation(states, posts, chosen, full) <= 1e-12
-    with mock.patch.object(experiments, "BURES_ENTRIES", 2 * n * max(n, r)):
+    with mock.patch.object(experiments, "BURES_ENTRIES", 2 * experiments._bures_row_values(n, chosen.shape[1], r)):
         assert experiments._bures_deviation(states, posts, chosen, full) <= 1e-12
         shifted = experiments._bures_deviation(states, posts, chosen, full + 0.5)
         assert shifted == pytest.approx(0.5, abs=1e-12)
