@@ -185,8 +185,8 @@ def _verify_checks(max_n: int, max_r: int):
         "completeness",
         1e-12,
         *worst(
-            (float(_max_completeness_deviation(n, m, cap=ENUMERATION_CAP)), (n, m))
-            for n, m in pairs
+            (float(deviation), case)
+            for case, deviation in _max_completeness_deviation(max_n, cap=ENUMERATION_CAP)
         ),
     )
 

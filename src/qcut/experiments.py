@@ -448,13 +448,16 @@ def _bures_sub_batch(
     """
     k, n = states.shape[:2]
     rows = np.arange(k)[:, None]
+    kept = posts[rows, chosen]
+    # The subset rows are distinct, so kept holds every nonzero entry of
+    # posts exactly when nothing outside the subsets is nonzero.
+    if np.count_nonzero(kept) != np.count_nonzero(posts):
+        raise ValueError("a post-cut state has weight outside its subset")
     outside = np.ones((k, n), dtype=bool)
     outside[rows, chosen] = False
-    if posts[outside].any():
-        raise ValueError("a post-cut state has weight outside its subset")
     # Subset levels first (False sorts first), each part in ascending order.
     order = np.argsort(outside, axis=1, kind="stable")
-    rho_cut = partial_trace(posts[rows, chosen])
+    rho_cut = partial_trace(kept)
     rho = partial_trace(states[rows, order])
     return float(np.max(np.abs(shots - bures_fidelity(rho, rho_cut))))
 

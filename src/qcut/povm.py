@@ -23,9 +23,7 @@ purification, whose cut reduces to the cut of the mixed state.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,6 +32,8 @@ import numpy as np
 from .linalg import BipartitePureState, PureState
 
 ENUMERATION_CAP = 10**6
+# Masks per array of the completeness pass.
+MASK_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -217,15 +217,55 @@ def sample_subsets(povm: CutPovm, weights: np.ndarray, rng: np.random.Generator)
     return np.sort(ranked[:, :m], axis=1)
 
 
-def _max_completeness_deviation(n: int, m: int, cap: int) -> Fraction:
-    """Max deviation of the summed N -> M POVM elements from the identity.
+def _mask_chunks(stop: int):
+    """The bitmasks 1, 2, ..., stop - 1 in ascending int64 arrays of at most
+    ``MASK_CHUNK`` masks each: every nonempty subset of range(N), for
+    stop = 2^N, with bit j standing for index j."""
+    for start in range(1, stop, MASK_CHUNK):
+        yield np.arange(start, min(start + MASK_CHUNK, stop), dtype=np.int64)
+
+
+def _subset_counts(max_n: int) -> np.ndarray:
+    """counts[N, M, j]: how many M-subsets of range(N) hold index j, for
+    every N <= max_n, from one ascending pass over the masks below 2^max_n.
+
+    The subsets of range(N) are exactly the masks below 2^N, those of bit
+    length at most N.  Each chunk is histogrammed by (bit length, size),
+    with one ``bincount`` per index over the masks that hold it; a running
+    sum over the bit length then gives each N's counts.  A chunk holds a
+    few arrays of ``MASK_CHUNK`` values, whatever max_n is.
+    """
+    width = max_n + 1
+    hist = np.zeros((max_n, width * width), dtype=np.int64)
+    for masks in _mask_chunks(1 << max_n):
+        # A mask below 2^53 is an exact double, and frexp's exponent is its
+        # bit length.
+        keys = np.frexp(masks)[1].astype(np.int64) * width + np.bitwise_count(masks)
+        for j in range(max_n):
+            hist[j] += np.bincount(keys[(masks >> j) & 1 == 1], minlength=width * width)
+    return np.cumsum(hist.reshape(max_n, width, width), axis=1).transpose(1, 2, 0)
+
+
+def _max_completeness_deviation(max_n: int, cap: int) -> list[tuple[tuple[int, int], Fraction]]:
+    """((N, M), deviation) for every 1 <= M <= N <= max_n, in sweep order:
+    the max deviation of the summed N -> M POVM elements from the identity.
 
     The sum is diagonal, so the deviation is the worst diagonal entry: how
-    far each index's count over the enumerated subsets is from norm_const,
-    in exact rational arithmetic.
+    far each index's count over every enumerated M-subset is from
+    norm_const, in exact rational arithmetic.  A sweep whose widest row,
+    C(max_n, max_n // 2) subsets, exceeds ``cap`` is refused before any
+    array exists.
     """
-    if math.comb(n, m) > cap:
-        raise ValueError(f"{math.comb(n, m)} subsets exceed the enumeration cap {cap}")
-    counts = Counter(itertools.chain.from_iterable(itertools.combinations(range(n), m)))
-    norm = math.comb(n - 1, m - 1)
-    return Fraction(max(abs(counts[j] - norm) for j in range(n)), norm)
+    widest = math.comb(max_n, max_n // 2)
+    if widest > cap:
+        raise ValueError(f"{widest} subsets exceed the enumeration cap {cap}")
+    sizes = range(max_n + 1)
+    norms = [[math.comb(n - 1, m - 1) if n and m else 0 for m in sizes] for n in sizes]
+    held = np.arange(max_n) < np.arange(max_n + 1)[:, None, None]  # j in range(N)
+    off = np.abs(_subset_counts(max_n) - np.array(norms)[:, :, None])
+    worst = np.where(held, off, 0).max(axis=2).tolist()
+    return [
+        ((n, m), Fraction(worst[n][m], norms[n][m]))
+        for n in range(1, max_n + 1)
+        for m in range(1, n + 1)
+    ]

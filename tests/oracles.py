@@ -7,7 +7,8 @@ that the shipped one shortcuts, so the tests can hold the two together:
   oracle of ``sample_states``) and the Gaussian-normalization sampler;
 - linalg: density matrices built directly, and the partial trace of a
   joint density matrix by einsum;
-- povm: subset enumeration, dense elements and Born probabilities (the
+- povm: subset enumeration (the per-(N, M) index counts of the
+  completeness pass), dense elements and Born probabilities (the
   exact law of the pivot sampler), and the cut of a density matrix (the
   trace-then-cut side of the cut's commutation with the partial trace);
 - fidelity: the purification routes of the mixed-state fidelity, and the
@@ -18,6 +19,8 @@ that the shipped one shortcuts, so the tests can hold the two together:
 
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -82,6 +85,19 @@ def partial_trace_joint(rho, dims, over="aux"):
 def subsets(povm):
     """All M-element subsets in lexicographic order."""
     return (SubsetIndex(combo) for combo in itertools.combinations(range(povm.n), povm.m))
+
+
+def index_counts(n, m):
+    """How many M-subsets of range(N) hold each index, walked subset by subset."""
+    counts = Counter(itertools.chain.from_iterable(itertools.combinations(range(n), m)))
+    return [counts[j] for j in range(n)]
+
+
+def completeness_deviation(n, m):
+    """The worst index count's distance from norm_const, over norm_const: the
+    max deviation of the summed N -> M POVM elements from the identity."""
+    norm = math.comb(n - 1, m - 1)
+    return Fraction(max(abs(count - norm) for count in index_counts(n, m)), norm)
 
 
 def element_matrix(povm, subset):

@@ -139,15 +139,10 @@ def test_criterion_5_exact_derivation_cross_checks():
 
 
 def test_criterion_6_povm_completeness():
-    worst = 0.0
-    cases = 0
-    for n in range(1, 13):
-        for m in range(1, n + 1):
-            if math.comb(n, m) > 10**6:
-                continue
-            worst = max(worst, float(_max_completeness_deviation(n, m, ENUMERATION_CAP)))
-            cases += 1
-    ok = worst < 1e-12
+    deviations = _max_completeness_deviation(12, ENUMERATION_CAP)
+    cases = len(deviations)
+    worst = max(float(deviation) for _, deviation in deviations)
+    ok = cases == 78 and worst < 1e-12
     report(6, ok, f"POVM completeness over {cases} (N,M) pairs; max deviation={worst:.1e}")
 
 

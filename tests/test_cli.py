@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import qcut.cli
-from qcut import experiments
+from qcut import experiments, povm
 from qcut.cli import main
 
 
@@ -342,12 +342,32 @@ class TestVerify:
         assert time.perf_counter() - start < 1.0
 
     def test_perturbed_normalization_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(qcut.cli, "_max_completeness_deviation", lambda *args, **kwargs: 0.5)
+        deviations = qcut.cli._max_completeness_deviation
+        monkeypatch.setattr(
+            qcut.cli,
+            "_max_completeness_deviation",
+            lambda *args, **kwargs: [(case, Fraction(1, 2)) for case, _ in deviations(*args, **kwargs)],
+        )
         code, out = run_cli(capsys, "verify", "--max-n", "4")
         assert code == 1
         completeness = [line for line in out.splitlines() if line.startswith("completeness")]
         assert len(completeness) == 1 and "FAIL at" in completeness[0]
         assert out.strip().splitlines()[-1] == "verify: FAIL"
+
+    @pytest.mark.parametrize("skipped", [0b1, 0b10000, 0b101001, 0b111111])
+    def test_a_pass_that_skips_one_mask_fails_at_its_subset(self, capsys, monkeypatch, skipped):
+        # Mask `skipped` is the subset of its set bits: it first counts at
+        # N = its bit length, M = its size, and a lost subset there is the
+        # sweep's first worst deviation, 1 / C(N-1, M-1).
+        chunks = povm._mask_chunks
+        monkeypatch.setattr(
+            povm, "_mask_chunks", lambda stop: (masks[masks != skipped] for masks in chunks(stop))
+        )
+        code, out = run_cli(capsys, "verify", "--max-n", "6", "--max-r", "1")
+        assert code == 1
+        assert failed_rows(out) == {"completeness"}
+        case = (skipped.bit_length(), skipped.bit_count())
+        assert f"FAIL at {case}" in out.splitlines()[-2]
 
 
 class TestTable:

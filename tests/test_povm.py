@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -270,15 +271,30 @@ class TestSampling:
 
 class TestCompleteness:
     def test_small_case_is_exact(self):
-        assert _max_completeness_deviation(3, 2, ENUMERATION_CAP) == 0
+        assert dict(_max_completeness_deviation(3, ENUMERATION_CAP))[(3, 2)] == 0
 
     @pytest.mark.parametrize("n,m", [(10, 4), (12, 6)])
     def test_larger_cases(self, n, m):
-        assert _max_completeness_deviation(n, m, ENUMERATION_CAP) < 1e-12
+        assert dict(_max_completeness_deviation(n, ENUMERATION_CAP))[(n, m)] < 1e-12
 
     def test_enumeration_cap(self):
+        # The widest row of max_n = 12 holds C(12, 6) = 924 subsets.
         with pytest.raises(ValueError, match="cap"):
-            _max_completeness_deviation(12, 6, 100)
+            _max_completeness_deviation(12, 100)
+        with pytest.raises(ValueError, match="cap"):
+            _max_completeness_deviation(12, 923)
+        assert len(_max_completeness_deviation(12, 924)) == 78
+
+    def test_cap_sweep_memory_is_bounded(self):
+        # max_n = 22 passes over 2^22 masks, 32 MiB as one int64 array.
+        tracemalloc.start()
+        try:
+            deviations = _max_completeness_deviation(22, ENUMERATION_CAP)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(deviation == 0 for _, deviation in deviations)
+        assert peak < 4 * 2**20
 
     def test_sum_of_elements_is_identity_matrix(self):
         povm = CutPovm(6, 3)

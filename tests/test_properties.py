@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from oracles import (
     apply_cut_density,
     bures_fidelity_full,
+    completeness_deviation,
     element_matrix,
     embed,
+    index_counts,
     outcome_probability,
     partial_trace_joint,
     subsets,
@@ -34,6 +36,7 @@ from qcut.povm import (
     CutPovm,
     SubsetIndex,
     _max_completeness_deviation,
+    _subset_counts,
     project_bipartite,
     project_pure,
     sample_outcome,
@@ -344,13 +347,30 @@ def test_bures_on_the_subset_levels_equals_the_full_route(stacks):
 @given(st.integers(1, 6), st.data())
 def test_cut_povm_is_complete(n, data):
     povm = CutPovm(n, data.draw(st.integers(1, n)))
-    assert _max_completeness_deviation(povm.n, povm.m, ENUMERATION_CAP) == 0
+    assert dict(_max_completeness_deviation(n, ENUMERATION_CAP))[(n, povm.m)] == 0
     total = sum(element_matrix(povm, s) for s in subsets(povm))
     np.testing.assert_allclose(total, np.eye(n), rtol=0, atol=1e-12)
     state = haar_state(n, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2**32 - 1)))
     for each in (state, partial_trace(state)):
         total_probability = math.fsum(outcome_probability(povm, s, each) for s in subsets(povm))
         assert total_probability == pytest.approx(1.0, abs=1e-12)
+
+
+@given(st.integers(1, 10), st.integers(1, 2**10))
+def test_completeness_pass_counts_every_subset(max_n, chunk):
+    # Chunks of any size, so that a chunk boundary falls anywhere in a
+    # bit length's masks.
+    with mock.patch("qcut.povm.MASK_CHUNK", chunk):
+        counts = _subset_counts(max_n)
+        deviations = _max_completeness_deviation(max_n, ENUMERATION_CAP)
+    assert counts.shape == (max_n + 1, max_n + 1, max_n)
+    for n in range(1, max_n + 1):
+        for m in range(1, n + 1):
+            assert counts[n, m, :n].tolist() == index_counts(n, m)
+            assert not counts[n, m, n:].any()
+    assert deviations == [
+        ((n, m), completeness_deviation(n, m)) for n in range(1, max_n + 1) for m in range(1, n + 1)
+    ]
 
 
 @st.composite
