@@ -127,7 +127,13 @@ class FidelityEstimate:
 #
 # The exact routes work on unreduced (numerator, denominator) integer pairs:
 # two rationals are compared by cross-multiplying, and a value or residual
-# becomes a float through one correctly rounded int / int division.
+# becomes a float through one correctly rounded int / int division.  The
+# verification routes also take equal-shaped integer arrays of cases and
+# compute them element by element, in int64 where that is exact (``_exact``).
+
+# Integers below 2^53 are exact doubles, so a quotient of two int64 values
+# below it, each converted to float64, is rounded as int / int rounds it.
+EXACT_INT = 2**53
 
 
 def _fidelity_ratio(n: int, m: int, r: int) -> tuple[int, int]:
@@ -143,28 +149,64 @@ def state_estimation_fraction(n: int, m: int) -> Fraction:
     return Fraction(m + 1, m * (n + 1))
 
 
+def _all(cases) -> bool:
+    """Whether a condition holds: a bool, or a bool array that holds it case by case."""
+    return bool(cases.all()) if isinstance(cases, np.ndarray) else cases
+
+
 def _check_dims(n: int, m: int, r: int = 1):
-    if not 1 <= m <= n:
+    if not _all((1 <= m) & (m <= n)):
         raise ValueError("need 1 <= m <= n")
-    if r < 1:
+    if not _all(r >= 1):
         raise ValueError("auxiliary dimension must be >= 1")
 
 
+def _exact(entries: tuple, factors: int) -> tuple:
+    """``entries``, equal-shaped integer arrays or ints, ready for exact
+    arithmetic that multiplies at most ``factors`` of them at a time.
+
+    The arrays become int64 if the largest entry, raised to ``factors``, is
+    below EXACT_INT: then every product, and every sum of products that
+    shares their bound, is an exact double.  Otherwise they become Python
+    ints (object arrays), which never overflow.  Ints stay as they are.
+    """
+    if not any(isinstance(entry, np.ndarray) for entry in entries):
+        return entries
+    top = max(
+        int(abs(entry).max()) if isinstance(entry, np.ndarray) else abs(entry)
+        for entry in entries
+    )
+    dtype = np.int64 if top**factors < EXACT_INT else object
+    return tuple(
+        entry.astype(dtype, copy=False) if isinstance(entry, np.ndarray) else entry
+        for entry in entries
+    )
+
+
 def _float(ratio: tuple[int, int]) -> float:
+    """numerator / denominator, correctly rounded: for ints, or for arrays
+    from ``_exact`` (a float64 array)."""
     numerator, denominator = ratio
-    return numerator / denominator
+    value = numerator / denominator
+    if isinstance(value, np.ndarray) and value.dtype == object:
+        return value.astype(float)  # the Python floats of int / int
+    return value
 
 
 def analytic_pure(n: int, m: int) -> float:
-    """Average fidelity of the cut protocol on Haar pure states: (M+1)/(N+1)."""
+    """Average fidelity of the cut protocol on Haar pure states: (M+1)/(N+1).
+
+    The cases may be equal-shaped integer arrays, for an array of fidelities."""
     _check_dims(n, m)
     return _float(_fidelity_ratio(n, m, 1))
 
 
 def analytic_entangled(n: int, m: int, r: int) -> float:
-    """Entangled-input average fidelity (MR+1)/(NR+1); r=1 reduces to pure."""
+    """Entangled-input average fidelity (MR+1)/(NR+1); r=1 reduces to pure.
+
+    The cases may be equal-shaped integer arrays, for an array of fidelities."""
     _check_dims(n, m, r)
-    return _float(_fidelity_ratio(n, m, r))
+    return _float(_fidelity_ratio(*_exact((n, m, r), 2)))
 
 
 def analytic_state_estimation(n: int, m: int) -> float:
@@ -186,29 +228,43 @@ def horodecki_bound(n: int, m: int) -> float:
 
 def _residual(a: tuple[int, int], b: tuple[int, int]) -> float:
     """|a - b| for two integer pairs, exact until one final rounding."""
-    return abs(a[0] * b[1] - b[0] * a[1]) / (a[1] * b[1])
+    return _float((abs(a[0] * b[1] - b[0] * a[1]), a[1] * b[1]))
 
 
 def relation_check(n: int, m: int, r: int = 1) -> float:
-    """Residual of F(N->M) = (M-1)/(N-1) + (N-M)/(N-1) * F(N->1), exactly."""
-    if n == 1:
+    """Residual of F(N->M) = (M-1)/(N-1) + (N-M)/(N-1) * F(N->1), exactly.
+
+    The cases are ints, for one residual, or equal-shaped integer arrays,
+    for the array of their residuals; every case is checked first.
+    """
+    if not _all(n != 1):
         raise ValueError("relation needs n >= 2")
-    if not 1 <= m < n:
+    if not _all((1 <= m) & (m < n)):
         raise ValueError("need 1 <= m < n")
     _check_dims(n, m, r)
-    one_num, one_den = _fidelity_ratio(n, 1, r)
+    n, m, r = _exact((n, m, r), 2)
+    # Each product takes three of these factors, and the right-hand
+    # numerator's two products share the bound: (M-1) + (N-M) = N-1.
+    n, m, num, den, one_num, one_den = _exact(
+        (n, m, *_fidelity_ratio(n, m, r), *_fidelity_ratio(n, 1, r)), 3
+    )
     rhs = ((m - 1) * one_den + (n - m) * one_num, (n - 1) * one_den)
-    return _residual(_fidelity_ratio(n, m, r), rhs)
+    return _residual((num, den), rhs)
 
 
 def composition_check(n: int, k: int, m: int, r: int = 1) -> float:
-    """Residual of the stepwise identity F(N->M) = F(N->K) * F(K->M)."""
-    if not 1 <= m <= k <= n:
+    """Residual of the stepwise identity F(N->M) = F(N->K) * F(K->M).
+
+    The cases are ints or equal-shaped integer arrays, as in ``relation_check``.
+    """
+    if not _all((1 <= m) & (m <= k) & (k <= n)):
         raise ValueError("need 1 <= m <= k <= n")
     _check_dims(n, m, r)
-    outer_num, outer_den = _fidelity_ratio(n, k, r)
-    inner_num, inner_den = _fidelity_ratio(k, m, r)
-    return _residual(_fidelity_ratio(n, m, r), (outer_num * inner_num, outer_den * inner_den))
+    n, k, m, r = _exact((n, k, m, r), 2)
+    num, den, outer_num, outer_den, inner_num, inner_den = _exact(
+        (*_fidelity_ratio(n, m, r), *_fidelity_ratio(n, k, r), *_fidelity_ratio(k, m, r)), 3
+    )
+    return _residual((num, den), (outer_num * inner_num, outer_den * inner_den))
 
 
 def _moment(dim: int, leading: tuple[int, ...], moments: dict) -> tuple[int, int]:
@@ -230,26 +286,52 @@ def exact_pure_via_moments(n: int, m: int, *, moments: dict | None = None) -> fl
     return exact_entangled_via_moments(n, m, 1, moments=moments)
 
 
+def _single_level(n: int, r: int, moments: dict) -> tuple[int, int]:
+    """The subset-averaged single-level term N*R * (E|c_1|^4 + (R-1) *
+    E|c_1|^2|c_2|^2) on N*R amplitudes, N >= 2, as an integer pair."""
+    nr = n * r
+    fourth_num, fourth_den = _moment(nr, (2,), moments)
+    cross_num, cross_den = _moment(nr, (1, 1), moments)
+    return nr * (fourth_num * cross_den + (r - 1) * cross_num * fourth_den), fourth_den * cross_den
+
+
 def exact_entangled_via_moments(n: int, m: int, r: int, *, moments: dict | None = None) -> float:
     """Entangled average fidelity from fourth and cross moments on N*R.
 
     An independent route to the closed form: the subset average reduces to
     N*R * (E|c_1|^4 + (R-1) * E|c_1|^2|c_2|^2) plus combinatorial
     prefactors.  A sweep passes one ``moments`` table (see ``_moment``) to
-    every call, so that each distinct moment is evaluated once.
+    every call, so that each distinct moment is evaluated once.  The cases
+    are ints or equal-shaped integer arrays, as in ``relation_check``; the
+    single-level term is evaluated once per distinct (N, R) of an array.
     """
     _check_dims(n, m, r)
-    if n == 1:
-        return 1.0
-    nr = n * r
     moments = {} if moments is None else moments
-    fourth_num, fourth_den = _moment(nr, (2,), moments)
-    cross_num, cross_den = _moment(nr, (1, 1), moments)
-    # (M-1)/(N-1) + (N-M)/(N-1) * num/den, with num/den the subset-averaged
-    # single-level term.
-    num = nr * (fourth_num * cross_den + (r - 1) * cross_num * fourth_den)
-    den = fourth_den * cross_den
-    return _float(((m - 1) * den + (n - m) * num, (n - 1) * den))
+    if not any(isinstance(case, np.ndarray) for case in (n, m, r)):
+        if n == 1:
+            return 1.0
+        num, den = _single_level(n, r, moments)
+    else:
+        n, m, r = _exact((n, m, r), 2)
+        # Each distinct (N, R) is one key N (max R + 1) + R.  N = 1 has no
+        # cut and no term; its cases take F = 1 below.
+        width = np.max(r) + 1
+        keys, index = np.unique(n * width + r, return_inverse=True)
+        num, den = np.array(
+            [
+                _single_level(a, b, moments) if a > 1 else (1, 1)
+                for a, b in zip(*(part.tolist() for part in np.divmod(keys, width)))
+            ],
+            dtype=object,
+        ).T
+    # (M-1)/(N-1) + (N-M)/(N-1) * num/den: each product takes two of these
+    # factors, and (M-1) + (N-M) = N-1 bounds the numerator's sum.
+    n, m, num, den = _exact((n, m, num, den), 2)
+    if not isinstance(num, np.ndarray):
+        return _float(((m - 1) * den + (n - m) * num, (n - 1) * den))
+    num, den, uncut = num[index], den[index], n == 1
+    numerator = np.where(uncut, 1, (m - 1) * den + (n - m) * num)
+    return _float((numerator, np.where(uncut, 1, (n - 1) * den)))
 
 
 # --- Monte Carlo estimators ---

@@ -14,16 +14,22 @@ that the shipped one shortcuts, so the tests can hold the two together:
 - fidelity: the purification routes of the mixed-state fidelity, and the
   Bures fidelity on all N levels;
 - channel: the resource state, the dense Weyl operators and the
-  Bell-tensor contraction that ``teleport``'s closed form replaces.
+  Bell-tensor contraction that ``teleport``'s closed form replaces;
+- experiments: the closed-form rows of ``verify`` case by case in Python
+  ints (the relation and composition residuals) and Fractions (the moment
+  route), scanned in sweep order for each row's first worst case.
 """
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
+from qcut import experiments
+from qcut.haar import MomentSpec
 from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt
 from qcut.povm import SubsetIndex, _validate_subset
 
@@ -228,3 +234,68 @@ def bell_projections(c, m):
         bell[a, b, (i + a) % m, i] = np.exp(2j * np.pi * b * i / m) / math.sqrt(m)
     joint = np.einsum("jk,iI->jkiI", c, channel_joint(m).matrix)
     return np.einsum("abji,jkiI->abIk", bell.conj(), joint)
+
+
+# --- experiments ---
+#
+# Each closed form is read through ``experiments._fidelity_ratio`` and each
+# moment through ``experiments.exact_moment_fraction`` when called, so a
+# test that replaces either one changes the oracle and the shipped rows alike.
+
+
+def relation_residual(n, m, r):
+    """|F(N->M) - (M-1)/(N-1) - (N-M)/(N-1) F(N->1)| for one case, in Python ints."""
+    num, den = experiments._fidelity_ratio(n, m, r)
+    one_num, one_den = experiments._fidelity_ratio(n, 1, r)
+    rhs_num, rhs_den = (m - 1) * one_den + (n - m) * one_num, (n - 1) * one_den
+    return abs(num * rhs_den - rhs_num * den) / (den * rhs_den)
+
+
+def composition_residual(n, k, m, r):
+    """|F(N->M) - F(N->K) F(K->M)| for one case, in Python ints."""
+    num, den = experiments._fidelity_ratio(n, m, r)
+    outer_num, outer_den = experiments._fidelity_ratio(n, k, r)
+    inner_num, inner_den = experiments._fidelity_ratio(k, m, r)
+    rhs_num, rhs_den = outer_num * inner_num, outer_den * inner_den
+    return abs(num * rhs_den - rhs_num * den) / (den * rhs_den)
+
+
+def moment_fidelity(n, m, r):
+    """(M-1)/(N-1) + (N-M)/(N-1) N R (E|c_1|^4 + (R-1) E|c_1|^2|c_2|^2) on
+    N R amplitudes, in Fractions, rounded once; 1 at N = 1."""
+    if n == 1:
+        return 1.0
+    moment = experiments.exact_moment_fraction
+    nr = n * r
+    term = nr * (moment(MomentSpec(nr, (2,))) + (r - 1) * moment(MomentSpec(nr, (1, 1))))
+    return float(Fraction(m - 1, n - 1) + Fraction(n - m, n - 1) * term)
+
+
+def closed_form(n, m, r):
+    return float(Fraction(*experiments._fidelity_ratio(n, m, r)))
+
+
+def verify_rows(max_n, max_r):
+    """{row: (worst residual, first worst case)} for verify's relation,
+    composition, pure_moments, entangled_moments and horodecki rows: every
+    case in sweep order, R innermost, scanned by ``max``, which keeps the
+    first of equal residuals."""
+    pairs = [(n, m) for n in range(1, max_n + 1) for m in range(1, n + 1)]
+    aux = range(1, max_r + 1)
+    cases = {
+        "relation": ((relation_residual(n, m, r), (n, m, r)) for n, m in pairs if m < n for r in aux),
+        "composition": (
+            (composition_residual(n, k, m, r), (n, k, m, r))
+            for n, k in pairs
+            for m in range(1, k + 1)
+            for r in aux
+        ),
+        "pure_moments": ((abs(moment_fidelity(n, m, 1) - closed_form(n, m, 1)), (n, m)) for n, m in pairs),
+        "entangled_moments": (
+            (abs(moment_fidelity(n, m, r) - closed_form(n, m, r)), (n, m, r)) for n, m in pairs for r in aux
+        ),
+        "horodecki": (
+            (abs(float(Fraction(n * m + n, n * (n + 1))) - closed_form(n, m, 1)), (n, m)) for n, m in pairs
+        ),
+    }
+    return {name: max(row, key=operator.itemgetter(0)) for name, row in cases.items()}

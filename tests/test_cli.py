@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import itertools
 import json
 from fractions import Fraction
 import os
@@ -10,7 +11,9 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from oracles import verify_rows
 
 import qcut.cli
 from qcut import experiments, povm
@@ -259,14 +262,16 @@ verify: PASS
 
 
 def shift_closed_form(monkeypatch, eps=Fraction(1, 10**9)):
-    """Replace (MR+1)/(NR+1) by (MR+1)/(NR+1) + eps, kept as an integer pair."""
+    """Replace (MR+1)/(NR+1) by (MR+1)/(NR+1) + eps, kept as an integer pair:
+    for ints, or element by element, exactly, for arrays of cases, whose
+    pairs are then Python ints (object arrays)."""
     closed = experiments._fidelity_ratio
 
     def shifted(n, m, r):
         value = Fraction(*closed(n, m, r)) + eps
         return value.numerator, value.denominator
 
-    monkeypatch.setattr(experiments, "_fidelity_ratio", shifted)
+    monkeypatch.setattr(experiments, "_fidelity_ratio", np.frompyfunc(shifted, 3, 2))
 
 
 def scale_moments(monkeypatch, factor=1 + Fraction(1, 10**9)):
@@ -276,6 +281,17 @@ def scale_moments(monkeypatch, factor=1 + Fraction(1, 10**9)):
 
 def failed_rows(out):
     return {line.split()[0] for line in out.splitlines()[:-1] if "FAIL at" in line}
+
+
+def assert_failures_match_the_oracle(out, max_n=12, max_r=6):
+    """Every FAIL row prints the residual and the first worst case of the
+    case-by-case sweep (``oracles.verify_rows``)."""
+    rows = verify_rows(max_n, max_r)
+    for line in out.splitlines()[:-1]:
+        if "FAIL at" in line:
+            residual, case = rows[line.split()[0]]
+            assert f"max_residual={residual:.3e} " in line
+            assert line.endswith(f"FAIL at {case}")
 
 
 class TestVerify:
@@ -293,12 +309,44 @@ class TestVerify:
         assert code == 1
         assert {"relation", "composition", "entangled_moments"} <= failed_rows(out)
         assert out.splitlines()[-1] == "verify: FAIL"
+        assert_failures_match_the_oracle(out)
 
     def test_scaled_moment_fails_both_moment_rows(self, capsys, monkeypatch):
         scale_moments(monkeypatch)
         code, out = run_cli(capsys, "verify")
         assert code == 1
         assert failed_rows(out) == {"pure_moments", "entangled_moments"}
+        assert_failures_match_the_oracle(out)
+
+    @pytest.mark.parametrize("perturb", [None, shift_closed_form], ids=["closed-form", "shifted"])
+    def test_closed_form_rows_memory_does_not_grow_with_the_cases(self, monkeypatch, perturb):
+        # The relation and composition rows hold one block of cases at a
+        # time: int64 arrays under the closed form (whose largest product at
+        # max_r = 2^15 is about 2.8e14), Python ints under the shift, which
+        # runs in smaller blocks to save time.
+        max_r = 2**15
+        if perturb:
+            perturb(monkeypatch)
+            monkeypatch.setattr(qcut.cli, "CASE_BLOCK", 2**10)
+            max_r = 2**10
+
+        def peak(max_r):
+            tracemalloc.start()
+            try:
+                rows = list(itertools.islice(qcut.cli._verify_checks(2, max_r), 2))
+                return tracemalloc.get_traced_memory()[1], rows
+            finally:
+                tracemalloc.stop()
+
+        peak(max_r // 4)  # first-call allocations are not the pass's
+        (small, _), (large, rows) = peak(max_r // 4), peak(max_r)
+        assert large <= 1.2 * small
+        # The smaller sweep's 4 * max_r / 4 composition cases fill a block,
+        # and the larger one runs four times as many.
+        assert max_r >= qcut.cli.CASE_BLOCK
+        assert [row[0] for row in rows] == ["relation", "composition"]
+        if perturb is None:
+            assert all(row[2] == 0.0 for row in rows)
 
     @pytest.mark.parametrize("perturb", [shift_closed_form, scale_moments])
     def test_no_state_survives_a_call(self, capsys, monkeypatch, perturb):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import composition_residual, relation_residual
 from scipy import stats
 
 from qcut import experiments
@@ -132,6 +133,43 @@ class TestRelationAndComposition:
         assert composition_check(4, 3, 2, 1) == 0.0
         assert analytic_pure(4, 2) == pytest.approx(analytic_pure(4, 3) * analytic_pure(3, 2))
 
+    def test_arrays_of_cases_are_exact_on_both_sides_of_the_int64_switch(self, monkeypatch):
+        # A closed form shifted by 1/(NR+1) keeps every entry's size and makes
+        # the residuals nonzero.  The checks take int64 while the cube of
+        # their largest entry is below 2^53: at (N, K, M) = (2, 2, 1) up to
+        # R = 104030, where the entry is 2R + 2.  The largest product there,
+        # (2R + 1)^3, itself crosses 2^53 between R = 104031 and 104032.
+        monkeypatch.setattr(experiments, "_fidelity_ratio", lambda n, m, r: (m * r + 2, n * r + 1))
+        aux = np.arange(104031 - 40, 104031 + 40)
+        assert (2 * aux[0] + 1) ** 3 < 2**53 <= (2 * aux[-1] + 1) ** 3
+        for r in aux.tolist():
+            # One-case arrays, so that each case takes its own side.
+            one = np.array([r])
+            assert composition_check(one * 0 + 2, one * 0 + 2, one * 0 + 1, one).tolist() == [
+                composition_residual(2, 2, 1, r)
+            ]
+            assert relation_check(one * 0 + 2, one * 0 + 1, one).tolist() == [relation_residual(2, 1, r)]
+        # One array across the switch takes Python ints throughout.
+        twos = np.full(len(aux), 2)
+        assert composition_check(twos, twos, twos // 2, aux).tolist() == [
+            composition_residual(2, 2, 1, r) for r in aux.tolist()
+        ]
+
+    def test_arrays_are_checked_case_by_case(self):
+        ones = np.ones(3, dtype=np.int64)
+        residuals = composition_check(4 * ones, 3 * ones, 2 * ones, np.arange(1, 4))
+        assert residuals.dtype == np.float64 and residuals.tolist() == [0.0, 0.0, 0.0]
+        assert isinstance(composition_check(4, 3, 2, 1), float)
+        assert isinstance(relation_check(4, 3, 2), float)
+        with pytest.raises(ValueError, match="m <= k <= n"):
+            composition_check(4 * ones, 3 * ones, np.array([2, 4, 2]), ones)
+        with pytest.raises(ValueError, match="auxiliary"):
+            composition_check(4 * ones, 3 * ones, 2 * ones, np.array([1, 0, 1]))
+        with pytest.raises(ValueError, match="n >= 2"):
+            relation_check(np.array([3, 1]), np.array([1, 1]), np.array([1, 1]))
+        with pytest.raises(ValueError, match="1 <= m < n"):
+            relation_check(np.array([3, 3]), np.array([1, 3]), np.array([1, 1]))
+
     def test_composition_sweep(self):
         worst = max(
             composition_check(n, k, m, r)
@@ -175,6 +213,22 @@ class TestMomentDerivations:
             tracemalloc.stop()
         assert value == analytic_entangled(12, 6, 10**6)
         assert peak < 2**20
+
+    def test_arrays_of_cases_evaluate_each_single_level_term_once(self, monkeypatch):
+        calls = []
+        term = experiments._single_level
+        monkeypatch.setattr(
+            experiments, "_single_level", lambda n, r, moments: calls.append((n, r)) or term(n, r, moments)
+        )
+        cases = [(n, m, r) for n in range(1, 7) for m in range(1, n + 1) for r in (1, 3, 2)]
+        n, m, r = np.array(cases).T
+        values = exact_entangled_via_moments(n, m, r, moments={})
+        monkeypatch.setattr(experiments, "_single_level", term)
+        assert values.tolist() == [exact_entangled_via_moments(*case) for case in cases]
+        # Once per distinct (N, R) with N >= 2, whatever its count of M.
+        assert sorted(calls) == [(n, r) for n in range(2, 7) for r in (1, 2, 3)]
+        pure = exact_pure_via_moments(n, m)
+        assert pure.tolist() == [exact_pure_via_moments(n, m) for n, m, _ in cases]
 
     def test_a_shared_table_evaluates_each_moment_once(self, monkeypatch):
         calls = []

@@ -24,9 +24,10 @@ from oracles import (
     outcome_probability,
     partial_trace_joint,
     subsets,
+    verify_rows,
 )
 
-from qcut import experiments
+from qcut import cli, experiments
 from qcut.channel import ChannelState, teleport
 from qcut.fidelity import bures_fidelity
 from qcut.haar import MomentSpec, exact_moment_fraction, sample_states
@@ -371,6 +372,49 @@ def test_completeness_pass_counts_every_subset(max_n, chunk):
     assert deviations == [
         ((n, m), completeness_deviation(n, m)) for n in range(1, max_n + 1) for m in range(1, n + 1)
     ]
+
+
+@st.composite
+def shifted_closed_forms(draw, max_n, max_r):
+    """A replacement for ``experiments._fidelity_ratio``: the closed form plus
+    bump / scale on drawn cases, bump 1 or 2, kept as integer pairs for ints
+    and, element by element, for arrays of cases (in int64 or as Python
+    ints).  Equal bumps leave equal residuals, so the first-worst rule
+    decides between them."""
+    closed = experiments._fidelity_ratio
+    scale = draw(st.integers(2, 3))
+    bumps = np.zeros((max_n + 1, max_n + 1, max_r + 1), dtype=np.int64)
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, max_n))
+        bumps[n, draw(st.integers(1, n)), draw(st.integers(1, max_r))] = draw(st.integers(1, 2))
+    objects = draw(st.booleans())
+
+    def shifted(n, m, r):
+        num, den = closed(n, m, r)
+        bump = bumps[n, m, r]
+        if not isinstance(bump, np.ndarray):
+            return num * scale + den * int(bump), den * scale
+        num, den = num * scale + den * bump, den * scale
+        return (num.astype(object), den.astype(object)) if objects else (num, den)
+
+    return shifted
+
+
+@pytest.mark.parametrize("shift", [False, True], ids=["closed-form", "shifted"])
+@given(st.integers(2, 12), st.integers(1, 8), st.integers(1, 1024), st.data())
+def test_closed_form_rows_match_the_case_by_case_sweep(shift, max_n, max_r, block, data):
+    # Blocks of any size, so that a block edge falls anywhere in a row; the
+    # true closed form leaves every residual 0, a shifted one some ties.
+    ratio = data.draw(shifted_closed_forms(max_n, max_r)) if shift else experiments._fidelity_ratio
+    with (
+        mock.patch.object(cli, "CASE_BLOCK", block),
+        mock.patch.object(experiments, "_fidelity_ratio", ratio),
+    ):
+        checks = itertools.islice(cli._verify_checks(max_n, max_r), 4)
+        rows = {name: (residual, case) for name, _, residual, case in checks}
+        expected = verify_rows(max_n, max_r)
+    assert list(rows) == ["relation", "composition", "pure_moments", "entangled_moments"]
+    assert rows == {name: expected[name] for name in rows}
 
 
 @st.composite
