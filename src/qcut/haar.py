@@ -10,16 +10,17 @@ squared magnitudes; the angles mapped one amplitude at a time, and a
 second (Gaussian) sampler, are the tests' oracles.
 
 ``exact_moment_fraction`` supplies the closed-form average of monomials in
-the squared amplitudes (jointly flat-Dirichlet under this measure), which
-the estimator modules use as an independent route.
+the squared amplitudes (jointly flat-Dirichlet under this measure) as an
+exact integer pair, on one dimension or on an integer array of them, which
+the estimator modules use as an independent route.  ``_exact`` is the rule
+every exact array route shares: int64 while each product stays below 2^53,
+Python ints beyond.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,31 +30,6 @@ TWO_PI = 2.0 * math.pi
 # Bytes ``sample_states`` holds while it draws, per byte it returns, rounded
 # up: the output, one float array of its shape, and ufunc buffers.
 SAMPLER_PEAK = 2
-
-
-@dataclass(frozen=True)
-class MomentSpec:
-    """Monomial in the squared amplitudes: product over j of |c_j|^(2 m_j).
-
-    ``exponents`` are those of the leading amplitudes; every later one has
-    exponent 0.  The Haar moment is invariant under permutations of the
-    amplitudes, so the exponents may sit on any of them.
-    """
-
-    dim: int
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
-        exps = tuple(map(operator.index, self.exponents))
-        if len(exps) > self.dim:
-            raise ValueError("more exponents than dimensions")
-        if min(exps, default=0) < 0:
-            raise ValueError("exponents must be nonnegative")
-        if not any(exps):
-            raise ValueError("at least one exponent must be positive")
-        object.__setattr__(self, "exponents", exps)
 
 
 def sample_state(dim: int, rng: np.random.Generator) -> PureState:
@@ -123,14 +99,62 @@ def sample_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def exact_moment_fraction(spec: MomentSpec) -> Fraction:
-    """Exact rational value of E[prod |c_j|^(2 m_j)] under the Haar measure.
+# Integers below 2^53 are exact doubles, so a quotient of two int64 values
+# below it, each converted to float64, is rounded as int / int rounds it.
+EXACT_INT = 2**53
+_NUMPY = (np.ndarray, np.generic)
 
-    The squared amplitudes are jointly flat-Dirichlet, so the moment is
-    (N-1)! * prod(m_j!) / (N-1+sum(m_j))!.  It is computed as
-    prod(m_j!) / (N (N+1) ... (N-1+sum(m_j))), in integer arithmetic over
-    the nonzero exponents only.
+
+def _all(cases) -> bool:
+    """Whether a condition holds: a bool, or a bool array that holds it case by case."""
+    return bool(cases.all()) if isinstance(cases, np.ndarray) else cases
+
+
+def _exact(entries: tuple, factors: int) -> tuple:
+    """``entries``, equal-shaped integer arrays or ints, ready for exact
+    arithmetic that multiplies at most ``factors`` of them at a time.
+
+    The arrays become int64 if the largest entry, raised to ``factors``, is
+    below EXACT_INT: then every product, and every sum of products that
+    shares their bound, is an exact double.  Otherwise they become Python
+    ints (object arrays), which never overflow.  Ints stay as they are;
+    NumPy scalars, which arithmetic on 0-d arrays returns, count as arrays.
     """
-    total = sum(spec.exponents)
-    numerator = math.prod(map(math.factorial, filter(None, spec.exponents)))
-    return Fraction(numerator, math.perm(spec.dim - 1 + total, total))
+    if not any(isinstance(entry, _NUMPY) for entry in entries):
+        return entries
+    top = max(
+        int(np.max(abs(entry))) if isinstance(entry, _NUMPY) else abs(entry)
+        for entry in entries
+    )
+    dtype = np.int64 if top**factors < EXACT_INT else object
+    return tuple(
+        entry.astype(dtype, copy=False) if isinstance(entry, _NUMPY) else entry
+        for entry in entries
+    )
+
+
+def exact_moment_fraction(dim, exponents: tuple[int, ...]) -> tuple:
+    """Exact E[prod |c_j|^(2 m_j)] under the Haar measure on C^dim, as the
+    integer pair (prod(m_j!), dim (dim+1) ... (dim-1+sum(m_j))).
+
+    ``exponents`` are those of the leading amplitudes; every later one has
+    exponent 0.  The moment is invariant under permutations of the
+    amplitudes, so the exponents may sit on any of them.  The squared
+    amplitudes are jointly flat-Dirichlet, so the moment is
+    (dim-1)! * prod(m_j!) / (dim-1+sum(m_j))!, reduced here by (dim-1)!.
+    ``dim`` is an int, for one moment, or an integer array, for the
+    moments on each of its dims: the numerator stays one int and the
+    denominator is formed under ``_exact``'s rule, one factor at a time.
+    """
+    if not _all(dim >= 1):
+        raise ValueError("dimension must be positive")
+    exps = tuple(map(operator.index, exponents))
+    if not _all(dim >= len(exps)):
+        raise ValueError("more exponents than dimensions")
+    if min(exps, default=0) < 0:
+        raise ValueError("exponents must be nonnegative")
+    if not any(exps):
+        raise ValueError("at least one exponent must be positive")
+    total = sum(exps)
+    (top,) = _exact((dim - 1 + total,), total)
+    return math.prod(map(math.factorial, exps)), math.prod(top - k for k in range(total))

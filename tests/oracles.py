@@ -29,7 +29,6 @@ from fractions import Fraction
 import numpy as np
 
 from qcut import experiments
-from qcut.haar import MomentSpec
 from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt
 from qcut.povm import SubsetIndex, _validate_subset
 
@@ -267,7 +266,7 @@ def moment_fidelity(n, m, r):
         return 1.0
     moment = experiments.exact_moment_fraction
     nr = n * r
-    term = nr * (moment(MomentSpec(nr, (2,))) + (r - 1) * moment(MomentSpec(nr, (1, 1))))
+    term = nr * (Fraction(*moment(nr, (2,))) + (r - 1) * Fraction(*moment(nr, (1, 1))))
     return float(Fraction(m - 1, n - 1) + Fraction(n - m, n - 1) * term)
 
 

@@ -7,6 +7,7 @@ PASS/FAIL line (run with ``pytest -s`` to see them as they happen).
 import math
 import time
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 from oracles import outcome_probability, sample_states_gaussian, subsets
@@ -24,7 +25,7 @@ from qcut.experiments import (
     run_experiment,
 )
 from qcut.fidelity import bures_fidelity, overlap_fidelity, uhlmann_fidelity
-from qcut.haar import MomentSpec, exact_moment_fraction, sample_state, sample_states
+from qcut.haar import exact_moment_fraction, sample_state, sample_states
 from qcut.linalg import BipartitePureState, partial_trace
 from qcut.povm import ENUMERATION_CAP, CutPovm, _max_completeness_deviation, sample_outcome
 from qcut.rng import stream
@@ -167,7 +168,7 @@ def test_criterion_7_sampler_correctness():
             for exps in ((2,), (1, 1)):
                 if dim < len(exps):
                     continue
-                target = float(exact_moment_fraction(MomentSpec(dim, exps + (0,) * (dim - len(exps)))))
+                target = float(Fraction(*exact_moment_fraction(dim, exps + (0,) * (dim - len(exps)))))
                 values = w[:, 0] ** 2 if exps == (2,) else w[:, 0] * w[:, 1]
                 stderr = float(np.std(values, ddof=1)) / math.sqrt(draws)
                 worst_sigma = max(worst_sigma, abs(float(np.mean(values)) - target) / stderr)

@@ -275,8 +275,20 @@ def shift_closed_form(monkeypatch, eps=Fraction(1, 10**9)):
 
 
 def scale_moments(monkeypatch, factor=1 + Fraction(1, 10**9)):
+    """Replace each Haar moment num/den by num/den * factor, kept as an
+    integer pair: for one dim, or element by element, exactly, for an array
+    of dims, whose pairs are then Python ints (object arrays)."""
     moment = experiments.exact_moment_fraction
-    monkeypatch.setattr(experiments, "exact_moment_fraction", lambda spec: moment(spec) * factor)
+
+    def scaled(num, den):
+        value = Fraction(num, den) * factor
+        return value.numerator, value.denominator
+
+    monkeypatch.setattr(
+        experiments,
+        "exact_moment_fraction",
+        lambda dim, exponents: np.frompyfunc(scaled, 2, 2)(*moment(dim, exponents)),
+    )
 
 
 def failed_rows(out):
@@ -320,10 +332,12 @@ class TestVerify:
 
     @pytest.mark.parametrize("perturb", [None, shift_closed_form], ids=["closed-form", "shifted"])
     def test_closed_form_rows_memory_does_not_grow_with_the_cases(self, monkeypatch, perturb):
-        # The relation and composition rows hold one block of cases at a
-        # time: int64 arrays under the closed form (whose largest product at
-        # max_r = 2^15 is about 2.8e14), Python ints under the shift, which
-        # runs in smaller blocks to save time.
+        # The four closed-form rows hold one block of cases at a time, the
+        # moment rows included: the moments on max_r distinct N * R are
+        # evaluated per block and kept by no row.  At max_r = 2^15 the
+        # relation and composition rows stay int64 (their largest product is
+        # about 2.8e14) and the moment rows take Python ints; under the shift
+        # every row takes Python ints and runs in smaller blocks to save time.
         max_r = 2**15
         if perturb:
             perturb(monkeypatch)
@@ -333,7 +347,7 @@ class TestVerify:
         def peak(max_r):
             tracemalloc.start()
             try:
-                rows = list(itertools.islice(qcut.cli._verify_checks(2, max_r), 2))
+                rows = list(itertools.islice(qcut.cli._verify_checks(2, max_r), 4))
                 return tracemalloc.get_traced_memory()[1], rows
             finally:
                 tracemalloc.stop()
@@ -344,7 +358,7 @@ class TestVerify:
         # The smaller sweep's 4 * max_r / 4 composition cases fill a block,
         # and the larger one runs four times as many.
         assert max_r >= qcut.cli.CASE_BLOCK
-        assert [row[0] for row in rows] == ["relation", "composition"]
+        assert [row[0] for row in rows] == ["relation", "composition", "pure_moments", "entangled_moments"]
         if perturb is None:
             assert all(row[2] == 0.0 for row in rows)
 
@@ -359,17 +373,22 @@ class TestVerify:
             assert code == 1 and failed_rows(out)
         assert run_cli(capsys, "verify") == (0, VERIFY_PASS)
 
-    def test_each_distinct_moment_is_evaluated_once_per_call(self, capsys, monkeypatch):
-        # The moments on N * R amplitudes for N <= 12, R <= 6 take 38 distinct
-        # N * R, two exponent tuples each; the pure route's are among them.
+    def test_each_moment_row_makes_two_moment_calls_per_block(self, capsys, monkeypatch):
+        # The default sweep's 78 pure_moments cases fit one block of 100 and
+        # its 468 entangled_moments cases take five; each block's call asks
+        # for the fourth and the cross moment once, on the array of its dims.
         calls = []
         moment = experiments.exact_moment_fraction
+        monkeypatch.setattr(qcut.cli, "CASE_BLOCK", 100)
         monkeypatch.setattr(
-            experiments, "exact_moment_fraction", lambda spec: calls.append(spec) or moment(spec)
+            experiments,
+            "exact_moment_fraction",
+            lambda dim, exponents: calls.append((dim, exponents)) or moment(dim, exponents),
         )
         assert run_cli(capsys, "verify") == (0, VERIFY_PASS)
-        assert len(calls) == 76
-        assert len(set(calls)) == 76
+        assert [exponents for _, exponents in calls] == [(2,), (1, 1)] * 6
+        assert all(isinstance(dim, np.ndarray) for dim, _ in calls)
+        assert [len(dim) for dim, _ in calls] == [78] * 2 + [100] * 8 + [68] * 2
 
     def test_default_sweep_passes(self, capsys):
         code, out = run_cli(capsys, "verify")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import composition_residual, relation_residual
+from oracles import composition_residual, moment_fidelity, relation_residual
 from scipy import stats
 
 from qcut import experiments
@@ -214,40 +214,44 @@ class TestMomentDerivations:
         assert value == analytic_entangled(12, 6, 10**6)
         assert peak < 2**20
 
-    def test_arrays_of_cases_evaluate_each_single_level_term_once(self, monkeypatch):
-        calls = []
-        term = experiments._single_level
-        monkeypatch.setattr(
-            experiments, "_single_level", lambda n, r, moments: calls.append((n, r)) or term(n, r, moments)
-        )
+    def test_arrays_of_cases_equal_their_one_case_calls(self):
         cases = [(n, m, r) for n in range(1, 7) for m in range(1, n + 1) for r in (1, 3, 2)]
         n, m, r = np.array(cases).T
-        values = exact_entangled_via_moments(n, m, r, moments={})
-        monkeypatch.setattr(experiments, "_single_level", term)
+        values = exact_entangled_via_moments(n, m, r)
         assert values.tolist() == [exact_entangled_via_moments(*case) for case in cases]
-        # Once per distinct (N, R) with N >= 2, whatever its count of M.
-        assert sorted(calls) == [(n, r) for n in range(2, 7) for r in (1, 2, 3)]
         pure = exact_pure_via_moments(n, m)
         assert pure.tolist() == [exact_pure_via_moments(n, m) for n, m, _ in cases]
 
-    def test_a_shared_table_evaluates_each_moment_once(self, monkeypatch):
-        calls = []
+    def test_arrays_of_cases_are_exact_on_both_sides_of_the_int64_switch(self, monkeypatch):
+        # Moments whose numerators are raised by 1 keep every entry's size
+        # and move the route off the closed form.  The route takes int64
+        # while the fourth power of its largest entry, the moment denominator
+        # NR (NR + 1), is below 2^53: up to NR = 98.  Its last step squares
+        # the term's denominator, (NR (NR + 1))^2, and switches there too.
+        # That square itself passes 2^53 near NR = 9741, and past
+        # NR = 94906264 the moments' own denominators leave int64.
         moment = experiments.exact_moment_fraction
-        monkeypatch.setattr(
-            experiments, "exact_moment_fraction", lambda spec: calls.append(spec) or moment(spec)
-        )
-        moments = {}
-        for r in (1, 2):
-            for m in (1, 2, 3):
-                value = exact_entangled_via_moments(4, m, r, moments=moments)
-                assert value == analytic_entangled(4, m, r)
-        assert exact_pure_via_moments(4, 2, moments=moments) == analytic_pure(4, 2)
-        # (2,) and (1, 1) on 4 and 8 amplitudes; the pure route, R = 1, reuses both on 4.
-        assert [(spec.dim, spec.exponents) for spec in calls] == [
-            (4, (2,)), (4, (1, 1)), (8, (2,)), (8, (1, 1))
-        ]
-        assert exact_pure_via_moments(4, 2) == analytic_pure(4, 2)
-        assert len(calls) == 6  # no table given: nothing is reused
+
+        def raised(dim, exponents):
+            num, den = moment(dim, exponents)
+            return num + 1, den
+
+        monkeypatch.setattr(experiments, "exact_moment_fraction", raised)
+        assert (98 * 99) ** 4 < 2**53 <= (99 * 100) ** 4
+        cases = [(n, m, r) for n in (1, 2, 3) for m in range(1, n + 1) for r in range(80 // n, 121 // n)]
+        cases += [(n, m, 1) for n in range(90, 110) for m in (1, n // 2, n)]
+        cases += [(2, m, r) for m in (1, 2) for r in range(4860, 4880)]
+        cases += [(12, 6, 10**6), (2, 1, 10**8)]
+        for case in cases:
+            # One-case arrays, so that each case takes its own side.
+            one = np.array([case]).T
+            assert exact_entangled_via_moments(*one).tolist() == [moment_fidelity(*case)]
+        # One array across the switch takes Python ints throughout; 0-d
+        # arrays and NumPy scalars are single cases.
+        n, m, r = np.array(cases).T
+        assert exact_entangled_via_moments(n, m, r).tolist() == [moment_fidelity(*case) for case in cases]
+        for scalar in (np.int64, np.array):
+            assert exact_entangled_via_moments(*map(scalar, (12, 6, 10**6))) == moment_fidelity(12, 6, 10**6)
 
 
 class TestMonteCarlo:

@@ -10,13 +10,13 @@ from oracles import point_to_state, sample_point, sample_states_gaussian
 
 from qcut import experiments
 from qcut.experiments import CHUNK, ExperimentConfig
-from qcut.haar import SAMPLER_PEAK, MomentSpec, exact_moment_fraction, sample_state, sample_states, sample_weights
+from qcut.haar import SAMPLER_PEAK, exact_moment_fraction, sample_state, sample_states, sample_weights
 from qcut.povm import CutPovm, sample_subsets
 from qcut.rng import stream
 
 
 def leading_moment(dim, *exps):
-    return MomentSpec(dim, tuple(exps) + (0,) * (dim - len(exps)))
+    return Fraction(*exact_moment_fraction(dim, tuple(exps) + (0,) * (dim - len(exps))))
 
 
 def mean_and_stderr(values):
@@ -76,7 +76,7 @@ class TestSamplers:
         rng = stream(406)
         weights = np.abs(sample_states(3, 100_000, rng)) ** 2
         mean, stderr = mean_and_stderr(weights[:, 0] ** 2)
-        assert float(exact_moment_fraction(leading_moment(3, 2))) == pytest.approx(1 / 6)
+        assert float(leading_moment(3, 2)) == pytest.approx(1 / 6)
         assert abs(mean - 1 / 6) < 4 * stderr
 
     def test_gaussian_sampler_weight_is_uniform_for_qubits(self):
@@ -99,10 +99,10 @@ class TestSamplers:
         for sampler in (sample_states, sample_states_gaussian):
             w = np.abs(sampler(dim, 100_000, rng)) ** 2
             mean, stderr = mean_and_stderr(w[:, 0] ** 2)
-            assert abs(mean - float(exact_moment_fraction(leading_moment(dim, 2)))) < 4 * stderr
+            assert abs(mean - float(leading_moment(dim, 2))) < 4 * stderr
             if dim >= 2:
                 mean, stderr = mean_and_stderr(w[:, 0] * w[:, 1])
-                assert abs(mean - float(exact_moment_fraction(leading_moment(dim, 1, 1)))) < 4 * stderr
+                assert abs(mean - float(leading_moment(dim, 1, 1))) < 4 * stderr
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 64])
     def test_in_place_rows_equal_the_direct_formula_bit_for_bit(self, dim):
@@ -187,28 +187,28 @@ class TestExactMoments:
         num, _ = integrate.quad(lambda t: np.cos(t) * np.sin(t) * np.cos(t) ** 4, 0, np.pi / 2)
         den, _ = integrate.quad(lambda t: np.cos(t) * np.sin(t), 0, np.pi / 2)
         assert num / den == pytest.approx(1 / 3, rel=1e-12)
-        assert float(exact_moment_fraction(leading_moment(2, 2))) == pytest.approx(1 / 3, rel=1e-14)
+        assert float(leading_moment(2, 2)) == pytest.approx(1 / 3, rel=1e-14)
 
     def test_qutrit_fourth_moment_gives_measurement_fidelity(self):
-        assert exact_moment_fraction(leading_moment(3, 2)) == Fraction(1, 6)
-        assert 3 * float(exact_moment_fraction(leading_moment(3, 2))) == pytest.approx(1 / 2)
+        assert leading_moment(3, 2) == Fraction(1, 6)
+        assert 3 * float(leading_moment(3, 2)) == pytest.approx(1 / 2)
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 17])
     def test_single_weight_averages_to_reciprocal_dim(self, dim):
-        assert exact_moment_fraction(leading_moment(dim, 1)) == Fraction(1, dim)
+        assert leading_moment(dim, 1) == Fraction(1, dim)
 
     def test_reduced_identity_for_entangled_averages(self):
         # N*R-dimensional moments recombine into (R+1)/(N*R+1), exactly.
         for n in range(1, 13):
             for r in range(1, 7):
                 nr = n * r
-                combined = nr * exact_moment_fraction(leading_moment(nr, 2))
+                combined = nr * leading_moment(nr, 2)
                 if r > 1:
-                    combined += nr * (r - 1) * exact_moment_fraction(leading_moment(nr, 1, 1))
+                    combined += nr * (r - 1) * leading_moment(nr, 1, 1)
                 assert combined == Fraction(r + 1, nr + 1)
 
     def test_large_inputs_stay_accurate(self):
-        spec = MomentSpec(64, (8, 7, 5) + (0,) * 61)
+        value = Fraction(*exact_moment_fraction(64, (8, 7, 5) + (0,) * 61))
         logs = (
             math.lgamma(64)
             + math.lgamma(9)
@@ -216,14 +216,44 @@ class TestExactMoments:
             + math.lgamma(6)
             - math.lgamma(64 + 20)
         )
-        assert float(exact_moment_fraction(spec)) == pytest.approx(math.exp(logs), rel=1e-12)
+        assert float(value) == pytest.approx(math.exp(logs), rel=1e-12)
 
-    def test_moment_spec_validation(self):
+    @pytest.mark.parametrize("exponents", [(2,), (1, 1), (2, 1), (1, 1, 2)])
+    def test_arrays_of_dims_are_exact_on_both_sides_of_the_int64_switch(self, exponents):
+        # The denominator, t = sum(exponents) factors up to dim - 1 + t,
+        # takes int64 while that factor to the t is below 2^53.
+        t = sum(exponents)
+        top = round(2 ** (53 / t))
+        while top**t >= 2**53:
+            top -= 1
+        while (top + 1) ** t < 2**53:
+            top += 1
+        dims = np.arange(top - t + 1 - 20, top - t + 1 + 20)
+        assert (dims[0] - 1 + t) ** t < 2**53 <= (dims[-1] - 1 + t) ** t
+        singles = [exact_moment_fraction(int(dim), exponents) for dim in dims]
+        dtypes = set()
+        for dim, single in zip(dims, singles):
+            # One-dim arrays, so that each dim takes its own side.
+            num, den = exact_moment_fraction(dims[dims == dim], exponents)
+            dtypes.add(den.dtype)
+            assert (num, den.tolist()) == (single[0], [single[1]])
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+        # One array across the switch takes Python ints throughout.
+        num, den = exact_moment_fraction(dims, exponents)
+        assert den.dtype == object
+        assert [(num, d) for d in den.tolist()] == singles
+
+    def test_moment_argument_validation(self):
         with pytest.raises(TypeError):
-            MomentSpec(2, (1.5, 0))
+            exact_moment_fraction(2, (1.5, 0))
         with pytest.raises(ValueError, match="positive"):
-            MomentSpec(3, (0, 0, 0))
+            exact_moment_fraction(3, (0, 0, 0))
         with pytest.raises(ValueError, match="nonnegative"):
-            MomentSpec(2, (1, -1))
+            exact_moment_fraction(2, (1, -1))
         with pytest.raises(ValueError, match="more exponents than"):
-            MomentSpec(2, (1, 0, 0))
+            exact_moment_fraction(2, (1, 0, 0))
+        # An array of dims is checked dim by dim.
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            exact_moment_fraction(np.array([3, 0]), (1,))
+        with pytest.raises(ValueError, match="more exponents than"):
+            exact_moment_fraction(np.array([3, 2]), (1, 0, 1))

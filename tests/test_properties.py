@@ -30,7 +30,7 @@ from oracles import (
 from qcut import cli, experiments
 from qcut.channel import ChannelState, teleport
 from qcut.fidelity import bures_fidelity
-from qcut.haar import MomentSpec, exact_moment_fraction, sample_states
+from qcut.haar import exact_moment_fraction, sample_states
 from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt, partial_trace
 from qcut.povm import (
     ENUMERATION_CAP,
@@ -400,15 +400,52 @@ def shifted_closed_forms(draw, max_n, max_r):
     return shifted
 
 
-@pytest.mark.parametrize("shift", [False, True], ids=["closed-form", "shifted"])
+@st.composite
+def scaled_moments(draw, max_n, max_r):
+    """A replacement for ``experiments.exact_moment_fraction``: the moment
+    times (scale + bump) / scale on drawn dims, bump 1 or 2, for drawn
+    exponent tuples, kept as integer pairs for one dim and, element by
+    element, for an array of dims (in int64 or as Python ints).  Only the
+    bumped pairs change, so that the two moments' denominators differ."""
+    moment = experiments.exact_moment_fraction
+    scale = draw(st.integers(2, 3))
+    bumps = np.zeros(max_n * max_r + 1, dtype=np.int64)
+    for _ in range(draw(st.integers(1, 6))):
+        bumps[draw(st.integers(1, max_n * max_r))] = draw(st.integers(1, 2))
+    scaled = draw(st.sampled_from([{(2,)}, {(1, 1)}, {(2,), (1, 1)}]))
+    objects = draw(st.booleans())
+
+    def scaled_moment(dim, exponents):
+        num, den = moment(dim, exponents)
+        bump = bumps[dim] * (exponents in scaled)
+        if not isinstance(bump, np.ndarray):
+            factor = scale if bump else 1
+            return num * (factor + int(bump)), den * factor
+        factor = np.where(bump > 0, scale, 1)
+        num, den = num * (factor + bump), den * factor
+        return (num.astype(object), den.astype(object)) if objects else (num, den)
+
+    return scaled_moment
+
+
+@pytest.mark.parametrize(
+    "name, perturbed",
+    [
+        ("_fidelity_ratio", None),
+        ("_fidelity_ratio", shifted_closed_forms),
+        ("exact_moment_fraction", scaled_moments),
+    ],
+    ids=["closed-form", "shifted", "scaled-moments"],
+)
 @given(st.integers(2, 12), st.integers(1, 8), st.integers(1, 1024), st.data())
-def test_closed_form_rows_match_the_case_by_case_sweep(shift, max_n, max_r, block, data):
+def test_closed_form_rows_match_the_case_by_case_sweep(name, perturbed, max_n, max_r, block, data):
     # Blocks of any size, so that a block edge falls anywhere in a row; the
-    # true closed form leaves every residual 0, a shifted one some ties.
-    ratio = data.draw(shifted_closed_forms(max_n, max_r)) if shift else experiments._fidelity_ratio
+    # true closed form leaves every residual 0, a shifted one or scaled
+    # moments leave some ties.
+    replacement = data.draw(perturbed(max_n, max_r)) if perturbed else getattr(experiments, name)
     with (
         mock.patch.object(cli, "CASE_BLOCK", block),
-        mock.patch.object(experiments, "_fidelity_ratio", ratio),
+        mock.patch.object(experiments, name, replacement),
     ):
         checks = itertools.islice(cli._verify_checks(max_n, max_r), 4)
         rows = {name: (residual, case) for name, _, residual, case in checks}
@@ -419,21 +456,29 @@ def test_closed_form_rows_match_the_case_by_case_sweep(shift, max_n, max_r, bloc
 
 @st.composite
 def moment_specs(draw, max_dim=80, max_exponent=4):
-    # The exponents of the leading 1..N amplitudes; the rest are 0.
+    # A dim and the exponents of its leading 1..N amplitudes; the rest are 0.
     dim = draw(st.integers(1, max_dim))
     size = draw(st.integers(1, dim))
     exps = draw(st.lists(st.integers(0, max_exponent), min_size=size, max_size=size))
     exps[draw(st.integers(0, size - 1))] = draw(st.integers(1, max_exponent))
-    return MomentSpec(dim, tuple(exps))
+    return dim, tuple(exps)
 
 
-@given(moment_specs())
-def test_moment_equals_dirichlet_factorial_formula(spec):
+def dirichlet_moment(n, exponents):
     # Oracle: (N-1)! * prod(m_j!) / (N-1+sum(m_j))!, with every factorial in full.
-    n, total = spec.dim, sum(spec.exponents)
-    numerator = math.factorial(n - 1) * math.prod(math.factorial(m) for m in spec.exponents)
-    value = exact_moment_fraction(spec)
-    assert value == Fraction(numerator, math.factorial(n - 1 + total))
+    numerator = math.factorial(n - 1) * math.prod(math.factorial(m) for m in exponents)
+    return Fraction(numerator, math.factorial(n - 1 + sum(exponents)))
+
+
+@given(moment_specs(), st.lists(st.integers(0, 200), max_size=8))
+def test_moment_equals_dirichlet_factorial_formula(spec, extra):
+    n, exps = spec
+    value = Fraction(*exact_moment_fraction(n, exps))
+    assert value == dirichlet_moment(n, exps)
     # A short spec is its zero-padded form.
-    padded = spec.exponents + (0,) * (n - len(spec.exponents))
-    assert value == exact_moment_fraction(MomentSpec(n, padded))
+    padded = exps + (0,) * (n - len(exps))
+    assert value == Fraction(*exact_moment_fraction(n, padded))
+    # An array of dims, each at least len(exps), gives the moment on each.
+    dims = np.array([n] + [len(exps) + d for d in extra])
+    num, den = exact_moment_fraction(dims, exps)
+    assert [Fraction(num, d) for d in den.tolist()] == [dirichlet_moment(d, exps) for d in dims.tolist()]
