@@ -23,7 +23,7 @@ from .experiments import (
 from .fidelity import bures_fidelity, overlap_fidelity, uhlmann_fidelity
 from .haar import sample_state, sample_states, sample_weights
 from .linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt, partial_trace
-from .povm import CutPovm, sample_outcome
+from .povm import CutPovm, sample_outcome, sample_subsets
 from .rng import stream
 
 __version__ = "0.1.0"

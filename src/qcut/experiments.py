@@ -9,16 +9,16 @@ and seeded Monte Carlo estimators for four input scenarios:
   state_estimation  best classical guess from one cut outcome
 
 All four scenarios run through one estimator, ``run_experiment``, driven
-by a mode table whose entries draw and score a whole chunk of Haar rows.
-Every input is a Haar-random state on N x R (pure states are R = 1);
-estimator shards draw from independent RNG streams, per-shot fidelities
-go through the actual projection pipeline rather than the norm_const * p
-shortcut.  A shard reduces each CHUNK-row block to its
-exactly rounded sum and centered sum of squares once it is scored, so its
-memory does not grow with its rows; one merge folds the blocks in draw
-order and combines the shards in shard order, independent of thread count.
-The mixed mode rechecks every shot through the Bures fidelity of the
-reduced states, once per group of consecutive small shards.
+by a mode table whose entries draw a chunk of Haar rows and score stacks
+of drawn chunks.  Every input is a Haar-random state on N x R (pure
+states are R = 1); estimator shards draw from independent RNG streams,
+and per-shot fidelities go through the actual projection pipeline rather
+than the norm_const * p shortcut.  A group of consecutive small shards is
+scored as one stack, and each CHUNK-row block is reduced to its exactly
+rounded sum and centered sum of squares, so memory does not grow with the
+rows; one merge folds the blocks in draw order and the shards in shard
+order, independent of thread count.  The mixed mode rechecks every shot
+through the Bures fidelity of the reduced states.
 """
 
 from __future__ import annotations
@@ -29,15 +29,15 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .fidelity import bures_fidelity
-from .haar import SAMPLER_PEAK, _all, _exact, exact_moment_fraction, sample_states, sample_weights
+from .haar import SAMPLER_PEAK, _all, _exact, angle_weights, draw_angles, exact_moment_fraction, sample_states
 from .linalg import BipartitePureState, partial_trace
-from .povm import CutPovm, sample_outcome, sample_subsets
+from .povm import CutPovm, draw_subsets, rank_subsets, sample_outcome
 from .rng import check_seed, stream
 
 DEFAULT_SHARDS = 16
@@ -48,14 +48,14 @@ CHUNK = 4096
 # Values per shot (``_bures_row_values``) in one Bures sub-batch: the
 # check runs on max(1, BURES_ENTRIES // those) shots at a time.
 BURES_ENTRIES = 2**16
-# The same for the consecutive small shards pooled into one Bures check.
-# Pooling saves the fixed cost of the check's NumPy and LAPACK calls, which
-# weighs most while a stack is small, and a larger group holds more: at
-# (N, M, R) = (16, 4, 4) a 250-sample run took 29.3 ms unpooled, 26.3 ms
-# in 51-row groups, 25.2 ms in these 102-row ones and 24.0 ms in one
-# 250-row group (medians of 40 interleaved rounds, 2-CPU Xeon), which
-# raised the process's peak RSS by 1.8 MB against 0.4 MB.
-BURES_GROUP_ENTRIES = 2**14
+# Values of ``_Mode.row_values`` a group of consecutive small shards holds
+# from draw to score.  One stack saves the fixed cost of its NumPy (and
+# LAPACK) calls, which weighs most on small stacks, and a larger group
+# holds more: at (N, M, R) = (16, 4, 4) a 250-sample mixed run took 29.3 ms
+# unpooled, 26.3 ms in 51-row groups, 25.2 ms in these 102-row ones and
+# 24.0 ms in one 250-row group (medians of 40 interleaved rounds, 2-CPU
+# Xeon), which raised the process's peak RSS by 1.8 MB against 0.4 MB.
+GROUP_ENTRIES = 2**14
 # Bytes of complex values a run (its running shards and the per-shard
 # bookkeeping, or a teleport-demo run) may hold at once.  Larger
 # configurations are refused before anything is allocated.
@@ -65,7 +65,7 @@ MEMORY_CAP = 2**28
 # (about 1.95 kB in all).
 SHARD_BYTES = 256
 THREADED_SHARD_BYTES = 2048
-# Bytes a running group holds whatever its rows: its shard's stream, POVM
+# Bytes a running group holds whatever its rows: a shard's stream, its POVM
 # and call frames (6-10.5 kB under tracemalloc at one row).
 GROUP_BYTES = 16384
 
@@ -280,29 +280,21 @@ def _shard_sizes(samples: int, shards: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
-def _estimation_target(n: int, m: int, r: int) -> float:
-    return analytic_state_estimation(n, m)
-
-
 class _Mode(NamedTuple):
     target: Callable[[int, int, int], float]  # closed form of (n, m, r)
-    # Draws and scores one chunk of a shard: (config, size, rng, povm,
-    # checked) -> (shot values, the chunk's Bures check inputs or None).
-    score: Callable
-    values: Callable  # (config, rows) -> complex values' worth of a chunk's peak, shots aside
+    draw: Callable  # (config, size, rng, povm) -> a chunk's arrays, a row per shot
+    score: Callable  # (config, povm, stacked arrays) -> (shots, Bures deviation or None)
+    values: Callable  # (config, rows) -> complex values' worth of a group's peak, shots aside
     takes_aux: bool  # whether r > 1 is allowed
-    checked: bool = False  # whether every shot gets the Bures check, pooled across shards
+    # (n, m, r) -> values a row holds from draw to score, which size a group
+    # (``_group_rows``); None scores each chunk as it is drawn.
+    row_values: Callable | None = None
 
 
-def _cut_chunk(
-    config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, checked: bool
-):
-    """Draw ``size`` Haar rows and cut each one through ``sample_outcome``.
-
-    If ``checked``, each shot's post-cut rows and (M,) subset are kept, and
-    the chunk's inputs to ``_bures_deviation`` are returned with its shots:
-    input rows, post-cut rows, subsets and shots.
-    """
+def _cut_chunk(config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, checked=False):
+    """Draw ``size`` Haar rows and cut each one through ``sample_outcome``:
+    their shots, after the rest of ``_bures_deviation``'s inputs if
+    ``checked`` (input rows, post-cut rows and (M,) subsets)."""
     n, r = config.n, config.r
     rows = sample_states(n * r, size, rng).reshape(size, n, r)
     shots = np.empty(size)
@@ -315,46 +307,58 @@ def _cut_chunk(
         if checked:
             posts[i] = outcome.post_state.matrix
             chosen[i] = outcome.subset.indices
-    return shots, (rows, posts, chosen, shots) if checked else None
+    return (rows, posts, chosen, shots) if checked else (shots,)
 
 
-def _guess_chunk(
-    config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, checked: bool
-):
-    """Draw the weights |c|^2 of ``size`` Haar rows, with no amplitudes formed
-    (``sample_weights``), and score the guess of each one's smallest drawn index.
+def _cut_shots(config: ExperimentConfig, povm: CutPovm, drawn: list):
+    """The shots of cut chunks, taken as they were drawn, and the largest
+    Bures deviation of their check inputs if they were drawn checked."""
+    return drawn[-1], _bures_deviation(*drawn) if len(drawn) > 1 else None
 
-    Each row's subset is drawn by ``sample_subsets`` from its weights, and
-    its shot is the weight at the guessed index; isotropy makes any fixed
-    choice of index equivalent, which the tests check.
-    """
-    weights = sample_weights(config.n, size, rng)
-    chosen = sample_subsets(povm, weights, rng)
-    return weights[np.arange(size), chosen[:, 0]], None
+
+def _guess_draw(config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm):
+    """The angle doubles of ``size`` Haar rows, then their subset doubles."""
+    return draw_angles(config.n, size, rng), draw_subsets(povm, size, rng)
+
+
+def _guess_score(config: ExperimentConfig, povm: CutPovm, drawn: list):
+    """Map a stack's angles to the weights |c|^2, rank each row's subset, and
+    score the weight at the guess, the subset's smallest index (isotropy
+    makes any fixed choice equivalent, as the tests check)."""
+    weights = angle_weights(drawn.pop(0))
+    chosen = rank_subsets(povm, weights, drawn.pop(0))
+    return weights[np.arange(len(weights)), chosen[:, 0]], None
+
+
+def _pending_rows(config: ExperimentConfig, rows: int) -> int:
+    """Rows a group holds drawn and unscored at most, for chunks of ``rows``:
+    up to a group's rows (``_group_rows``) if shards are no larger, else one chunk."""
+    group = _group_rows(config)
+    return min(group, config.samples) if rows <= group else rows
 
 
 def _drawn_values(config: ExperimentConfig, rows: int) -> int:
     """N * R Haar amplitudes a row, held SAMPLER_PEAK times over while drawn,
-    then once beside one shot's cut temporaries, about two rows (a state-
-    estimation chunk holds less: its weights, subset draws and ranking)."""
+    then once beside one shot's cut temporaries, about two rows."""
     return max(SAMPLER_PEAK * rows, rows + 2) * config.n * config.r
 
 
+def _guess_values(config: ExperimentConfig, rows: int) -> int:
+    """Pending draws of 2N + 1 doubles a row, twice over while stacked; scoring
+    holds them, the weights and one ranking temporary, about 3N doubles a row."""
+    return _pending_rows(config, rows) * (2 * config.n + 1)
+
+
 def _checked_values(config: ExperimentConfig, rows: int) -> int:
-    """``_drawn_values`` with the chunk's Bures check inputs pending until
-    they are checked: its input and post-cut rows (2 N R values a row), its
-    subsets (M / 2) and its shots (1 / 2).  The check holds them and one
-    sub-batch (at most what is pending) of ``_bures_row_values`` a shot
-    three times over: under tracemalloc a sub-batch peaks at 1.3 times its
-    values at (N, M, R) = (2, 1, 64), 1.6 at (64, 8, 1), 2.1 at (16, 4, 4)
-    and 2.6 at (3, 2, 2).  A shard larger than a group (``_group_rows``)
-    checks each chunk once it is scored, so only that chunk is pending.
-    Smaller shards pool their chunks, up to a group's rows: the chunks
-    pending before a group's last one are held while it is drawn, and with
-    more than one of them all are held twice over while stacked."""
+    """``_drawn_values`` with the Bures check inputs pending (``_pending_rows``)
+    until checked: input and post-cut rows (2 N R values a row), subsets
+    (M / 2) and shots (1 / 2).  The check holds them and one sub-batch of
+    ``_bures_row_values`` a shot three times over: under tracemalloc a
+    sub-batch peaks at 1.3 times its values at (N, M, R) = (2, 1, 64), 1.6
+    at (64, 8, 1), 2.1 at (16, 4, 4) and 2.6 at (3, 2, 2).  Pending chunks
+    are held while the next is drawn, and twice over while stacked."""
     n, m, r = config.n, config.m, config.r
-    group = _group_rows(n, m, r)
-    pending = min(group, config.samples) if rows <= group else rows
+    pending = _pending_rows(config, rows)
 
     def held(count: int) -> int:
         return -(-count * (4 * n * r + m + 1) // 2)
@@ -365,14 +369,6 @@ def _checked_values(config: ExperimentConfig, rows: int) -> int:
         held(pending) + 3 * checked * _bures_row_values(n, m, r),
         2 * held(pending) if pending > rows else 0,
     )
-
-
-_MODES = {
-    "pure": _Mode(analytic_entangled, _cut_chunk, _drawn_values, False),
-    "entangled": _Mode(analytic_entangled, _cut_chunk, _drawn_values, True),
-    "mixed": _Mode(analytic_entangled, _cut_chunk, _checked_values, True, checked=True),
-    "state_estimation": _Mode(_estimation_target, _guess_chunk, _drawn_values, False),
-}
 
 
 def _bures_row_values(n: int, m: int, r: int) -> int:
@@ -387,10 +383,29 @@ def _bures_rows(n: int, m: int, r: int) -> int:
     return max(1, BURES_ENTRIES // _bures_row_values(n, m, r))
 
 
-def _group_rows(n: int, m: int, r: int) -> int:
-    """Rows of the consecutive shards pooled into one Bures check: at most
-    one chunk, and one sub-batch of BURES_GROUP_ENTRIES."""
-    return min(CHUNK, max(1, BURES_GROUP_ENTRIES // _bures_row_values(n, m, r)))
+_MODES = {
+    "pure": _Mode(analytic_entangled, _cut_chunk, _cut_shots, _drawn_values, False),
+    "entangled": _Mode(analytic_entangled, _cut_chunk, _cut_shots, _drawn_values, True),
+    "mixed": _Mode(
+        analytic_entangled, functools.partial(_cut_chunk, checked=True), _cut_shots, _checked_values, True,
+        _bures_row_values,
+    ),
+    # A row holds its angle doubles, in a buffer of N (``draw_angles``), and
+    # its N + 1 subset doubles: N + 1 complex values.
+    "state_estimation": _Mode(
+        lambda n, m, r: analytic_state_estimation(n, m), _guess_draw, _guess_score, _guess_values, False,
+        lambda n, m, r: n + 1,
+    ),
+}
+
+
+def _group_rows(config: ExperimentConfig) -> int:
+    """Rows a group of consecutive shards scores as one stack: at most one
+    chunk, and GROUP_ENTRIES values of its mode's ``row_values`` (0 without)."""
+    row_values = _MODES[config.mode].row_values
+    if row_values is None:
+        return 0
+    return min(CHUNK, max(1, GROUP_ENTRIES // row_values(config.n, config.m, config.r)))
 
 
 def check_memory(values: int, what: str) -> None:
@@ -404,10 +419,11 @@ def check_memory(values: int, what: str) -> None:
 
 def _shard_values(config: ExperimentConfig) -> int:
     """Complex values' worth of memory one group of shards of ``config``
-    (``_groups``) holds at its peak: its largest shard works on one chunk of
+    (``_groups``) holds at its peak: its largest shard draws one chunk of
     min(CHUNK, shard rows) rows at a time, its mode's working set
-    (``_Mode.values``) and one 8 B shot value a row, half a complex value.
-    A group also holds GROUP_BYTES whatever its rows."""
+    (``_Mode.values``, which counts the group's pending chunks) and one 8 B
+    shot value a row, half a complex value.  A group also holds GROUP_BYTES
+    whatever its rows."""
     rows = min(CHUNK, -(-config.samples // config.shards))
     return GROUP_BYTES // 16 + -(-rows // 2) + _MODES[config.mode].values(config, rows)
 
@@ -498,73 +514,31 @@ def _merge(parts) -> tuple[int, float, float, float | None]:
     return count, math.fsum(part[1] for part in parts), centered, worst
 
 
-class _BuresPool:
-    """The Bures check inputs of a group's scored chunks, checked together.
-
-    The pending chunks are stacked and checked by one ``_bures_deviation``
-    call when the group closes, or as soon as ``rows`` rows are pending: a
-    shard larger than a group checks each whole chunk as it is scored.
-    The check draws no random numbers and reports the largest deviation of
-    shots computed matrix by matrix, so where a check starts or ends does
-    not change it.
-    """
-
-    def __init__(self, rows: int):
-        self.rows, self.pending, self.count, self.worst = rows, [], 0, None
-
-    def add(self, inputs) -> None:
-        self.pending.append(inputs)
-        self.count += len(inputs[-1])
-        if self.count >= self.rows:
-            self.close()
-
-    def close(self) -> float | None:
-        """Check what is pending; return the largest deviation of the group."""
-        if self.pending:
-            stacked = [
-                arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-                for arrays in zip(*self.pending)
-            ]
-            self.pending, self.count = [], 0
-            dev = _bures_deviation(*stacked)
-            self.worst = dev if self.worst is None else max(self.worst, dev)
-        return self.worst
-
-
-def _chunk(
-    config: ExperimentConfig,
-    size: int,
-    rng: np.random.Generator,
-    povm: CutPovm,
-    pool: _BuresPool | None,
-):
-    """Draw and score ``size`` Haar rows of a shard; return their merge part.
-
-    With a ``pool`` the chunk's Bures check inputs are added to it."""
-    shots, inputs = _MODES[config.mode].score(config, size, rng, povm, pool is not None)
-    if inputs is not None:
-        pool.add(inputs)
-    total = math.fsum(memoryview(shots))  # Python floats, cheaper to iterate than numpy scalars
-    deviations = shots - total / size
-    np.square(deviations, out=deviations)
-    return size, total, math.fsum(memoryview(deviations)), None
-
-
-def _shard(config: ExperimentConfig, count: int, shard: int, pool: _BuresPool | None):
-    """Merge part of one shard: each CHUNK-row block is merged into those before
-    it and freed before the next is drawn; a one-block shard keeps its part."""
-    rng = stream(config.seed, shard)
-    povm = CutPovm(config.n, config.m)
-    sizes = (min(CHUNK, count - start) for start in range(0, count, CHUNK))
-    parts = (_chunk(config, size, rng, povm, pool) for size in sizes)
-    return functools.reduce(lambda merged, part: _merge((merged, part)), parts)
+def _score(config: ExperimentConfig, povm: CutPovm, pending: list, parts: dict) -> None:
+    """Score ``pending``'s (shard, drawn arrays) chunks, emptying it, as one
+    stack; merge each chunk's part into its shard's in ``parts``, in draw
+    order, the stack's Bures deviation in its last part."""
+    chunks = [(shard, len(drawn[0])) for shard, drawn in pending]
+    stacked = [
+        arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        for arrays in zip(*(drawn for _, drawn in pending))
+    ]
+    pending.clear()
+    shots, dev = _MODES[config.mode].score(config, povm, stacked)
+    for (shard, size), end in zip(chunks, accumulate(size for _, size in chunks)):
+        chunk = shots[end - size : end]
+        total = math.fsum(memoryview(chunk))  # Python floats, cheaper to iterate than numpy scalars
+        deviations = chunk - total / size
+        np.square(deviations, out=deviations)
+        part = (size, total, math.fsum(memoryview(deviations)), dev if end == len(shots) else None)
+        parts[shard] = _merge((parts[shard], part)) if shard in parts else part
 
 
 def _groups(sizes: list[int], rows: int):
     """Consecutive shards, as ranges of shard indices, that together hold at
-    most ``rows`` rows; a larger shard is a group of its own, and so is
-    every shard at ``rows`` = 0.  The groups depend on the shard sizes
-    alone, never on the thread count."""
+    most ``rows`` rows (``_group_rows``); a larger shard is a group of its
+    own, and so is every shard at ``rows`` = 0.  The groups depend on the
+    shard sizes alone, never on the thread count."""
     start, held = 0, 0
     for shard, size in enumerate(sizes):
         if held + size > rows and shard > start:
@@ -575,15 +549,26 @@ def _groups(sizes: list[int], rows: int):
 
 
 def _group(config: ExperimentConfig, sizes: list[int], shards: range):
-    """The merge parts of ``shards``, in shard order.  A checked mode pools
-    their chunks' Bures check inputs (``_BuresPool``), and the group's
-    largest deviation rides in its last part."""
-    checked = _MODES[config.mode].checked
-    pool = _BuresPool(_group_rows(config.n, config.m, config.r)) if checked else None
-    parts = [_shard(config, sizes[shard], shard, pool) for shard in shards]
-    if pool is not None:
-        parts[-1] = (*parts[-1][:3], pool.close())
-    return parts
+    """The merge parts of ``shards``, in shard order.  Each shard draws its
+    chunks of at most CHUNK rows from its own stream (``_Mode.draw``); they
+    wait until they hold a group's rows or the group ends, and are then
+    scored as one stack (``_score``).  Scoring draws no random numbers and
+    acts row by row, so where a stack starts or ends changes no shot."""
+    rows, povm = _group_rows(config), CutPovm(config.n, config.m)
+    draw = _MODES[config.mode].draw
+    pending, held, parts = [], 0, {}
+    for shard in shards:
+        rng, count = stream(config.seed, shard), sizes[shard]
+        for start in range(0, count, CHUNK):
+            size = min(CHUNK, count - start)
+            pending.append((shard, draw(config, size, rng, povm)))
+            held += size
+            if held >= rows:
+                _score(config, povm, pending, parts)
+                held = 0
+    if pending:
+        _score(config, povm, pending, parts)
+    return list(parts.values())
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> FidelityEstimate:
@@ -594,10 +579,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> FidelityEstima
     are the partial traces of the entangled ones: the purification maximum
     sits at the identity, so the per-shot fidelity is the entangled one.
     The mixed mode also recomputes every shot through the matrix
-    square-root formula on the reduced states, in stacked sub-batches that
-    pool the shots of consecutive small shards (``_groups``), and reports
-    the worst disagreement.  State estimation scores the weight of one
-    guessed basis state of the outcome against (1 + 1/M)/(N+1).
+    square-root formula on the reduced states, in stacked sub-batches of
+    its group's stack (``_groups``), and reports the worst disagreement.
+    State estimation scores the weight of one guessed basis state of the
+    outcome against (1 + 1/M)/(N+1).
     ``check_run`` refuses the run before any sampling if it would hold
     more than MEMORY_CAP bytes.
     """
@@ -605,7 +590,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> FidelityEstima
     mode = _MODES[config.mode]
     target = mode.target(config.n, config.m, config.r)
     sizes = _shard_sizes(config.samples, config.shards)
-    groups = _groups(sizes, _group_rows(config.n, config.m, config.r) if mode.checked else 0)
+    groups = _groups(sizes, _group_rows(config))
     run = functools.partial(_group, config, sizes)
     if threads <= 1:
         parts = list(chain.from_iterable(map(run, groups)))

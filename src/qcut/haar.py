@@ -5,9 +5,9 @@ States on the unit sphere of C^N are parameterized by N-1 polar angles in
 over the angles, which gives a branch-free inverse-CDF sampler: with
 u_k = sin^2(theta_k), the k-th angle density is proportional to u^(N-k-1),
 so u_k = v^(1/(N-k)) for v uniform on (0, 1).  ``sample_states`` applies
-that map to whole batches of amplitudes, ``sample_weights`` stops at their
-squared magnitudes; the angles mapped one amplitude at a time, and a
-second (Gaussian) sampler, are the tests' oracles.
+that map to whole batches of amplitudes, ``sample_weights`` (``draw_angles``
+then ``angle_weights``) stops at their squared magnitudes; the angles mapped
+one amplitude at a time, and a second (Gaussian) sampler, are the tests' oracles.
 
 ``exact_moment_fraction`` supplies the closed-form average of monomials in
 the squared amplitudes (jointly flat-Dirichlet under this measure) as an
@@ -37,41 +37,59 @@ def sample_state(dim: int, rng: np.random.Generator) -> PureState:
     return PureState._trusted(sample_states(dim, 1, rng).reshape(dim, 1))
 
 
-def _draw_weights(dim: int, count: int, rng: np.random.Generator, dtype=float):
-    """Draw the angles of ``count`` Haar rows of ``dim`` amplitudes as their weights |c|^2.
-
-    Returns a (count, dim) array of ``dtype`` whose real part holds the
-    weights, and the float array of its shape that held the angle doubles.
-    With u_k = v_k^(1/(N-1-k)) the weights are 1 - u_0, then
-    u_0 ... u_(k-1) * (1 - u_k), and last u_0 ... u_(N-2).  A ufunc whose
-    operands cannot be walked with one stride each stages them through a
-    buffer of up to 8192 values: each call here has at most one float
-    operand of that kind, u's shape or smaller.
-    """
+def _angle_buffer(dim: int, count: int, rng: np.random.Generator):
+    """A (count, dim) buffer, and its head: the (count, dim - 1) angle doubles drawn."""
     if dim < 1:
         raise ValueError("dimension must be positive")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    out, scratch = np.empty((count, dim), dtype=dtype), np.empty((count, dim))
-    weights = out.real
-    u = scratch.reshape(-1)[: count * (dim - 1)].reshape(count, dim - 1)
-    rng.random(out=u)
-    np.power(u, 1.0 / (dim - 1 - np.arange(dim - 1)), out=u)
-    np.cumprod(u, axis=1, out=weights[:, 1:])
-    weights[:, 0] = 1.0
+    buffer = np.empty((count, dim))
+    angles = buffer.reshape(-1)[: count * (dim - 1)].reshape(count, dim - 1)
+    rng.random(out=angles)
+    return buffer, angles
+
+
+def draw_angles(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The draw half of ``sample_weights``: the (count, dim - 1) angle doubles
+    of ``count`` Haar rows, with their phase doubles drawn next and dropped,
+    so the stream ends where ``sample_states`` leaves it.  The angles lead
+    a (count, dim) buffer, their ``base``, which ``angle_weights`` fills."""
+    _, angles = _angle_buffer(dim, count, rng)
+    rng.random((count, dim))
+    return angles
+
+
+def angle_weights(angles: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The weight-map half of ``sample_weights``: the (count, dim) weights
+    |c|^2 of (count, dim - 1) angle doubles v, which it overwrites, row by
+    row, into ``out`` (a float array or a complex one's real view), else
+    into the (count, dim) float buffer the angles lead (``draw_angles``),
+    which spares a chunk a fresh array and its page faults, else into a new
+    array.  With u_k = v_k^(1/(N-1-k)) the weights are 1 - u_0, then
+    u_0 ... u_(k-1) * (1 - u_k), and last u_0 ... u_(N-2).  A ufunc whose
+    operands cannot be walked with one stride each stages them through a
+    buffer of up to 8192 values: each call here has at most one float
+    operand of that kind, u's shape or smaller."""
+    count, dim = angles.shape[0], angles.shape[1] + 1
+    if out is None:
+        base = angles.base
+        own = base is not None and base.shape == (count, dim) and base.dtype == np.float64
+        out = base if own else np.empty((count, dim))
+    # u overwrites the angles unless the weights will.
+    exps = 1.0 / (dim - 1 - np.arange(dim - 1))
+    u = np.power(angles, exps, out=None if np.may_share_memory(angles, out) else angles)
+    np.cumprod(u, axis=1, out=out[:, 1:])
+    out[:, 0] = 1.0
     np.subtract(1.0, u, out=u)
-    np.multiply(weights[:, : dim - 1], u, out=u)
-    weights[:, : dim - 1] = u
-    return out, scratch
+    np.multiply(out[:, : dim - 1], u, out=u)
+    out[:, : dim - 1] = u
+    return out
 
 
 def sample_weights(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """The weights |c|^2 of ``count`` Haar rows of ``dim`` amplitudes, taken
-    before ``sample_states``' square root; its phase doubles are drawn and
-    dropped, so the stream ends where ``sample_states`` leaves it."""
-    weights, scratch = _draw_weights(dim, count, rng)
-    rng.random(out=scratch)
-    return weights
+    before ``sample_states``' square root, from its draws."""
+    return angle_weights(draw_angles(dim, count, rng))
 
 
 def sample_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -81,10 +99,11 @@ def sample_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     draws; the tests hold each row to the angles mapped one amplitude at a
     time, drawn in the same order.  The rows are built in place: besides
     the returned complex array the sampler holds one float array of its
-    shape (see ``SAMPLER_PEAK``).
+    shape (see ``SAMPLER_PEAK``), whose leading part first holds the angles.
     """
-    out, scratch = _draw_weights(dim, count, rng, complex)
-    mags = out.real
+    scratch, angles = _angle_buffer(dim, count, rng)
+    out = np.empty((count, dim), dtype=complex)
+    mags = angle_weights(angles, out.real)
     np.sqrt(mags, out=mags)
     # The phases are drawn next, into the scratch; then the magnitudes wait
     # there while exp(i phi) is formed in place and multiplied by them, one

@@ -13,8 +13,8 @@ remaining M-1 indices are drawn uniformly among the other N-1.  Each
 subset is reached once per contained pivot, so its total probability is
 (1/norm_const) * sum of its weights, the Born probability of the
 corresponding element.  A brute-force enumeration test discharges this
-equivalence.  ``sample_subsets`` draws the subsets of many states at
-once, with the same draws and arithmetic.
+equivalence.  ``sample_subsets`` draws the subsets of many states at once
+(``draw_subsets``, then ``rank_subsets``), with the same draws and arithmetic.
 
 Every input is a pure state, cut by one kernel acting on its (N, R)
 coefficient matrix (a ``PureState`` is R = 1); a mixed state enters as its
@@ -182,17 +182,26 @@ def sample_outcome(
 
 
 def sample_subsets(povm: CutPovm, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one subset per row of a (k, N) weight array: (k, M) sorted indices.
+    """Draw one subset per row of a (k, N) weight array: (k, M) sorted indices,
+    each the subset ``sample_outcome`` draws for that row, bit for bit."""
+    return rank_subsets(povm, weights, draw_subsets(povm, len(weights), rng))
 
-    Pivot sampling over all rows at once.  One ``rng.random((k, N + 1))``
+
+def draw_subsets(povm: CutPovm, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The draw half of ``sample_subsets``: one ``rng.random((k, N + 1))``
     call gives each row its pivot draw (column 0) and its N partner keys,
     the doubles that k calls of ``sample_outcome`` take, in their order.
-    The arithmetic is theirs too: the row total, the running sums, and the
-    pivot as the count of running sums at most the pivot target (their
-    ``searchsorted``), clamped to N - 1 by counting the first N - 1 only.
-    So each row is the subset ``sample_outcome`` draws for that row, bit
-    for bit.  M = N draws nothing.
-    """
+    M = N draws nothing: a (k, 0) array."""
+    return rng.random((count, povm.n + 1 if povm.m < povm.n else 0))
+
+
+def rank_subsets(povm: CutPovm, weights: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The ranking half of ``sample_subsets``: the (k, M) sorted subsets of
+    a (k, N) weight array's rows from their ``draw_subsets`` doubles, which
+    it overwrites, row by row.  The arithmetic is ``sample_outcome``'s: the
+    row total, the running sums, and the pivot as the count of running sums
+    at most the pivot target (its ``searchsorted``), clamped to N - 1 by
+    counting the first N - 1 only."""
     n, m = povm.n, povm.m
     if weights.ndim != 2 or weights.shape[1] != n:
         raise ValueError(f"weights of shape {weights.shape} need (k, {n})")
@@ -202,10 +211,9 @@ def sample_subsets(povm: CutPovm, weights: np.ndarray, rng: np.random.Generator)
     total = weights.sum(axis=1)
     if not np.all(total > 0.0):
         raise ValueError("state has no weight to measure")
-    draws = rng.random((k, n + 1))
     # Each row's pivot target u * total replaces its u; the keys follow it.
-    # Every array is dropped as soon as it is used, so that besides the
-    # weights the batch holds about two (k, N) arrays at a time.
+    # Every array is dropped as soon as it is used, the draws too if the
+    # caller holds no other reference to them.
     targets, keys = draws[:, :1], draws[:, 1:]
     np.multiply(targets, total[:, None], out=targets)
     del total

@@ -17,7 +17,9 @@ that the shipped one shortcuts, so the tests can hold the two together:
   Bell-tensor contraction that ``teleport``'s closed form replaces;
 - experiments: the closed-form rows of ``verify`` case by case in Python
   ints (the relation and composition residuals) and Fractions (the moment
-  route), scanned in sweep order for each row's first worst case.
+  route), scanned in sweep order for each row's first worst case; and the
+  state-estimation estimate scored chunk by chunk within each shard, the
+  route that scoring a group of shards as one stack replaces.
 """
 
 import itertools
@@ -29,8 +31,10 @@ from fractions import Fraction
 import numpy as np
 
 from qcut import experiments
+from qcut.haar import sample_weights
 from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt
-from qcut.povm import SubsetIndex, _validate_subset
+from qcut.povm import CutPovm, SubsetIndex, _validate_subset, sample_subsets
+from qcut.rng import stream
 
 # --- haar ---
 
@@ -298,3 +302,37 @@ def verify_rows(max_n, max_r):
         ),
     }
     return {name: max(row, key=operator.itemgetter(0)) for name, row in cases.items()}
+
+
+def state_estimation_by_chunk(config):
+    """(mean, stderr, z) of ``run_experiment`` in state-estimation mode, by
+    the per-shard route: each block of at most ``experiments.CHUNK`` rows of
+    a shard draws its weights (``sample_weights``) and then its subsets
+    (``sample_subsets``) from the shard's stream, is scored on its own, and
+    gives one merge part (exactly rounded sum and centered sum of squares).
+    The parts are merged chunk by chunk within a shard and then over the
+    shards, through ``experiments._merge``."""
+    n, m = config.n, config.m
+    povm = CutPovm(n, m)
+    shards = []
+    for shard, count in enumerate(experiments._shard_sizes(config.samples, config.shards)):
+        rng = stream(config.seed, shard)
+        parts = []
+        for start in range(0, count, experiments.CHUNK):
+            size = min(experiments.CHUNK, count - start)
+            weights = sample_weights(n, size, rng)
+            shots = weights[np.arange(size), sample_subsets(povm, weights, rng)[:, 0]]
+            total = math.fsum(shots.tolist())
+            centered = math.fsum(np.square(shots - total / size).tolist())
+            parts.append((size, total, centered, None))
+        shard_part = parts[0]
+        for part in parts[1:]:
+            shard_part = experiments._merge((shard_part, part))
+        shards.append(shard_part)
+    count, total, centered, _ = experiments._merge(shards)
+    mean = total / count
+    stderr = math.sqrt(centered / (count - 1) / count) if count > 1 else 0.0
+    target = experiments.analytic_state_estimation(n, m)
+    if stderr > 0.0:
+        return mean, stderr, (mean - target) / stderr
+    return mean, stderr, 0.0 if mean == target else None

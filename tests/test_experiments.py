@@ -35,19 +35,22 @@ BETA_LAW_CONFIGS = [(3, 2, 1), (4, 2, 3), (16, 4, 4), (64, 8, 1)]
 def beta_law_chunk(n, m, r):
     """The shots of one CHUNK-row mixed ``_cut_chunk`` at seed 7."""
     config = ExperimentConfig(n=n, m=m, r=r, mode="mixed", samples=experiments.CHUNK, seed=7)
-    shots, _ = experiments._cut_chunk(config, experiments.CHUNK, stream(7), CutPovm(n, m), False)
+    (shots,) = experiments._cut_chunk(config, experiments.CHUNK, stream(7), CutPovm(n, m))
     shots.setflags(write=False)
     return shots
 
 
 # (n, m, r, rows) of one-shard runs per mode, whose peak must stay within
-# what the mode's ``values`` charges.  Every mode runs 1, 8 and 48 rows,
+# what the mode's ``values`` charges; ``rows`` may instead be a tuple of the
+# shard sizes of one pooled group.  Every mode runs 1, 8 and 48 rows,
 # where a group's fixed cost weighs most.  Pure: also the sampler's
 # dimensions, and a shard of three chunks, which holds one at a time (m = n
 # keeps its shots cheap).  Mixed: also a one-chunk shard of three Bures
 # sub-batches, and at R > N a full chunk, whose relabeled N x R rows a
 # sub-batch holds; (64, 8, 1) is the widest N / R of the thin (R x R Gram)
-# eigendecomposition of the reduced input, and (8, 3, 8) has R = N.
+# eigendecomposition of the reduced input, and (8, 3, 8) has R = N.  State
+# estimation: also 16 shards of 125 rows at (5, 2), which one group holds
+# drawn until it scores them all as one stack.
 FEW_ROWS = (1, 8, 48)
 CHUNK_PEAK_CASES = {
     "pure": [(dim, dim, 1, experiments.CHUNK) for dim in (1, 2, 3)]
@@ -57,7 +60,8 @@ CHUNK_PEAK_CASES = {
     "mixed": [(32, 8, 2, 3 * experiments._bures_rows(32, 8, 2)), (2, 1, 64, experiments.CHUNK)]
     + [(*dims, rows) for dims in [(64, 8, 1), (16, 4, 4), (8, 3, 8), (2, 1, 64)] for rows in FEW_ROWS],
     "state_estimation": [(n, m, 1, experiments.CHUNK) for n, m in [(64, 8), (64, 63), (5, 2), (2, 1), (1, 1)]]
-    + [(64, 8, 1, rows) for rows in FEW_ROWS],
+    + [(64, 8, 1, rows) for rows in FEW_ROWS]
+    + [(5, 2, 1, (125,) * 16)],
 }
 
 
@@ -462,13 +466,13 @@ class TestEstimatorContracts:
         # 0.999 +- 1e-8: total_sq - n*mean^2 would lose most of the digits.
         shots = []
 
-        def score(*chunk):
-            values, dev = experiments._cut_chunk(*chunk)
+        def draw(*chunk):
+            (values,) = experiments._cut_chunk(*chunk)
             values = 0.999 + 1e-8 * values
             shots.extend(values.tolist())
-            return values, dev
+            return (values,)
 
-        mode = experiments._MODES["pure"]._replace(target=lambda n, m, r: 0.999, score=score)
+        mode = experiments._MODES["pure"]._replace(target=lambda n, m, r: 0.999, draw=draw)
         monkeypatch.setitem(experiments._MODES, "pure", mode)
         # 16 shards of one chunk each, then one shard of five chunks.
         for shards in (16, 1):
@@ -482,10 +486,11 @@ class TestEstimatorContracts:
             assert est.stderr == pytest.approx(expected, rel=1e-6, abs=0)
 
     @staticmethod
-    def shard_peak(config, count):
+    def shard_peak(config, *sizes):
+        """The tracemalloc peak of one group of shards of ``sizes`` rows."""
         tracemalloc.start()
         try:
-            experiments._group(config, [count], range(1))
+            experiments._group(config, list(sizes), range(len(sizes)))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -507,7 +512,7 @@ class TestEstimatorContracts:
         # Beside its inputs, the check holds one sub-batch at a time.
         rows = experiments._bures_rows(32, 8, 2)
         config = ExperimentConfig(n=32, m=8, r=2, mode="mixed", samples=3 * rows, seed=823)
-        inputs = experiments._cut_chunk(config, 3 * rows, stream(823), CutPovm(32, 8), True)[1]
+        inputs = experiments._cut_chunk(config, 3 * rows, stream(823), CutPovm(32, 8), checked=True)
         experiments._bures_deviation(*(array[:2] for array in inputs))  # first-call allocations
         peaks = []
         for count in (rows, 3 * rows):
@@ -525,9 +530,14 @@ class TestEstimatorContracts:
         [(mode, *case) for mode in experiments._MODES for case in CHUNK_PEAK_CASES[mode]],
     )
     def test_shard_peak_is_within_its_mode_charge(self, mode, n, m, r, rows):
-        config = ExperimentConfig(n=n, m=m, r=r, mode=mode, samples=rows, seed=832, shards=1)
-        self.shard_peak(config, rows)  # first-call allocations are not the shard's
-        assert self.shard_peak(config, rows) <= 16 * experiments._shard_values(config)
+        sizes = rows if isinstance(rows, tuple) else (rows,)
+        config = ExperimentConfig(
+            n=n, m=m, r=r, mode=mode, samples=sum(sizes), seed=832, shards=len(sizes)
+        )
+        assert list(experiments._shard_sizes(config.samples, config.shards)) == list(sizes)
+        assert len(list(experiments._groups(sizes, experiments._group_rows(config)))) == 1
+        self.shard_peak(config, *sizes)  # first-call allocations are not the shard's
+        assert self.shard_peak(config, *sizes) <= 16 * experiments._shard_values(config)
 
     @pytest.mark.parametrize(
         "n,m,r,samples,groups",
@@ -539,7 +549,7 @@ class TestEstimatorContracts:
     def test_bures_verified_estimate_does_not_depend_on_threads(self, n, m, r, samples, groups):
         config = ExperimentConfig(n=n, m=m, r=r, mode="mixed", samples=samples, seed=824)
         sizes = experiments._shard_sizes(config.samples, config.shards)
-        assert len(list(experiments._groups(sizes, experiments._group_rows(n, m, r)))) == groups
+        assert len(list(experiments._groups(sizes, experiments._group_rows(config)))) == groups
         single = run_experiment(config, threads=1)
         assert single.bures_max_deviation < 1e-12
         assert run_experiment(config, threads=2) == single
@@ -564,7 +574,7 @@ class TestEstimatorContracts:
             rng = stream(config.seed, shard)
             for start in range(0, count, experiments.CHUNK):
                 size = min(experiments.CHUNK, count - start)
-                chunks.append(experiments._cut_chunk(config, size, rng, povm, True)[1])
+                chunks.append(experiments._cut_chunk(config, size, rng, povm, checked=True))
         oracle = max(experiments._bures_deviation(*inputs) for inputs in chunks)
         rows, check = [], experiments._bures_deviation
 
@@ -581,17 +591,18 @@ class TestEstimatorContracts:
         assert list(groups([3, 3, 3, 5, 2], 6)) == [range(0, 2), range(2, 3), range(3, 4), range(4, 5)]
         # A shard larger than a group is a group of its own.
         assert list(groups([10, 1, 1], 6)) == [range(0, 1), range(1, 3)]
-        # Without the Bures check each shard is a group.
+        # Without group rows (the pure and entangled modes) each shard is a group.
         assert list(groups([1, 1, 1], 0)) == [range(0, 1), range(1, 2), range(2, 3)]
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
-        "config",
+        "config,groups",
         [
             # 4000 shards of one row each: the run's peak is its per-shard
             # sizes, merge parts and (with threads) futures.
             pytest.param(
                 ExperimentConfig(n=2, m=1, mode="pure", samples=4_000, seed=828, shards=4_000),
+                4_000,
                 id="bookkeeping",
             ),
             # Two one-chunk shards: with two threads both working sets are live.
@@ -599,29 +610,47 @@ class TestEstimatorContracts:
                 ExperimentConfig(
                     n=64, m=8, mode="state_estimation", samples=2 * experiments.CHUNK, seed=829, shards=2
                 ),
+                2,
                 id="working-sets",
             ),
             # Two groups of six shards that pool a group's whole rows (102
             # at (16, 4, 4), 78 at (32, 8, 2)); with two threads both are live.
             pytest.param(
                 ExperimentConfig(n=16, m=4, r=4, mode="mixed", samples=204, seed=834, shards=12),
+                2,
                 id="bures-16-4-4",
             ),
             pytest.param(
                 ExperimentConfig(n=32, m=8, r=2, mode="mixed", samples=156, seed=835, shards=12),
+                2,
                 id="bures-32-8-2",
+            ),
+            # All 16 shards of 125 rows in one group (at most 3276 rows at
+            # N = 5), drawn and then scored as one stack.
+            pytest.param(
+                ExperimentConfig(n=5, m=2, mode="state_estimation", samples=2_000, seed=837),
+                1,
+                id="estimation-pooled",
+            ),
+            # 16 shards of 93-94 rows in eight groups of two (at most 256
+            # rows at N = 64); with two threads two groups are live.
+            pytest.param(
+                ExperimentConfig(n=64, m=8, mode="state_estimation", samples=1_500, seed=838),
+                8,
+                id="estimation-groups",
             ),
         ],
     )
-    def test_run_peak_is_within_the_guard_charge(self, monkeypatch, config, threads):
+    def test_run_peak_is_within_the_guard_charge(self, monkeypatch, config, groups, threads):
         # Two CPUs, so that two threads start two workers on any host.
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-        if experiments._MODES[config.mode].checked:
-            sizes = experiments._shard_sizes(config.samples, config.shards)
-            rows = experiments._group_rows(config.n, config.m, config.r)
-            groups = list(experiments._groups(sizes, rows))
-            assert [sum(sizes[shard] for shard in group) for group in groups] == [rows] * len(groups)
-            assert min(len(group) for group in groups) > 1
+        sizes = experiments._shard_sizes(config.samples, config.shards)
+        rows = experiments._group_rows(config)
+        pooled = list(experiments._groups(sizes, rows))
+        assert len(pooled) == groups
+        if config.mode == "mixed":
+            assert [sum(sizes[shard] for shard in group) for group in pooled] == [rows] * len(pooled)
+            assert min(len(group) for group in pooled) > 1
         small = dataclasses.replace(config, samples=4, shards=4)
         run_experiment(small, threads=threads)
         tracemalloc.start()

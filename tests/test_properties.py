@@ -23,6 +23,7 @@ from oracles import (
     index_counts,
     outcome_probability,
     partial_trace_joint,
+    state_estimation_by_chunk,
     subsets,
     verify_rows,
 )
@@ -30,7 +31,8 @@ from oracles import (
 from qcut import cli, experiments
 from qcut.channel import ChannelState, teleport
 from qcut.fidelity import bures_fidelity
-from qcut.haar import exact_moment_fraction, sample_states
+from qcut.experiments import ExperimentConfig, run_experiment
+from qcut.haar import angle_weights, draw_angles, exact_moment_fraction, sample_states, sample_weights
 from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt, partial_trace
 from qcut.povm import (
     ENUMERATION_CAP,
@@ -38,8 +40,10 @@ from qcut.povm import (
     SubsetIndex,
     _max_completeness_deviation,
     _subset_counts,
+    draw_subsets,
     project_bipartite,
     project_pure,
+    rank_subsets,
     sample_outcome,
     sample_subsets,
 )
@@ -118,6 +122,50 @@ def test_batched_subsets_equal_the_single_draws(dims, r, k, seed):
         outcome = sample_outcome(povm, BipartitePureState(n, r, state.ravel()), single)
         assert tuple(row.tolist()) == outcome.subset.indices
     assert batched.random() == single.random()
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (5, 2), (4, 4), (64, 8)])
+def test_public_samplers_equal_their_two_halves(n, m):
+    # sample_weights is draw_angles then angle_weights, and sample_subsets
+    # is draw_subsets then rank_subsets, on one stream: the same bits, and
+    # the stream left at the same place.
+    povm = CutPovm(n, m)
+    for count in (0, 1, 7, 300):
+        whole, halves = stream(840 + count, n), stream(840 + count, n)
+        weights = sample_weights(n, count, whole)
+        assert weights.tobytes() == angle_weights(draw_angles(n, count, halves)).tobytes()
+        chosen = rank_subsets(povm, weights, draw_subsets(povm, count, halves))
+        assert np.array_equal(sample_subsets(povm, weights, whole), chosen)
+        assert whole.random() == halves.random()
+
+
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(1, 300),
+    st.integers(1, 20),
+    st.integers(2, 48),
+    st.integers(1, 400),
+    st.integers(0, 2**64 - 1),
+)
+# Ten shards of ten rows pooled three to a 32-row group, so a group ends
+# between shards; two shards of fifty rows, each three 16-row chunks and a
+# 2-row one, scored one at a time; N = 1; and M = N, where no subset is drawn.
+@example((5, 2), 100, 10, 32, 192, 7)
+@example((5, 2), 100, 2, 16, 10**6, 8)
+@example((1, 1), 50, 4, 8, 1, 9)
+@example((6, 6), 90, 5, 8, 40, 10)
+def test_grouped_state_estimation_equals_the_per_shard_route(dims, samples, shards, chunk, entries, seed):
+    # With CHUNK and GROUP_ENTRIES small, groups split between shards and
+    # shards span several chunks.  The estimate of the shards' draws scored
+    # as stacks must keep every bit of the chunk-by-chunk route, at one and
+    # at two threads.
+    n, m = dims
+    config = ExperimentConfig(n=n, m=m, mode="state_estimation", samples=samples, seed=seed, shards=shards)
+    with mock.patch.object(experiments, "CHUNK", chunk), mock.patch.object(experiments, "GROUP_ENTRIES", entries):
+        expected = state_estimation_by_chunk(config)
+        for threads in (1, 2):
+            est = run_experiment(config, threads)
+            assert (est.mean, est.stderr, est.z_score) == expected
 
 
 def test_batched_pivot_on_interval_edges_equals_the_single_draws():
