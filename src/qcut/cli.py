@@ -18,13 +18,11 @@ import functools
 import io
 import json
 import math
-import operator
 import os
 import sys
 import time
 from dataclasses import asdict
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,11 +34,11 @@ from .povm import ENUMERATION_CAP, CutPovm, _max_completeness_deviation
 from .rng import stream
 
 _DECIMALS = 12
-# Cases of a closed-form row that ``verify`` checks in one call: the row's
-# arrays hold at most this many, whatever --max-r is.  Past 2^53 a block
-# holds Python ints; `verify --max-n 2 --max-r 250000` peaked at 33 MB RSS
-# in blocks of 2^12 (1.2-1.6 s) and at 48 MB in blocks of 2^15 (1.5-1.9 s)
-# on a 2-CPU Xeon.
+# Cases of a row that ``verify`` checks in one call: the row's arrays hold
+# at most this many, whatever --max-r is.  Past 2^53 a block holds Python
+# ints; `verify --max-n 2 --max-r 250000` peaked at 33 MB RSS in blocks of
+# 2^12 (1.2-1.6 s) and at 48 MB in blocks of 2^15 (1.5-1.9 s) on a 2-CPU
+# Xeon.
 CASE_BLOCK = 2**12
 
 
@@ -60,11 +58,12 @@ def _round(value):
     return None if value is None else round(float(value), _DECIMALS)
 
 
-def _format_fraction(value: Fraction, places: int = _DECIMALS) -> str:
+def _format_ratio(numerator: int, denominator: int, places: int = _DECIMALS) -> str:
+    """numerator / denominator, rounded half-even to ``places`` decimals."""
     with localcontext() as ctx:
         ctx.prec = 60
         quantum = Decimal(1).scaleb(-places)
-        return str((Decimal(value.numerator) / Decimal(value.denominator)).quantize(quantum))
+        return str((Decimal(numerator) / Decimal(denominator)).quantize(quantum))
 
 
 def _emit(lines, path: str | None):
@@ -160,49 +159,34 @@ def _first_worst(check, heads: np.ndarray, max_r: int):
     return worst, case
 
 
+def _gap(route, closed_form):
+    """The residual |route - closed form| of a check, case by case."""
+    return lambda *case: abs(route(*case) - closed_form(*case))
+
+
 def _verify_checks(max_n: int, max_r: int):
     """Yield (name, tolerance, worst residual, worst case) for every sweep.
 
-    The closed-form rows run on arrays of cases, one call per block of at
-    most CASE_BLOCK of them, and report the first worst case in sweep order.
+    Every row runs on arrays of cases, one call per block of at most
+    CASE_BLOCK of them, and reports the first worst case in sweep order.
+    The completeness row reads the exact ratios of one counting pass,
+    made before the first row.
     """
-    worst = functools.partial(max, key=operator.itemgetter(0))
-    pairs = [(n, m) for n in range(1, max_n + 1) for m in range(1, n + 1)]
-
-    def pure_moments(n, m):
-        return abs(experiments.exact_pure_via_moments(n, m) - experiments.analytic_pure(n, m))
-
-    def entangled_moments(n, m, r):
-        derived = experiments.exact_entangled_via_moments(n, m, r)
-        return abs(derived - experiments.analytic_entangled(n, m, r))
-
+    worst, norms = _max_completeness_deviation(max_n)
     # The case heads in sweep order: (N, M) with M <= N or M < N, and (N, K, M).
     dims = np.arange(1, max_n + 1)
-    dim_pairs = _expand(dims[:, None], dims)
+    pairs = _expand(dims[:, None], dims)
+    pure, entangled = experiments.analytic_pure, experiments.analytic_entangled
     rows = (
         ("relation", 1e-14, experiments.relation_check, _expand(dims[:, None], dims - 1), max_r),
-        ("composition", 1e-14, experiments.composition_check, _expand(dim_pairs, dim_pairs[:, 1]), max_r),
-        ("pure_moments", 1e-13, pure_moments, dim_pairs, 0),
-        ("entangled_moments", 1e-13, entangled_moments, dim_pairs, max_r),
+        ("composition", 1e-14, experiments.composition_check, _expand(pairs, pairs[:, 1]), max_r),
+        ("pure_moments", 1e-13, _gap(experiments.exact_pure_via_moments, pure), pairs, 0),
+        ("entangled_moments", 1e-13, _gap(experiments.exact_entangled_via_moments, entangled), pairs, max_r),
+        ("horodecki", 0.0, _gap(experiments.horodecki_bound, pure), pairs, 0),
+        ("completeness", 1e-12, lambda n, m: worst[n, m] / norms[n, m], pairs, 0),
     )
     for name, tol, check, heads, aux in rows:
         yield (name, tol, *_first_worst(check, heads, aux))
-    yield (
-        "horodecki",
-        0.0,
-        *worst(
-            (abs(experiments.horodecki_bound(n, m) - experiments.analytic_pure(n, m)), (n, m))
-            for n, m in pairs
-        ),
-    )
-    yield (
-        "completeness",
-        1e-12,
-        *worst(
-            (float(deviation), case)
-            for case, deviation in _max_completeness_deviation(max_n, cap=ENUMERATION_CAP)
-        ),
-    )
 
 
 def cmd_verify(args) -> int:
@@ -236,10 +220,10 @@ def _table_lines(n_max: int, r: int, what: str):
     for n in range(1, n_max + 1):
         for m in range(1, n + 1):
             if what == "fidelity":
-                value = experiments.entangled_fidelity_fraction(n, m, r)
+                ratio = experiments._fidelity_ratio(n, m, r)
             else:
-                value = experiments.state_estimation_fraction(n, m)
-            yield f"{n},{m},{r},{_format_fraction(value)}\n"
+                ratio = experiments._state_estimation_ratio(n, m)
+            yield f"{n},{m},{r},{_format_ratio(*ratio)}\n"
 
 
 def cmd_table(args) -> int:

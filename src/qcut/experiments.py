@@ -28,7 +28,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Callable, NamedTuple
 
@@ -61,8 +60,10 @@ GROUP_ENTRIES = 2**14
 # configurations are refused before anything is allocated.
 MEMORY_CAP = 2**28
 # Bytes a run keeps per shard: its size and merge part (about 200 B under
-# tracemalloc) and, with threads, also its queued future and work item
-# (about 1.95 kB in all).
+# tracemalloc) and, with threads, also a queued future and work item
+# (about 1.95 kB in all).  The pool queues one future per group of shards
+# (``_groups``), which is one per shard only where each shard is its own
+# group (pure and entangled mode); elsewhere the charge over-counts.
 SHARD_BYTES = 256
 THREADED_SHARD_BYTES = 2048
 # Bytes a running group holds whatever its rows: a shard's stream, its POVM
@@ -136,12 +137,9 @@ def _fidelity_ratio(n: int, m: int, r: int) -> tuple[int, int]:
     return m * r + 1, n * r + 1
 
 
-def entangled_fidelity_fraction(n: int, m: int, r: int) -> Fraction:
-    return Fraction(*_fidelity_ratio(n, m, r))
-
-
-def state_estimation_fraction(n: int, m: int) -> Fraction:
-    return Fraction(m + 1, m * (n + 1))
+def _state_estimation_ratio(n: int, m: int) -> tuple[int, int]:
+    """The closed form (1 + 1/M)/(N+1) as the integer pair (M+1, M(N+1))."""
+    return m + 1, m * (n + 1)
 
 
 def _check_dims(n: int, m: int, r: int = 1):
@@ -178,18 +176,22 @@ def analytic_entangled(n: int, m: int, r: int) -> float:
 
 
 def analytic_state_estimation(n: int, m: int) -> float:
-    """Best-guess estimation fidelity from one cut outcome: (1 + 1/M)/(N+1)."""
+    """Best-guess estimation fidelity from one cut outcome: (1 + 1/M)/(N+1).
+
+    The cases may be equal-shaped integer arrays, for an array of fidelities."""
     _check_dims(n, m)
-    return float(state_estimation_fraction(n, m))
+    return _float(_state_estimation_ratio(*_exact((n, m), 2)))
 
 
 def horodecki_bound(n: int, m: int) -> float:
     """Optimal-teleportation bound (N f_s + 1)/(N + 1) with singlet fraction M/N.
 
     Computed from the singlet fraction alone; ``verify`` and the tests
-    compare it with ``analytic_pure``, which must agree identically.
+    compare it with ``analytic_pure``, which must agree identically.  The
+    cases may be equal-shaped integer arrays, for an array of bounds.
     """
     _check_dims(n, m)
+    n, m = _exact((n, m), 2)
     # (N * M/N + 1) / (N + 1) = (N*M + N) / (N * (N + 1))
     return _float((n * m + n, n * (n + 1)))
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -254,26 +253,22 @@ def _subset_counts(max_n: int) -> np.ndarray:
     return np.cumsum(hist.reshape(max_n, width, width), axis=1).transpose(1, 2, 0)
 
 
-def _max_completeness_deviation(max_n: int, cap: int) -> list[tuple[tuple[int, int], Fraction]]:
-    """((N, M), deviation) for every 1 <= M <= N <= max_n, in sweep order:
-    the max deviation of the summed N -> M POVM elements from the identity.
+def _max_completeness_deviation(max_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(worst, norms): int64 arrays indexed [N, M] whose ratio
+    worst[N, M] / norms[N, M], for every 1 <= M <= N <= max_n, is the max
+    deviation of the summed N -> M POVM elements from the identity.
 
     The sum is diagonal, so the deviation is the worst diagonal entry: how
     far each index's count over every enumerated M-subset is from
-    norm_const, in exact rational arithmetic.  A sweep whose widest row,
-    C(max_n, max_n // 2) subsets, exceeds ``cap`` is refused before any
-    array exists.
+    norms[N, M] = norm_const, an exact integer pair.  A sweep whose widest
+    row, C(max_n, max_n // 2) subsets, exceeds ``ENUMERATION_CAP`` is
+    refused before any array exists.
     """
     widest = math.comb(max_n, max_n // 2)
-    if widest > cap:
-        raise ValueError(f"{widest} subsets exceed the enumeration cap {cap}")
+    if widest > ENUMERATION_CAP:
+        raise ValueError(f"{widest} subsets exceed the enumeration cap {ENUMERATION_CAP}")
     sizes = range(max_n + 1)
-    norms = [[math.comb(n - 1, m - 1) if n and m else 0 for m in sizes] for n in sizes]
+    norms = np.array([[math.comb(n - 1, m - 1) if n and m else 0 for m in sizes] for n in sizes])
     held = np.arange(max_n) < np.arange(max_n + 1)[:, None, None]  # j in range(N)
-    off = np.abs(_subset_counts(max_n) - np.array(norms)[:, :, None])
-    worst = np.where(held, off, 0).max(axis=2).tolist()
-    return [
-        ((n, m), Fraction(worst[n][m], norms[n][m]))
-        for n in range(1, max_n + 1)
-        for m in range(1, n + 1)
-    ]
+    off = np.abs(_subset_counts(max_n) - norms[:, :, None])
+    return np.where(held, off, 0).max(axis=2), norms

@@ -304,6 +304,18 @@ def verify_rows(max_n, max_r):
     return {name: max(row, key=operator.itemgetter(0)) for name, row in cases.items()}
 
 
+def table_lines(n_max, r, what):
+    """The lines of ``qcut table``: each row's exact value, (MR+1)/(NR+1) or
+    (M+1)/(M(N+1)), as a Fraction rounded half-even to 12 places."""
+    lines = ["n,m,r,fidelity"]
+    for n in range(1, n_max + 1):
+        for m in range(1, n + 1):
+            exact = Fraction(m * r + 1, n * r + 1) if what == "fidelity" else Fraction(m + 1, m * (n + 1))
+            units = round(exact * 10**12)  # round() on a Fraction breaks ties to even
+            lines.append(f"{n},{m},{r},{units // 10**12}.{units % 10**12:012d}")
+    return lines
+
+
 def state_estimation_by_chunk(config):
     """(mean, stderr, z) of ``run_experiment`` in state-estimation mode, by
     the per-shard route: each block of at most ``experiments.CHUNK`` rows of

@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
-from oracles import outcome_probability, sample_states_gaussian, subsets
+from oracles import completeness_deviation, outcome_probability, sample_states_gaussian, subsets
 
 from qcut.channel import full_protocol, make_channel, teleport
 from qcut.experiments import (
@@ -27,7 +27,7 @@ from qcut.experiments import (
 from qcut.fidelity import bures_fidelity, overlap_fidelity, uhlmann_fidelity
 from qcut.haar import exact_moment_fraction, sample_state, sample_states
 from qcut.linalg import BipartitePureState, partial_trace
-from qcut.povm import ENUMERATION_CAP, CutPovm, _max_completeness_deviation, sample_outcome
+from qcut.povm import CutPovm, _max_completeness_deviation, sample_outcome
 from qcut.rng import stream
 
 SAMPLES = 200_000
@@ -140,10 +140,14 @@ def test_criterion_5_exact_derivation_cross_checks():
 
 
 def test_criterion_6_povm_completeness():
-    deviations = _max_completeness_deviation(12, ENUMERATION_CAP)
+    worst, norms = _max_completeness_deviation(12)
+    deviations = {
+        (n, m): Fraction(worst[n, m], norms[n, m]) for n in range(1, 13) for m in range(1, n + 1)
+    }
     cases = len(deviations)
-    worst = max(float(deviation) for _, deviation in deviations)
-    ok = cases == 78 and worst < 1e-12
+    exact = all(deviation == completeness_deviation(*case) for case, deviation in deviations.items())
+    worst = float(max(deviations.values()))
+    ok = cases == 78 and exact and worst < 1e-12
     report(6, ok, f"POVM completeness over {cases} (N,M) pairs; max deviation={worst:.1e}")
 
 

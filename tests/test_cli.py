@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import verify_rows
+from oracles import table_lines, verify_rows
 
 import qcut.cli
 from qcut import experiments, povm
@@ -409,12 +409,14 @@ class TestVerify:
         assert time.perf_counter() - start < 1.0
 
     def test_perturbed_normalization_fails(self, capsys, monkeypatch):
+        # Every deviation becomes 1/2: worst = norm_const over norms = 2 norm_const.
         deviations = qcut.cli._max_completeness_deviation
-        monkeypatch.setattr(
-            qcut.cli,
-            "_max_completeness_deviation",
-            lambda *args, **kwargs: [(case, Fraction(1, 2)) for case, _ in deviations(*args, **kwargs)],
-        )
+
+        def halved(max_n):
+            _, norms = deviations(max_n)
+            return norms, 2 * norms
+
+        monkeypatch.setattr(qcut.cli, "_max_completeness_deviation", halved)
         code, out = run_cli(capsys, "verify", "--max-n", "4")
         assert code == 1
         completeness = [line for line in out.splitlines() if line.startswith("completeness")]
@@ -458,6 +460,13 @@ class TestTable:
         assert "2,1,1,0.666666666667" in out
         assert "4,2,1,0.300000000000" in out
 
+    @pytest.mark.parametrize(
+        "r,what", [(1, "fidelity"), (2, "fidelity"), (5, "fidelity"), (1, "state-estimation")]
+    )
+    def test_every_row_is_the_exact_value_rounded(self, capsys, r, what):
+        code, out = run_cli(capsys, "table", "--n-max", "12", "--r", str(r), "--what", what)
+        assert code == 0
+        assert out.splitlines() == table_lines(12, r, what)
 
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "table.csv"

@@ -95,6 +95,27 @@ class TestClosedForms:
         for n in (2, 5):
             assert analytic_state_estimation(n, n) == pytest.approx(1 / n)
 
+    def test_arrays_of_cases_equal_their_one_case_calls(self):
+        # Both forms take int64 while the square of their largest entry, N,
+        # is below 2^53: up to N = 94906265.  There N (N + 1), the bound's
+        # denominator and the largest product of either form, passes 2^53 too.
+        top = 94906265
+        assert top**2 < 2**53 <= (top + 1) ** 2
+        assert top * (top + 1) < 2**53 <= (top + 1) * (top + 2)
+        cases = [(n, m) for n in range(1, 8) for m in range(1, n + 1)]
+        cases += [(n, m) for n in range(top - 3, top + 4) for m in (1, 2, n // 2, n - 1, n)]
+        for form, exact in (
+            (horodecki_bound, lambda n, m: Fraction(n * m + n, n * (n + 1))),
+            (analytic_state_estimation, lambda n, m: Fraction(m + 1, m * (n + 1))),
+        ):
+            values = [form(*case) for case in cases]
+            assert values == [float(exact(*case)) for case in cases]
+            for case, value in zip(cases, values):
+                # One-case arrays, so that each case takes its own side.
+                assert form(*np.array([case]).T).tolist() == [value]
+            # One array across the switch takes Python ints throughout.
+            assert form(*np.array(cases).T).tolist() == values
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             analytic_pure(2, 3)

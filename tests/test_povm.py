@@ -1,11 +1,13 @@
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from oracles import (
     apply_cut_density,
+    completeness_deviation,
     element_matrix,
     from_pure,
     maximally_mixed,
@@ -16,7 +18,6 @@ from oracles import (
 from qcut.haar import sample_state, sample_states
 from qcut.linalg import BipartitePureState, PureState, partial_trace
 from qcut.povm import (
-    ENUMERATION_CAP,
     CutPovm,
     SubsetIndex,
     _max_completeness_deviation,
@@ -271,29 +272,35 @@ class TestSampling:
 
 class TestCompleteness:
     def test_small_case_is_exact(self):
-        assert dict(_max_completeness_deviation(3, ENUMERATION_CAP))[(3, 2)] == 0
+        worst, norms = _max_completeness_deviation(3)
+        assert (worst[3, 2], norms[3, 2]) == (0, 2)
 
     @pytest.mark.parametrize("n,m", [(10, 4), (12, 6)])
     def test_larger_cases(self, n, m):
-        assert dict(_max_completeness_deviation(n, ENUMERATION_CAP))[(n, m)] < 1e-12
+        worst, norms = _max_completeness_deviation(n)
+        assert Fraction(worst[n, m], norms[n, m]) == completeness_deviation(n, m)
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
         # The widest row of max_n = 12 holds C(12, 6) = 924 subsets.
-        with pytest.raises(ValueError, match="cap"):
-            _max_completeness_deviation(12, 100)
-        with pytest.raises(ValueError, match="cap"):
-            _max_completeness_deviation(12, 923)
-        assert len(_max_completeness_deviation(12, 924)) == 78
+        for cap in (100, 923):
+            monkeypatch.setattr("qcut.povm.ENUMERATION_CAP", cap)
+            with pytest.raises(ValueError, match="cap"):
+                _max_completeness_deviation(12)
+        monkeypatch.setattr("qcut.povm.ENUMERATION_CAP", 924)
+        worst, norms = _max_completeness_deviation(12)
+        assert worst.shape == norms.shape == (13, 13)
+        assert worst.dtype == norms.dtype == np.int64
 
     def test_cap_sweep_memory_is_bounded(self):
         # max_n = 22 passes over 2^22 masks, 32 MiB as one int64 array.
         tracemalloc.start()
         try:
-            deviations = _max_completeness_deviation(22, ENUMERATION_CAP)
+            worst, norms = _max_completeness_deviation(22)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(deviation == 0 for _, deviation in deviations)
+        assert not worst.any()
+        assert norms[22, 11] == math.comb(21, 10)
         assert peak < 4 * 2**20
 
     def test_sum_of_elements_is_identity_matrix(self):

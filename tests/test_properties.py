@@ -35,7 +35,6 @@ from qcut.experiments import ExperimentConfig, run_experiment
 from qcut.haar import angle_weights, draw_angles, exact_moment_fraction, sample_states, sample_weights
 from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt, partial_trace
 from qcut.povm import (
-    ENUMERATION_CAP,
     CutPovm,
     SubsetIndex,
     _max_completeness_deviation,
@@ -396,7 +395,8 @@ def test_bures_on_the_subset_levels_equals_the_full_route(stacks):
 @given(st.integers(1, 6), st.data())
 def test_cut_povm_is_complete(n, data):
     povm = CutPovm(n, data.draw(st.integers(1, n)))
-    assert dict(_max_completeness_deviation(n, ENUMERATION_CAP))[(n, povm.m)] == 0
+    worst, norms = _max_completeness_deviation(n)
+    assert worst[n, povm.m] == 0 and norms[n, povm.m] == povm.norm_const
     total = sum(element_matrix(povm, s) for s in subsets(povm))
     np.testing.assert_allclose(total, np.eye(n), rtol=0, atol=1e-12)
     state = haar_state(n, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2**32 - 1)))
@@ -411,15 +411,13 @@ def test_completeness_pass_counts_every_subset(max_n, chunk):
     # bit length's masks.
     with mock.patch("qcut.povm.MASK_CHUNK", chunk):
         counts = _subset_counts(max_n)
-        deviations = _max_completeness_deviation(max_n, ENUMERATION_CAP)
+        worst, norms = _max_completeness_deviation(max_n)
     assert counts.shape == (max_n + 1, max_n + 1, max_n)
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
             assert counts[n, m, :n].tolist() == index_counts(n, m)
             assert not counts[n, m, n:].any()
-    assert deviations == [
-        ((n, m), completeness_deviation(n, m)) for n in range(1, max_n + 1) for m in range(1, n + 1)
-    ]
+            assert Fraction(worst[n, m], norms[n, m]) == completeness_deviation(n, m)
 
 
 @st.composite
