@@ -60,15 +60,17 @@ GROUP_ENTRIES = 2**14
 # configurations are refused before anything is allocated.
 MEMORY_CAP = 2**28
 # Bytes a run keeps per shard: its size and merge part (about 200 B under
-# tracemalloc) and, with threads, also a queued future and work item
-# (about 1.95 kB in all).  The pool queues one future per group of shards
-# (``_groups``), which is one per shard only where each shard is its own
-# group (pure and entangled mode); elsewhere the charge over-counts.
+# tracemalloc).
 SHARD_BYTES = 256
-THREADED_SHARD_BYTES = 2048
+# Bytes a pool keeps per group of shards (``_groups``): a queued future and
+# its work item (about 1.75 kB under tracemalloc).
+FUTURE_BYTES = 2048
 # Bytes a running group holds whatever its rows: a shard's stream, its POVM
 # and call frames (6-10.5 kB under tracemalloc at one row).
 GROUP_BYTES = 16384
+# Bytes a running group holds per pending chunk beside its values: the
+# chunk's array headers and tuples and its shard's merge part.
+PENDING_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -288,9 +290,7 @@ class _Mode(NamedTuple):
     score: Callable  # (config, povm, stacked arrays) -> (shots, Bures deviation or None)
     values: Callable  # (config, rows) -> complex values' worth of a group's peak, shots aside
     takes_aux: bool  # whether r > 1 is allowed
-    # (n, m, r) -> values a row holds from draw to score, which size a group
-    # (``_group_rows``); None scores each chunk as it is drawn.
-    row_values: Callable | None = None
+    row_values: Callable  # (n, m, r) -> values a row holds from draw to score (``_group_rows``)
 
 
 def _cut_chunk(config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, checked=False):
@@ -332,27 +332,29 @@ def _guess_score(config: ExperimentConfig, povm: CutPovm, drawn: list):
     return weights[np.arange(len(weights)), chosen[:, 0]], None
 
 
-def _pending_rows(config: ExperimentConfig, rows: int) -> int:
-    """Rows a group holds drawn and unscored at most, for chunks of ``rows``:
-    up to a group's rows (``_group_rows``) if shards are no larger, else one chunk."""
-    group = _group_rows(config)
-    return min(group, config.samples) if rows <= group else rows
-
-
 def _drawn_values(config: ExperimentConfig, rows: int) -> int:
     """N * R Haar amplitudes a row, held SAMPLER_PEAK times over while drawn,
     then once beside one shot's cut temporaries, about two rows."""
     return max(SAMPLER_PEAK * rows, rows + 2) * config.n * config.r
 
 
+def _cut_values(config: ExperimentConfig, rows: int) -> int:
+    """``_drawn_values`` with the pending chunks' shots, 8 B a row, held while
+    the next chunk is drawn and twice over while stacked.  A group holds one
+    chunk a shard pending at most (``_groups``' step)."""
+    pending = _groups(config).step * rows
+    return max(_drawn_values(config, rows) + -(-(pending - rows) // 2), pending if pending > rows else 0)
+
+
 def _guess_values(config: ExperimentConfig, rows: int) -> int:
     """Pending draws of 2N + 1 doubles a row, twice over while stacked; scoring
-    holds them, the weights and one ranking temporary, about 3N doubles a row."""
-    return _pending_rows(config, rows) * (2 * config.n + 1)
+    holds them, the weights and one ranking temporary, about 3N doubles a row,
+    plus N values at any rows: the weight map's exponents, ranking temporaries."""
+    return _groups(config).step * rows * (2 * config.n + 1) + config.n
 
 
 def _checked_values(config: ExperimentConfig, rows: int) -> int:
-    """``_drawn_values`` with the Bures check inputs pending (``_pending_rows``)
+    """``_drawn_values`` with the Bures check inputs pending (one chunk a shard)
     until checked: input and post-cut rows (2 N R values a row), subsets
     (M / 2) and shots (1 / 2).  The check holds them and one sub-batch of
     ``_bures_row_values`` a shot three times over: under tracemalloc a
@@ -360,7 +362,7 @@ def _checked_values(config: ExperimentConfig, rows: int) -> int:
     at (64, 8, 1), 2.1 at (16, 4, 4) and 2.6 at (3, 2, 2).  Pending chunks
     are held while the next is drawn, and twice over while stacked."""
     n, m, r = config.n, config.m, config.r
-    pending = _pending_rows(config, rows)
+    pending = _groups(config).step * rows
 
     def held(count: int) -> int:
         return -(-count * (4 * n * r + m + 1) // 2)
@@ -386,8 +388,10 @@ def _bures_rows(n: int, m: int, r: int) -> int:
 
 
 _MODES = {
-    "pure": _Mode(analytic_entangled, _cut_chunk, _cut_shots, _drawn_values, False),
-    "entangled": _Mode(analytic_entangled, _cut_chunk, _cut_shots, _drawn_values, True),
+    # A cut row holds its 8 B shot from draw to score, twice over while
+    # stacked: one complex value.
+    "pure": _Mode(analytic_entangled, _cut_chunk, _cut_shots, _cut_values, False, lambda n, m, r: 1),
+    "entangled": _Mode(analytic_entangled, _cut_chunk, _cut_shots, _cut_values, True, lambda n, m, r: 1),
     "mixed": _Mode(
         analytic_entangled, functools.partial(_cut_chunk, checked=True), _cut_shots, _checked_values, True,
         _bures_row_values,
@@ -403,11 +407,21 @@ _MODES = {
 
 def _group_rows(config: ExperimentConfig) -> int:
     """Rows a group of consecutive shards scores as one stack: at most one
-    chunk, and GROUP_ENTRIES values of its mode's ``row_values`` (0 without)."""
-    row_values = _MODES[config.mode].row_values
-    if row_values is None:
-        return 0
-    return min(CHUNK, max(1, GROUP_ENTRIES // row_values(config.n, config.m, config.r)))
+    chunk, and GROUP_ENTRIES values of its mode's ``row_values``."""
+    row_values = _MODES[config.mode].row_values(config.n, config.m, config.r)
+    return min(CHUNK, max(1, GROUP_ENTRIES // row_values))
+
+
+def _groups(config: ExperimentConfig) -> range:
+    """The first shard of each group of consecutive shards that one stack
+    scores (``_group``), stepping by the group's shard count: as many shards
+    of the largest size as a group's rows (``_group_rows``) hold, or one, and
+    no more than there are.  So only a group of one shard holds more than a
+    group's rows, and the groups depend on (samples, shards) alone, never on
+    the thread count."""
+    shards = min(config.shards, config.samples)
+    count = max(1, _group_rows(config) // -(-config.samples // shards))
+    return range(0, shards, min(shards, count))
 
 
 def check_memory(values: int, what: str) -> None:
@@ -425,27 +439,27 @@ def _shard_values(config: ExperimentConfig) -> int:
     min(CHUNK, shard rows) rows at a time, its mode's working set
     (``_Mode.values``, which counts the group's pending chunks) and one 8 B
     shot value a row, half a complex value.  A group also holds GROUP_BYTES
-    whatever its rows."""
+    whatever its rows, and PENDING_BYTES a pending chunk, one a shard."""
     rows = min(CHUNK, -(-config.samples // config.shards))
-    return GROUP_BYTES // 16 + -(-rows // 2) + _MODES[config.mode].values(config, rows)
+    held = GROUP_BYTES + PENDING_BYTES * _groups(config).step
+    return held // 16 + -(-rows // 2) + _MODES[config.mode].values(config, rows)
 
 
-def _workers(threads: int) -> int:
-    """Threads a pool for ``threads`` starts at most: no more than CPUs."""
-    return min(threads, os.cpu_count() or 1)
+def _workers(threads: int, groups: int) -> int:
+    """Groups a run on ``threads`` threads works on at once: no more than
+    CPUs and groups.  A run starts a pool only for more than one."""
+    return min(threads, os.cpu_count() or 1, groups)
 
 
 def _run_values(config: ExperimentConfig, threads: int = 1) -> int:
     """Complex values' worth of memory a run of ``config`` on ``threads``
     threads holds at its peak: the working sets (``_shard_values``) of the
-    groups it runs at once, at most one per worker (``_workers``) and per
-    shard, and each shard's SHARD_BYTES (THREADED_SHARD_BYTES in a pool)."""
-    shards = min(config.shards, config.samples)
-    if threads > 1:
-        running, per_shard = min(_workers(threads), shards), THREADED_SHARD_BYTES
-    else:
-        running, per_shard = 1, SHARD_BYTES
-    return running * _shard_values(config) + -(-per_shard * shards // 16)
+    groups it runs at once (``_workers``), each shard's SHARD_BYTES and, when
+    a pool runs, each group's FUTURE_BYTES."""
+    groups = _groups(config)
+    running = _workers(threads, len(groups))
+    futures = len(groups) if running > 1 else 0
+    return running * _shard_values(config) + -(-(SHARD_BYTES * groups.stop + FUTURE_BYTES * futures) // 16)
 
 
 def check_run(config: ExperimentConfig, threads: int = 1) -> None:
@@ -536,38 +550,23 @@ def _score(config: ExperimentConfig, povm: CutPovm, pending: list, parts: dict) 
         parts[shard] = _merge((parts[shard], part)) if shard in parts else part
 
 
-def _groups(sizes: list[int], rows: int):
-    """Consecutive shards, as ranges of shard indices, that together hold at
-    most ``rows`` rows (``_group_rows``); a larger shard is a group of its
-    own, and so is every shard at ``rows`` = 0.  The groups depend on the
-    shard sizes alone, never on the thread count."""
-    start, held = 0, 0
-    for shard, size in enumerate(sizes):
-        if held + size > rows and shard > start:
-            yield range(start, shard)
-            start, held = shard, 0
-        held += size
-    yield range(start, len(sizes))
-
-
-def _group(config: ExperimentConfig, sizes: list[int], shards: range):
-    """The merge parts of ``shards``, in shard order.  Each shard draws its
-    chunks of at most CHUNK rows from its own stream (``_Mode.draw``); they
-    wait until they hold a group's rows or the group ends, and are then
-    scored as one stack (``_score``).  Scoring draws no random numbers and
-    acts row by row, so where a stack starts or ends changes no shot."""
-    rows, povm = _group_rows(config), CutPovm(config.n, config.m)
-    draw = _MODES[config.mode].draw
-    pending, held, parts = [], 0, {}
-    for shard in shards:
+def _group(config: ExperimentConfig, sizes: list[int], step: int, first: int):
+    """The merge parts of the ``step`` shards from ``first`` on (fewer at the
+    end), in shard order.  Each shard draws its chunks of at most CHUNK rows
+    from its own stream (``_Mode.draw``); they wait until they are ``step``
+    or the group ends, and are then scored as one stack (``_score``).  In a
+    group of more than one shard each shard is one chunk, so one stack holds
+    the group; a group of one shard scores each chunk as it is drawn.
+    Scoring draws no random numbers and acts row by row, so where a stack
+    starts or ends changes no shot."""
+    povm, draw = CutPovm(config.n, config.m), _MODES[config.mode].draw
+    pending, parts = [], {}
+    for shard in range(first, min(first + step, len(sizes))):
         rng, count = stream(config.seed, shard), sizes[shard]
         for start in range(0, count, CHUNK):
-            size = min(CHUNK, count - start)
-            pending.append((shard, draw(config, size, rng, povm)))
-            held += size
-            if held >= rows:
+            pending.append((shard, draw(config, min(CHUNK, count - start), rng, povm)))
+            if len(pending) == step:
                 _score(config, povm, pending, parts)
-                held = 0
     if pending:
         _score(config, povm, pending, parts)
     return list(parts.values())
@@ -592,14 +591,15 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> FidelityEstima
     mode = _MODES[config.mode]
     target = mode.target(config.n, config.m, config.r)
     sizes = _shard_sizes(config.samples, config.shards)
-    groups = _groups(sizes, _group_rows(config))
-    run = functools.partial(_group, config, sizes)
-    if threads <= 1:
+    groups = _groups(config)
+    run = functools.partial(_group, config, sizes, groups.step)
+    workers = _workers(threads, len(groups))
+    if workers == 1:
         parts = list(chain.from_iterable(map(run, groups)))
     else:
         # map yields in group order, so the parts come in shard order, the
         # order the variance merge fixes.
-        with ThreadPoolExecutor(max_workers=_workers(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(chain.from_iterable(pool.map(run, groups)))
     count, total, centered_sq, worst = _merge(parts)
     mean = total / count

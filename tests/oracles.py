@@ -31,9 +31,9 @@ from fractions import Fraction
 import numpy as np
 
 from qcut import experiments
-from qcut.haar import sample_weights
+from qcut.haar import sample_states, sample_weights
 from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt
-from qcut.povm import CutPovm, SubsetIndex, _validate_subset, sample_subsets
+from qcut.povm import CutPovm, SubsetIndex, _validate_subset, sample_outcome, sample_subsets
 from qcut.rng import stream
 
 # --- haar ---
@@ -316,15 +316,17 @@ def table_lines(n_max, r, what):
     return lines
 
 
-def state_estimation_by_chunk(config):
-    """(mean, stderr, z) of ``run_experiment`` in state-estimation mode, by
-    the per-shard route: each block of at most ``experiments.CHUNK`` rows of
-    a shard draws its weights (``sample_weights``) and then its subsets
-    (``sample_subsets``) from the shard's stream, is scored on its own, and
-    gives one merge part (exactly rounded sum and centered sum of squares).
+def estimate_by_chunk(config):
+    """(mean, stderr, z) of ``run_experiment`` in the pure, entangled or
+    state-estimation mode, by the per-shard route: each block of at most
+    ``experiments.CHUNK`` rows of a shard is drawn from the shard's stream
+    and scored on its own, and gives one merge part (exactly rounded sum and
+    centered sum of squares).  A cut block draws its Haar rows and cuts them
+    one at a time (``sample_outcome``); a state-estimation block draws its
+    weights (``sample_weights``) and then its subsets (``sample_subsets``).
     The parts are merged chunk by chunk within a shard and then over the
     shards, through ``experiments._merge``."""
-    n, m = config.n, config.m
+    n, m, r = config.n, config.m, config.r
     povm = CutPovm(n, m)
     shards = []
     for shard, count in enumerate(experiments._shard_sizes(config.samples, config.shards)):
@@ -332,8 +334,14 @@ def state_estimation_by_chunk(config):
         parts = []
         for start in range(0, count, experiments.CHUNK):
             size = min(experiments.CHUNK, count - start)
-            weights = sample_weights(n, size, rng)
-            shots = weights[np.arange(size), sample_subsets(povm, weights, rng)[:, 0]]
+            if config.mode == "state_estimation":
+                weights = sample_weights(n, size, rng)
+                shots = weights[np.arange(size), sample_subsets(povm, weights, rng)[:, 0]]
+            else:
+                rows = sample_states(n * r, size, rng)
+                shots = np.array(
+                    [sample_outcome(povm, BipartitePureState(n, r, row), rng).shot_fidelity for row in rows]
+                )
             total = math.fsum(shots.tolist())
             centered = math.fsum(np.square(shots - total / size).tolist())
             parts.append((size, total, centered, None))
@@ -344,7 +352,7 @@ def state_estimation_by_chunk(config):
     count, total, centered, _ = experiments._merge(shards)
     mean = total / count
     stderr = math.sqrt(centered / (count - 1) / count) if count > 1 else 0.0
-    target = experiments.analytic_state_estimation(n, m)
+    target = experiments._MODES[config.mode].target(n, m, r)
     if stderr > 0.0:
         return mean, stderr, (mean - target) / stderr
     return mean, stderr, 0.0 if mean == target else None

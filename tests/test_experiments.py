@@ -50,7 +50,9 @@ def beta_law_chunk(n, m, r):
 # sub-batch holds; (64, 8, 1) is the widest N / R of the thin (R x R Gram)
 # eigendecomposition of the reduced input, and (8, 3, 8) has R = N.  State
 # estimation: also 16 shards of 125 rows at (5, 2), which one group holds
-# drawn until it scores them all as one stack.
+# drawn until it scores them all as one stack, and one row at N = 8192,
+# where the weight map's N exponents and the ranking's temporaries of N
+# outweigh the row.
 FEW_ROWS = (1, 8, 48)
 CHUNK_PEAK_CASES = {
     "pure": [(dim, dim, 1, experiments.CHUNK) for dim in (1, 2, 3)]
@@ -61,7 +63,7 @@ CHUNK_PEAK_CASES = {
     + [(*dims, rows) for dims in [(64, 8, 1), (16, 4, 4), (8, 3, 8), (2, 1, 64)] for rows in FEW_ROWS],
     "state_estimation": [(n, m, 1, experiments.CHUNK) for n, m in [(64, 8), (64, 63), (5, 2), (2, 1), (1, 1)]]
     + [(64, 8, 1, rows) for rows in FEW_ROWS]
-    + [(5, 2, 1, (125,) * 16)],
+    + [(5, 2, 1, (125,) * 16), (8192, 1, 1, 1)],
 }
 
 
@@ -452,12 +454,21 @@ class TestEstimatorContracts:
                 return map(fn, items)
 
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
-        config = ExperimentConfig(n=2, m=1, mode="pure", samples=100, seed=815, shards=100)
+        # Eight shards of 100 rows in four groups of two (at most 252 rows
+        # at N = 64).
+        config = ExperimentConfig(n=64, m=8, mode="state_estimation", samples=800, seed=815, shards=8)
+        assert len(experiments._groups(config)) == 4
         single = run_experiment(config)
         for cpus, threads in ((4, 100_000), (4, 3), (None, 8)):
             monkeypatch.setattr(experiments.os, "cpu_count", lambda cpus=cpus: cpus)
             assert run_experiment(config, threads=threads) == single
-        assert workers == [4, 3, 1]
+        # One CPU runs one group at a time, with no pool; so does one group.
+        assert workers == [4, 3]
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        one = ExperimentConfig(n=2, m=1, mode="pure", samples=100, seed=815, shards=100)
+        assert len(experiments._groups(one)) == 1
+        assert run_experiment(one, threads=8) == run_experiment(one)
+        assert workers == [4, 3]
 
     def test_different_shard_count_changes_the_stream(self):
         base = ExperimentConfig(n=3, m=2, mode="pure", samples=5_000, seed=814, shards=16)
@@ -511,7 +522,7 @@ class TestEstimatorContracts:
         """The tracemalloc peak of one group of shards of ``sizes`` rows."""
         tracemalloc.start()
         try:
-            experiments._group(config, list(sizes), range(len(sizes)))
+            experiments._group(config, list(sizes), len(sizes), 0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -556,7 +567,7 @@ class TestEstimatorContracts:
             n=n, m=m, r=r, mode=mode, samples=sum(sizes), seed=832, shards=len(sizes)
         )
         assert list(experiments._shard_sizes(config.samples, config.shards)) == list(sizes)
-        assert len(list(experiments._groups(sizes, experiments._group_rows(config)))) == 1
+        assert len(experiments._groups(config)) == 1
         self.shard_peak(config, *sizes)  # first-call allocations are not the shard's
         assert self.shard_peak(config, *sizes) <= 16 * experiments._shard_values(config)
 
@@ -569,8 +580,7 @@ class TestEstimatorContracts:
     )
     def test_bures_verified_estimate_does_not_depend_on_threads(self, n, m, r, samples, groups):
         config = ExperimentConfig(n=n, m=m, r=r, mode="mixed", samples=samples, seed=824)
-        sizes = experiments._shard_sizes(config.samples, config.shards)
-        assert len(list(experiments._groups(sizes, experiments._group_rows(config)))) == groups
+        assert len(experiments._groups(config)) == groups
         single = run_experiment(config, threads=1)
         assert single.bures_max_deviation < 1e-12
         assert run_experiment(config, threads=2) == single
@@ -608,23 +618,52 @@ class TestEstimatorContracts:
         assert sorted(rows) == sorted(checks)
 
     def test_groups_pool_consecutive_shards_by_their_rows(self):
-        groups = experiments._groups
-        assert list(groups([3, 3, 3, 5, 2], 6)) == [range(0, 2), range(2, 3), range(3, 4), range(4, 5)]
-        # A shard larger than a group is a group of its own.
-        assert list(groups([10, 1, 1], 6)) == [range(0, 1), range(1, 3)]
-        # Without group rows (the pure and entangled modes) each shard is a group.
-        assert list(groups([1, 1, 1], 0)) == [range(0, 1), range(1, 2), range(2, 3)]
+        # The range of each group's first shard steps by as many shards of
+        # the largest size as a group's rows hold, and no more than there are.
+        def groups(mode="pure", n=2, m=1, r=1, **sizes):
+            return experiments._groups(ExperimentConfig(n=n, m=m, r=r, mode=mode, seed=0, **sizes))
+
+        # 4096 one-row shards a group (a pure group holds a chunk's rows).
+        assert groups(samples=200_000, shards=200_000) == range(0, 200_000, 4096)
+        # 16 shards of 1250 rows, three a group (3750 of 4096 rows).
+        assert groups(samples=20_000) == range(0, 16, 3)
+        # At most 819 rows at (3, 2, 2): 13 shards of 62-63 rows, then three.
+        assert groups("mixed", 3, 2, 2, samples=1_000) == range(0, 16, 13)
+        # A shard larger than a group is a group of its own, whatever the mode.
+        assert groups(samples=10_000, shards=2) == range(0, 2, 1)
+        assert groups("mixed", 3, 2, 2, samples=2_000, shards=2) == range(0, 2, 1)
+        # More shards than samples: one row a shard, all in one group.
+        assert groups("state_estimation", samples=16, shards=1_000).step == 16
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
         "config,groups",
         [
-            # 4000 shards of one row each: the run's peak is its per-shard
-            # sizes, merge parts and (with threads) futures.
+            # 4000 shards of one row each in one group, which holds every
+            # shard's chunk pending until it scores them as one stack: the
+            # run's peak is its per-shard sizes and merge parts and the
+            # pending chunks' objects, at any thread count.
             pytest.param(
                 ExperimentConfig(n=2, m=1, mode="pure", samples=4_000, seed=828, shards=4_000),
-                4_000,
-                id="bookkeeping",
+                1,
+                id="cut-one-group",
+            ),
+            pytest.param(
+                ExperimentConfig(n=2, m=1, mode="state_estimation", samples=4_000, seed=828, shards=4_000),
+                1,
+                id="estimation-one-group",
+            ),
+            pytest.param(
+                ExperimentConfig(n=2, m=1, mode="mixed", samples=1_000, seed=828, shards=1_000),
+                1,
+                id="bures-one-group",
+            ),
+            # 1000 one-row shards at N = 8192, each a group of its own (a
+            # group holds one row there): with threads, each queues a future.
+            pytest.param(
+                ExperimentConfig(n=8192, m=1, mode="state_estimation", samples=1_000, seed=828, shards=1_000),
+                1_000,
+                id="futures",
             ),
             # Two one-chunk shards: with two threads both working sets are live.
             pytest.param(
@@ -646,14 +685,14 @@ class TestEstimatorContracts:
                 2,
                 id="bures-32-8-2",
             ),
-            # All 16 shards of 125 rows in one group (at most 3276 rows at
+            # All 16 shards of 125 rows in one group (at most 2730 rows at
             # N = 5), drawn and then scored as one stack.
             pytest.param(
                 ExperimentConfig(n=5, m=2, mode="state_estimation", samples=2_000, seed=837),
                 1,
                 id="estimation-pooled",
             ),
-            # 16 shards of 93-94 rows in eight groups of two (at most 256
+            # 16 shards of 93-94 rows in eight groups of two (at most 252
             # rows at N = 64); with two threads two groups are live.
             pytest.param(
                 ExperimentConfig(n=64, m=8, mode="state_estimation", samples=1_500, seed=838),
@@ -666,11 +705,11 @@ class TestEstimatorContracts:
         # Two CPUs, so that two threads start two workers on any host.
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         sizes = experiments._shard_sizes(config.samples, config.shards)
-        rows = experiments._group_rows(config)
-        pooled = list(experiments._groups(sizes, rows))
+        rows, firsts = experiments._group_rows(config), experiments._groups(config)
+        pooled = [sizes[first : first + firsts.step] for first in firsts]
         assert len(pooled) == groups
-        if config.mode == "mixed":
-            assert [sum(sizes[shard] for shard in group) for group in pooled] == [rows] * len(pooled)
+        if config.mode == "mixed" and groups > 1:
+            assert [sum(group) for group in pooled] == [rows] * len(pooled)
             assert min(len(group) for group in pooled) > 1
         small = dataclasses.replace(config, samples=4, shards=4)
         run_experiment(small, threads=threads)
@@ -691,13 +730,14 @@ class TestEstimatorContracts:
             experiments.check_run(config)
         # More shards than samples run one sample per shard, and are charged so.
         experiments.check_run(dataclasses.replace(config, samples=16))
-        # 200,000 one-row shards hold about 50 MB of bookkeeping on one
-        # thread; with threads each also queues a future, about 400 MB, even
-        # where the pool starts one worker.
-        many = dataclasses.replace(config, samples=200_000, shards=200_000)
-        experiments.check_run(many)
-        with pytest.raises(ValueError, match="MiB cap"):
-            experiments.check_run(many, threads=2)
+        # 200,000 one-row shards hold about 50 MB of bookkeeping.  They run
+        # in 49 groups of 4096 shards, and a pool queues one future a group,
+        # so threads add little.
+        for mode in ("pure", "state_estimation"):
+            many = dataclasses.replace(config, mode=mode, samples=200_000, shards=200_000)
+            assert len(experiments._groups(many)) == 49
+            for threads in (1, 2):
+                experiments.check_run(many, threads)
 
     @pytest.mark.parametrize("cpus", [None, 1, 2, 4, 64])
     def test_threads_are_charged_as_the_pool_starts_them(self, monkeypatch, cpus):

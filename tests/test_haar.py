@@ -135,11 +135,12 @@ class TestSamplers:
         finally:
             tracemalloc.stop()
         assert out.nbytes < peak <= SAMPLER_PEAK * out.nbytes
-        # A pure chunk is charged that, its 8 B shot values and its group's
-        # GROUP_BYTES, at any shard length.
+        # A pure chunk is charged that, its 8 B shot values, its group's
+        # GROUP_BYTES and PENDING_BYTES for the one chunk a one-shard group
+        # holds at a time, at any shard length.
         for samples in (CHUNK, 3 * CHUNK):
             config = ExperimentConfig(n=dim, m=dim, samples=samples, shards=1)
-            charge = SAMPLER_PEAK * out.nbytes + 8 * CHUNK + experiments.GROUP_BYTES
+            charge = SAMPLER_PEAK * out.nbytes + 8 * CHUNK + experiments.GROUP_BYTES + experiments.PENDING_BYTES
             assert 16 * experiments._shard_values(config) == charge
 
 

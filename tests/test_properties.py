@@ -23,7 +23,7 @@ from oracles import (
     index_counts,
     outcome_probability,
     partial_trace_joint,
-    state_estimation_by_chunk,
+    estimate_by_chunk,
     subsets,
     verify_rows,
 )
@@ -139,7 +139,9 @@ def test_public_samplers_equal_their_two_halves(n, m):
 
 
 @given(
+    st.sampled_from(["pure", "entangled", "state_estimation"]),
     st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(1, 3),
     st.integers(1, 300),
     st.integers(1, 20),
     st.integers(2, 48),
@@ -148,23 +150,66 @@ def test_public_samplers_equal_their_two_halves(n, m):
 )
 # Ten shards of ten rows pooled three to a 32-row group, so a group ends
 # between shards; two shards of fifty rows, each three 16-row chunks and a
-# 2-row one, scored one at a time; N = 1; and M = N, where no subset is drawn.
-@example((5, 2), 100, 10, 32, 192, 7)
-@example((5, 2), 100, 2, 16, 10**6, 8)
-@example((1, 1), 50, 4, 8, 1, 9)
-@example((6, 6), 90, 5, 8, 40, 10)
-def test_grouped_state_estimation_equals_the_per_shard_route(dims, samples, shards, chunk, entries, seed):
+# 2-row one, scored one at a time; N = 1; and M = N, where no subset is
+# drawn.  The same for the cut modes, whose rows hold one value each.
+@example("state_estimation", (5, 2), 1, 100, 10, 32, 192, 7)
+@example("state_estimation", (5, 2), 1, 100, 2, 16, 10**6, 8)
+@example("state_estimation", (1, 1), 1, 50, 4, 8, 1, 9)
+@example("state_estimation", (6, 6), 1, 90, 5, 8, 40, 10)
+@example("pure", (5, 2), 1, 100, 10, 32, 32, 7)
+@example("entangled", (4, 2), 3, 100, 2, 16, 10**6, 8)
+@example("entangled", (3, 3), 2, 90, 5, 8, 40, 10)
+def test_grouped_estimate_equals_the_per_shard_route(mode, dims, r, samples, shards, chunk, entries, seed):
     # With CHUNK and GROUP_ENTRIES small, groups split between shards and
     # shards span several chunks.  The estimate of the shards' draws scored
     # as stacks must keep every bit of the chunk-by-chunk route, at one and
     # at two threads.
     n, m = dims
-    config = ExperimentConfig(n=n, m=m, mode="state_estimation", samples=samples, seed=seed, shards=shards)
+    r = r if mode == "entangled" else 1
+    config = ExperimentConfig(n=n, m=m, r=r, mode=mode, samples=samples, seed=seed, shards=shards)
     with mock.patch.object(experiments, "CHUNK", chunk), mock.patch.object(experiments, "GROUP_ENTRIES", entries):
-        expected = state_estimation_by_chunk(config)
+        expected = estimate_by_chunk(config)
         for threads in (1, 2):
             est = run_experiment(config, threads)
             assert (est.mean, est.stderr, est.z_score) == expected
+
+
+@given(
+    st.sampled_from(list(experiments._MODES)),
+    st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(1, 8),
+    st.integers(1, 10**6),
+    st.integers(1, 3_000),
+    st.integers(1, 8),
+    st.integers(1, 4),
+)
+# One-row shards, all in one group; shards of 1250 rows three to a group;
+# and shards larger than a group, one a group.
+@example("pure", (2, 1), 1, 4_000, 4_000, 2, 2)
+@example("pure", (3, 2), 1, 20_000, 16, 2, 2)
+@example("mixed", (3, 2), 2, 9_000, 2, 2, 2)
+def test_groups_are_the_count_the_guard_charges(mode, dims, r, samples, shards, threads, cpus):
+    # The groups are consecutive shards, a fixed count of them but the last
+    # group, as many as fit a group's rows at the largest shard; a group
+    # holds more rows only when it holds a single shard.  The guard charges
+    # that many groups: min(threads, CPUs, groups) running, and a future
+    # each when more than one runs.
+    n, m = dims
+    r = r if experiments._MODES[mode].takes_aux else 1
+    config = ExperimentConfig(n=n, m=m, r=r, mode=mode, samples=samples, shards=shards)
+    sizes = experiments._shard_sizes(samples, shards)
+    rows, firsts = experiments._group_rows(config), experiments._groups(config)
+    groups = [sizes[first : first + firsts.step] for first in firsts]
+    assert list(itertools.chain.from_iterable(groups)) == sizes
+    assert {len(group) for group in groups[:-1]} <= {len(groups[0])}
+    assert all(sum(group) <= rows or len(group) == 1 for group in groups)
+    assert len(groups) == 1 or (len(groups[0]) + 1) * max(sizes) > rows
+    with mock.patch.object(experiments.os, "cpu_count", lambda: cpus):
+        running = min(threads, cpus, len(groups))
+        futures = len(groups) if running > 1 else 0
+        kept = experiments.SHARD_BYTES * len(sizes) + experiments.FUTURE_BYTES * futures
+        charge = running * experiments._shard_values(config) + -(-kept // 16)
+        assert experiments._run_values(config, threads) == charge
 
 
 def test_batched_pivot_on_interval_edges_equals_the_single_draws():
