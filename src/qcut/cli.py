@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import fields
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -105,7 +105,7 @@ def cmd_estimate(args) -> int:
     if estimate.bures_max_deviation is not None:
         estimate_fields["bures_max_deviation"] = estimate.bures_max_deviation
     record = {
-        "config": asdict(config),
+        "config": {field.name: getattr(config, field.name) for field in fields(config)},
         "estimate": estimate_fields,
         "analytic_target": _round(estimate.analytic_target),
         "z_score": _round(estimate.z_score),

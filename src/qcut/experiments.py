@@ -534,19 +534,24 @@ def _score(config: ExperimentConfig, povm: CutPovm, pending: list, parts: dict) 
     """Score ``pending``'s (shard, drawn arrays) chunks, emptying it, as one
     stack; merge each chunk's part into its shard's in ``parts``, in draw
     order, the stack's Bures deviation in its last part."""
-    chunks = [(shard, len(drawn[0])) for shard, drawn in pending]
+    shards = [shard for shard, _ in pending]
+    sizes = [len(drawn[0]) for _, drawn in pending]
     stacked = [
         arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
         for arrays in zip(*(drawn for _, drawn in pending))
     ]
     pending.clear()
     shots, dev = _MODES[config.mode].score(config, povm, stacked)
-    for (shard, size), end in zip(chunks, accumulate(size for _, size in chunks)):
-        chunk = shots[end - size : end]
-        total = math.fsum(memoryview(chunk))  # Python floats, cheaper to iterate than numpy scalars
-        deviations = chunk - total / size
-        np.square(deviations, out=deviations)
-        part = (size, total, math.fsum(memoryview(deviations)), dev if end == len(shots) else None)
+    ends = list(accumulate(sizes))
+    # Python floats, cheaper to iterate than numpy scalars.
+    totals = [math.fsum(memoryview(shots[end - size : end])) for size, end in zip(sizes, ends)]
+    # Each chunk's squares about its own mean, for the whole stack at once:
+    # the same doubles as chunk - total / size, squared chunk by chunk.
+    centered = np.repeat(np.divide(totals, sizes), sizes)
+    np.subtract(shots, centered, out=centered)
+    np.square(centered, out=centered)
+    for shard, size, end, total in zip(shards, sizes, ends, totals):
+        part = (size, total, math.fsum(memoryview(centered[end - size : end])), dev if end == len(shots) else None)
         parts[shard] = _merge((parts[shard], part)) if shard in parts else part
 
 

@@ -792,13 +792,39 @@ class TestEstimatorContracts:
         for r in (1, 3):
             ExperimentConfig(n=3, m=2, r=r, mode="entangled", samples=10, seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
     def test_out_of_range_seed_is_rejected(self, seed):
-        with pytest.raises(ValueError, match="seed"):
+        # A float would draw another seed's stream; 2**64 is past a key word.
+        with pytest.raises(ValueError, match=f"seed {seed}"):
             stream(seed)
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(ValueError, match=f"seed {seed}"):
             ExperimentConfig(n=3, m=2, mode="pure", samples=10, seed=seed)
-        stream(2**64 - 1)
+        for shard in (-1, 2**64, 1.9):
+            with pytest.raises(ValueError, match=f"shard {shard}"):
+                stream(7, shard)
+        stream(2**64 - 1, 2**64 - 1)
+        assert stream(np.uint64(2**64 - 1), np.int8(3)).random() == stream(2**64 - 1, 3).random()
+        ExperimentConfig(n=3, m=2, mode="pure", samples=10, seed=np.int64(3))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_stream_is_philox_keyed_by_seed_and_shard(self, seed):
+        # The key as a uint64 array: a Python list holding 2**64 - 1 would
+        # pass through float64 and lose it.
+        for shard in (0, 1, 15, 2**32):
+            ours = stream(seed, shard)
+            philox = np.random.Generator(np.random.Philox(key=np.array([seed, shard], dtype=np.uint64)))
+            assert np.array_equal(ours.random(9), philox.random(9))
+            assert np.array_equal(ours.integers(1 << 62, size=5), philox.integers(1 << 62, size=5))
+
+    def test_stream_draws_no_os_entropy(self, monkeypatch):
+        def no_entropy(bits):
+            raise AssertionError("OS entropy drawn")
+
+        monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+        with pytest.raises(AssertionError, match="entropy"):
+            np.random.SeedSequence()  # the patch reaches SeedSequence's entropy source
+        stream(3, 5).random()
+        run_experiment(ExperimentConfig(n=5, m=2, mode="state_estimation", samples=100, seed=3))
 
     def test_pure_mode_is_entangled_mode_at_r_one(self):
         pure = run_experiment(ExperimentConfig(n=3, m=2, mode="pure", samples=2_000, seed=818))
