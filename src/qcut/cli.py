@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import json
 import math
 import os
@@ -87,11 +86,8 @@ def cmd_estimate(args) -> int:
         seed=args.seed,
         shards=args.shards,
     )
-    if args.threads < 1:
-        raise _UsageError("need at least one thread")
     if args.check_bures and args.mode != "mixed":
         raise _UsageError("the Bures check needs mode mixed")
-    _checked(experiments.check_run, config, args.threads)
     start = time.perf_counter()
     estimate = experiments.run_experiment(config, threads=args.threads)
     elapsed = time.perf_counter() - start
@@ -114,15 +110,11 @@ def cmd_estimate(args) -> int:
     if args.format == "json":
         text = json.dumps(record, indent=2) + "\n"
     else:
-        buffer = io.StringIO()
-        flat = dict(record["config"])
-        flat.update(record["estimate"])
-        flat["analytic_target"] = record["analytic_target"]
-        flat["z_score"] = record["z_score"]
-        flat["wall_time_seconds"] = record["wall_time_seconds"]
-        buffer.write(",".join(flat.keys()) + "\n")
-        buffer.write(",".join(str(v) for v in flat.values()) + "\n")
-        text = buffer.getvalue()
+        # One CSV row: the record with its nested sections flattened in place.
+        flat = {}
+        for key, value in record.items():
+            flat.update(value if isinstance(value, dict) else {key: value})
+        text = ",".join(flat) + "\n" + ",".join(map(str, flat.values())) + "\n"
     _emit((text,), args.output)
     return 0 if estimate.z_score is not None and abs(estimate.z_score) < 5.0 else 1
 
@@ -164,15 +156,15 @@ def _gap(route, closed_form):
     return lambda *case: abs(route(*case) - closed_form(*case))
 
 
-def _verify_checks(max_n: int, max_r: int):
+def _verify_checks(max_n: int, max_r: int, completeness: tuple[np.ndarray, np.ndarray]):
     """Yield (name, tolerance, worst residual, worst case) for every sweep.
 
     Every row runs on arrays of cases, one call per block of at most
     CASE_BLOCK of them, and reports the first worst case in sweep order.
-    The completeness row reads the exact ratios of one counting pass,
-    made before the first row.
+    The completeness row reads the exact ratios of ``completeness``, the
+    (worst, norms) of ``_max_completeness_deviation(max_n)``.
     """
-    worst, norms = _max_completeness_deviation(max_n)
+    worst, norms = completeness
     # The case heads in sweep order: (N, M) with M <= N or M < N, and (N, K, M).
     dims = np.arange(1, max_n + 1)
     pairs = _expand(dims[:, None], dims)
@@ -192,12 +184,6 @@ def _verify_checks(max_n: int, max_r: int):
 def cmd_verify(args) -> int:
     if args.max_n < 2 or args.max_r < 1:
         raise _UsageError("verify needs --max-n >= 2 and --max-r >= 1")
-    widest = math.comb(args.max_n, args.max_n // 2)
-    if widest > ENUMERATION_CAP:
-        raise _UsageError(
-            f"verify --max-n {args.max_n} would enumerate {widest} subsets, "
-            f"above the enumeration cap {ENUMERATION_CAP}"
-        )
     # The composition row, the widest, visits C(max_n + 2, 3) (n, k, m) per r.
     cases = math.comb(args.max_n + 2, 3) * args.max_r
     if cases > ENUMERATION_CAP:
@@ -205,8 +191,9 @@ def cmd_verify(args) -> int:
             f"verify --max-n {args.max_n} --max-r {args.max_r} would check {cases} "
             f"composition cases, above the enumeration cap {ENUMERATION_CAP}"
         )
+    completeness = _checked(_max_completeness_deviation, args.max_n)
     failed = False
-    for name, tol, residual, case in _verify_checks(args.max_n, args.max_r):
+    for name, tol, residual, case in _verify_checks(args.max_n, args.max_r, completeness):
         ok = residual <= tol
         failed = failed or not ok
         status = "PASS" if ok else f"FAIL at {case}"
@@ -240,7 +227,7 @@ def cmd_table(args) -> int:
 def cmd_teleport_demo(args) -> int:
     _checked(CutPovm, args.n, args.m)
     # The run holds three n-level states: the input, the cut and the re-embedded one.
-    _checked(experiments.check_memory, 3 * args.n, "teleport-demo")
+    experiments.check_memory(3 * args.n, "teleport-demo")
     rng = _checked(stream, args.seed)
     state = sample_state(args.n, rng)
     run = full_protocol(state, args.m, rng)
@@ -276,11 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--n", type=int, required=True)
     est.add_argument("--m", type=int, required=True)
     est.add_argument("--r", type=int, default=1)
-    est.add_argument(
-        "--mode",
-        required=True,
-        choices=["pure", "entangled", "mixed", "state-estimation"],
-    )
+    est.add_argument("--mode", required=True, choices=[mode.replace("_", "-") for mode in experiments._MODES])
     est.add_argument("--samples", type=int, required=True)
     est.add_argument("--seed", type=int, default=None)
     est.add_argument("--format", choices=["json", "csv"], default="json")
@@ -317,7 +300,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _checked(int, os.environ.get("QCUT_SEED", "0"))
         return args.func(args)
-    except _UsageError as err:
+    except (_UsageError, experiments.RunRefused) as err:
         parser.error(str(err))
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -47,12 +48,13 @@ CHUNK = 4096
 # Values per shot (``_bures_row_values``) in one Bures sub-batch: the
 # check runs on max(1, BURES_ENTRIES // those) shots at a time.
 BURES_ENTRIES = 2**16
-# Values of ``_Mode.row_values`` a group of consecutive small shards holds
-# from draw to score.  One stack saves the fixed cost of its NumPy (and
-# LAPACK) calls, which weighs most on small stacks, and a larger group
-# holds more: at (N, M, R) = (16, 4, 4) a 250-sample mixed run took 29.3 ms
-# unpooled, 26.3 ms in 51-row groups, 25.2 ms in these 102-row ones and
-# 24.0 ms in one 250-row group (medians of 40 interleaved rounds, 2-CPU
+# Values of ``_Mode.row_values`` a group of consecutive small shards scores
+# as one stack: what a row holds from draw to score, or in mixed mode what
+# its shot's Bures check works on.  One stack saves the fixed cost of its
+# NumPy (and LAPACK) calls, which weighs most on small stacks, and a larger
+# group holds more: at (N, M, R) = (16, 4, 4) a 250-sample mixed run took
+# 29.3 ms unpooled, 26.3 ms in 51-row groups, 25.2 ms in these 102-row ones
+# and 24.0 ms in one 250-row group (medians of 40 interleaved rounds, 2-CPU
 # Xeon), which raised the process's peak RSS by 1.8 MB against 0.4 MB.
 GROUP_ENTRIES = 2**14
 # Bytes of complex values a run (its running shards and the per-shard
@@ -290,7 +292,7 @@ class _Mode(NamedTuple):
     score: Callable  # (config, povm, stacked arrays) -> (shots, Bures deviation or None)
     values: Callable  # (config, rows) -> complex values' worth of a group's peak, shots aside
     takes_aux: bool  # whether r > 1 is allowed
-    row_values: Callable  # (n, m, r) -> values a row holds from draw to score (``_group_rows``)
+    row_values: Callable  # (n, m, r) -> a row's values toward GROUP_ENTRIES (``_group_rows``)
 
 
 def _cut_chunk(config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, checked=False):
@@ -392,6 +394,7 @@ _MODES = {
     # stacked: one complex value.
     "pure": _Mode(analytic_entangled, _cut_chunk, _cut_shots, _cut_values, False, lambda n, m, r: 1),
     "entangled": _Mode(analytic_entangled, _cut_chunk, _cut_shots, _cut_values, True, lambda n, m, r: 1),
+    # A mixed row counts the values its shot's Bures check works on.
     "mixed": _Mode(
         analytic_entangled, functools.partial(_cut_chunk, checked=True), _cut_shots, _checked_values, True,
         _bures_row_values,
@@ -424,10 +427,14 @@ def _groups(config: ExperimentConfig) -> range:
     return range(0, shards, min(shards, count))
 
 
+class RunRefused(ValueError):
+    """A run refused before anything is allocated (``check_run``, ``check_memory``)."""
+
+
 def check_memory(values: int, what: str) -> None:
     """Refuse a working set of ``values`` complex numbers above MEMORY_CAP."""
     if 16 * values > MEMORY_CAP:
-        raise ValueError(
+        raise RunRefused(
             f"{what} would hold {16 * values / 2**20:.0f} MiB at once, "
             f"above the {MEMORY_CAP // 2**20} MiB cap"
         )
@@ -462,9 +469,18 @@ def _run_values(config: ExperimentConfig, threads: int = 1) -> int:
     return running * _shard_values(config) + -(-(SHARD_BYTES * groups.stop + FUTURE_BYTES * futures) // 16)
 
 
-def check_run(config: ExperimentConfig, threads: int = 1) -> None:
-    """Refuse a run whose working set (``_run_values``) is above MEMORY_CAP."""
+def check_run(config: ExperimentConfig, threads: int = 1) -> int:
+    """``threads`` as an int, if the run is accepted: a thread count that is
+    not an integer of at least 1 (Python or NumPy, named in the error), or a
+    working set (``_run_values``) above MEMORY_CAP, raises ``RunRefused``."""
+    try:
+        threads = operator.index(threads)
+    except TypeError:
+        raise RunRefused(f"threads {threads!r} is not an integer") from None
+    if threads < 1:
+        raise RunRefused("need at least one thread")
     check_memory(_run_values(config, threads), "a run")
+    return threads
 
 
 def _bures_deviation(
@@ -589,10 +605,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> FidelityEstima
     its group's stack (``_groups``), and reports the worst disagreement.
     State estimation scores the weight of one guessed basis state of the
     outcome against (1 + 1/M)/(N+1).
-    ``check_run`` refuses the run before any sampling if it would hold
-    more than MEMORY_CAP bytes.
+    ``check_run`` refuses a bad thread count or working set before any sampling.
     """
-    check_run(config, threads)
+    threads = check_run(config, threads)
     mode = _MODES[config.mode]
     target = mode.target(config.n, config.m, config.r)
     sizes = _shard_sizes(config.samples, config.shards)

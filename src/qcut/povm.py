@@ -262,11 +262,12 @@ def _max_completeness_deviation(max_n: int) -> tuple[np.ndarray, np.ndarray]:
     far each index's count over every enumerated M-subset is from
     norms[N, M] = norm_const, an exact integer pair.  A sweep whose widest
     row, C(max_n, max_n // 2) subsets, exceeds ``ENUMERATION_CAP`` is
-    refused before any array exists.
+    refused, in the terms of ``qcut verify``, before any array exists.
     """
     widest = math.comb(max_n, max_n // 2)
     if widest > ENUMERATION_CAP:
-        raise ValueError(f"{widest} subsets exceed the enumeration cap {ENUMERATION_CAP}")
+        cap = f"above the enumeration cap {ENUMERATION_CAP}"
+        raise ValueError(f"verify --max-n {max_n} would enumerate {widest} subsets, {cap}")
     sizes = range(max_n + 1)
     norms = np.array([[math.comb(n - 1, m - 1) if n and m else 0 for m in sizes] for n in sizes])
     held = np.arange(max_n) < np.arange(max_n + 1)[:, None, None]  # j in range(N)

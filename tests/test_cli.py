@@ -99,6 +99,51 @@ class TestEstimate:
         assert fields["n"] == "2"
         assert float(fields["analytic_target"]) == pytest.approx(2 / 3)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "2", "--m", "1", "--mode", "pure", "--samples", "200"],
+            ["--n", "4", "--m", "2", "--r", "3", "--mode", "entangled", "--samples", "200"],
+            ["--n", "3", "--m", "2", "--r", "2", "--mode", "mixed", "--samples", "100"],
+            ["--n", "5", "--m", "2", "--mode", "state-estimation", "--samples", "200"],
+        ],
+        ids=["pure", "entangled", "mixed", "state-estimation"],
+    )
+    def test_csv_row_is_the_json_record_flattened(self, capsys, argv):
+        _, out = run_cli(capsys, "estimate", *argv, "--seed", "5")
+        record = json.loads(out)
+        _, out = run_cli(capsys, "estimate", *argv, "--seed", "5", "--format", "csv")
+        header, row = out.splitlines()
+        flat = {
+            **record["config"],
+            **record["estimate"],
+            "analytic_target": record["analytic_target"],
+            "z_score": record["z_score"],
+        }
+        assert header.split(",") == [*flat, "wall_time_seconds"]
+        assert row.split(",")[:-1] == [str(value) for value in flat.values()]
+        assert ("bures_max_deviation" in flat) == ("mixed" in argv)
+
+    def test_estimate_charges_the_run_once(self, capsys, monkeypatch):
+        calls = []
+        check_run = experiments.check_run
+        monkeypatch.setattr(
+            experiments, "check_run", lambda *args: calls.append(args) or check_run(*args)
+        )
+        code, _ = run_cli(
+            capsys,
+            "estimate", "--n", "5", "--m", "2", "--mode", "state-estimation",
+            "--samples", "500", "--seed", "3", "--threads", "2",
+        )
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_mode_choices_are_the_estimator_modes(self):
+        parser = qcut.cli.build_parser()
+        (commands,) = [action for action in parser._actions if action.dest == "command"]
+        (mode,) = [action for action in commands.choices["estimate"]._actions if action.dest == "mode"]
+        assert [choice.replace("-", "_") for choice in mode.choices] == list(experiments._MODES)
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out = run_cli(
@@ -152,6 +197,7 @@ class TestUsageErrors:
             ["estimate", "--n", "3", "--m", "2", "--mode", "pure", "--samples", "10", "--seed", "-1"],
             ["estimate", "--n", "3", "--m", "2", "--mode", "pure", "--samples", "10", "--seed", str(2**64)],
             ["estimate", "--n", "3", "--m", "2", "--mode", "pure", "--samples", "10", "--threads", "0"],
+            ["estimate", "--n", "3", "--m", "2", "--mode", "pure", "--samples", "10", "--threads", "-1"],
             ["teleport-demo", "--n", "2", "--m", "3", "--seed", "1"],
             ["teleport-demo", "--n", "3", "--m", "2", "--seed", "-1"],
             ["verify", "--max-n", "0"],
@@ -173,7 +219,7 @@ class TestUsageErrors:
         ],
         ids=[
             "m-above-n", "no-shards", "no-samples", "r-zero", "r-in-pure", "r-in-state-estimation",
-            "negative-seed", "seed-2**64", "no-threads", "teleport-m-above-n",
+            "negative-seed", "seed-2**64", "no-threads", "negative-threads", "teleport-m-above-n",
             "teleport-negative-seed", "verify-max-n-0", "verify-max-r-0",
             "verify-max-n-over-enumeration-cap", "table-r-zero",
             "table-n-max-0", "table-r-in-state-estimation", "bures-in-entangled",
@@ -344,10 +390,12 @@ class TestVerify:
             monkeypatch.setattr(qcut.cli, "CASE_BLOCK", 2**10)
             max_r = 2**10
 
+        completeness = qcut.cli._max_completeness_deviation(2)
+
         def peak(max_r):
             tracemalloc.start()
             try:
-                rows = list(itertools.islice(qcut.cli._verify_checks(2, max_r), 4))
+                rows = list(itertools.islice(qcut.cli._verify_checks(2, max_r, completeness), 4))
                 return tracemalloc.get_traced_memory()[1], rows
             finally:
                 tracemalloc.stop()

@@ -752,6 +752,35 @@ class TestEstimatorContracts:
                 with pytest.raises(ValueError, match="MiB cap"):
                     experiments.check_run(config, threads)
 
+    @pytest.mark.parametrize(
+        "threads,message",
+        [(0, "need at least one thread"), (-1, "need at least one thread"),
+         (1.5, "threads 1.5 is not an integer"), ("2", "threads '2' is not an integer")],
+    )
+    def test_bad_thread_counts_are_refused_before_allocation(self, monkeypatch, threads, message):
+        # Refused before the working set is charged and before any stream or
+        # pool exists: 1.5 used to be charged as 1.5 threads and start two,
+        # and 0 or -1 to pass the guard at a charge of 0 or less.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached past the thread check")
+
+        for name in ("_run_values", "stream", "ThreadPoolExecutor"):
+            monkeypatch.setattr(experiments, name, unreachable)
+        config = ExperimentConfig(n=64, m=8, r=8, mode="entangled", samples=65_536)
+        for call in (experiments.check_run, run_experiment):
+            with pytest.raises(experiments.RunRefused) as err:
+                call(config, threads)
+            assert str(err.value) == message
+        assert issubclass(experiments.RunRefused, ValueError)
+
+    def test_numpy_thread_counts_run_as_their_int(self, monkeypatch):
+        # Six groups on two CPUs, so that two threads start a pool.
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        config = ExperimentConfig(n=3, m=2, mode="pure", samples=20_000, seed=837)
+        accepted = experiments.check_run(config, np.int64(2))
+        assert accepted == 2 and type(accepted) is int
+        assert run_experiment(config, threads=np.int64(2)) == run_experiment(config, threads=2)
+
     def test_wide_mixed_runs_are_checked_without_n_by_n_arrays(self):
         # The check holds about N min(N, R) + M^2 values a shot: at R = 1 a
         # mixed run is charged about what the entangled one is, where one
@@ -765,7 +794,7 @@ class TestEstimatorContracts:
 
     def test_oversized_working_set_is_refused_before_allocation(self):
         huge = ExperimentConfig(n=10**6, m=1, r=10**4, mode="entangled", samples=100, seed=0)
-        with pytest.raises(ValueError, match="MiB cap"):
+        with pytest.raises(experiments.RunRefused, match="MiB cap"):
             run_experiment(huge)
         # A shard's memory does not grow with its rows, so no sample count is refused.
         experiments.check_run(ExperimentConfig(n=2, m=1, samples=10**12))
@@ -773,7 +802,7 @@ class TestEstimatorContracts:
         # N = 1536) several times over, and is over the cap; the entangled
         # run holds one 1536 x 1536 row per shard, drawn and cut.
         wide = ExperimentConfig(n=1536, m=1, r=1536, mode="mixed", samples=16, seed=0)
-        with pytest.raises(ValueError, match="MiB cap"):
+        with pytest.raises(experiments.RunRefused, match="MiB cap"):
             run_experiment(wide)
         experiments.check_run(dataclasses.replace(wide, mode="entangled"))
 

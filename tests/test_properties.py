@@ -538,7 +538,8 @@ def test_closed_form_rows_match_the_case_by_case_sweep(name, perturbed, max_n, m
         mock.patch.object(cli, "CASE_BLOCK", block),
         mock.patch.object(experiments, name, replacement),
     ):
-        checks = itertools.islice(cli._verify_checks(max_n, max_r), 4)
+        completeness = cli._max_completeness_deviation(max_n)
+        checks = itertools.islice(cli._verify_checks(max_n, max_r, completeness), 4)
         rows = {name: (residual, case) for name, _, residual, case in checks}
         expected = verify_rows(max_n, max_r)
     assert list(rows) == ["relation", "composition", "pure_moments", "entangled_moments"]
