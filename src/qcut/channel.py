@@ -24,6 +24,7 @@ import numpy as np
 from .fidelity import overlap_fidelity
 from .linalg import BipartitePureState
 from .povm import CutPovm, MeasurementOutcome, sample_outcome
+from .rng import _integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +34,7 @@ class ChannelState:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer(self.m, "m"))
         if self.m < 1:
             raise ValueError("channel dimension must be positive")
 

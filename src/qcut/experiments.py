@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,24 +37,22 @@ from .fidelity import bures_fidelity
 from .haar import SAMPLER_PEAK, _all, _exact, angle_weights, draw_angles, exact_moment_fraction, sample_states
 from .linalg import BipartitePureState, partial_trace
 from .povm import CutPovm, draw_subsets, rank_subsets, sample_outcome
-from .rng import check_seed, stream
+from .rng import _integer, check_seed, stream
 
 DEFAULT_SHARDS = 16
 # Rows of Haar states a shard draws at a time.  It bounds estimator memory
 # for any sample count, and it is part of the (seed, shards) contract: a
 # shard of more rows interleaves its state draws with its outcome draws.
 CHUNK = 4096
-# Values per shot (``_bures_row_values``) in one Bures sub-batch: the
-# check runs on max(1, BURES_ENTRIES // those) shots at a time.
-BURES_ENTRIES = 2**16
 # Values of ``_Mode.row_values`` a group of consecutive small shards scores
 # as one stack: what a row holds from draw to score, or in mixed mode what
-# its shot's Bures check works on.  One stack saves the fixed cost of its
-# NumPy (and LAPACK) calls, which weighs most on small stacks, and a larger
-# group holds more: at (N, M, R) = (16, 4, 4) a 250-sample mixed run took
-# 29.3 ms unpooled, 26.3 ms in 51-row groups, 25.2 ms in these 102-row ones
-# and 24.0 ms in one 250-row group (medians of 40 interleaved rounds, 2-CPU
-# Xeon), which raised the process's peak RSS by 1.8 MB against 0.4 MB.
+# its shot's Bures check works on, in sub-batches of a group's rows.  One
+# stack saves the fixed cost of its NumPy (and LAPACK) calls, which weighs
+# most on small stacks, and a larger group holds more: at (N, M, R) =
+# (16, 4, 4) a 250-sample mixed run took 29.3 ms unpooled, 26.3 ms in 51-row
+# groups, 25.2 ms in these 102-row ones and 24.0 ms in one 250-row group
+# (medians of 40 interleaved rounds, 2-CPU Xeon), which raised the process's
+# peak RSS by 1.8 MB against 0.4 MB.
 GROUP_ENTRIES = 2**14
 # Bytes of complex values a run (its running shards and the per-shard
 # bookkeeping, or a teleport-demo run) may hold at once.  Larger
@@ -93,6 +90,9 @@ class ExperimentConfig:
     shards: int = DEFAULT_SHARDS
 
     def __post_init__(self):
+        for name in ("n", "m", "r", "samples", "shards"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         _check_dims(self.n, self.m, self.r)
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {tuple(_MODES)}")
@@ -102,7 +102,6 @@ class ExperimentConfig:
             raise ValueError("need at least one sample")
         if self.shards < 1:
             raise ValueError("need at least one shard")
-        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -298,26 +297,24 @@ class _Mode(NamedTuple):
 def _cut_chunk(config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, checked=False):
     """Draw ``size`` Haar rows and cut each one through ``sample_outcome``:
     their shots, after the rest of ``_bures_deviation``'s inputs if
-    ``checked`` (input rows, post-cut rows and (M,) subsets)."""
+    ``checked`` (the input rows and their (M,) subsets)."""
     n, r = config.n, config.r
     rows = sample_states(n * r, size, rng).reshape(size, n, r)
     shots = np.empty(size)
     if checked:
-        posts = np.empty_like(rows)
         chosen = np.empty((size, config.m), dtype=np.intp)
     for i, row in enumerate(rows):
         outcome = sample_outcome(povm, BipartitePureState._trusted(row), rng)
         shots[i] = outcome.shot_fidelity
         if checked:
-            posts[i] = outcome.post_state.matrix
-            chosen[i] = outcome.subset.indices
-    return (rows, posts, chosen, shots) if checked else (shots,)
+            chosen[i] = outcome.subset._array
+    return (rows, chosen, shots) if checked else (shots,)
 
 
 def _cut_shots(config: ExperimentConfig, povm: CutPovm, drawn: list):
     """The shots of cut chunks, taken as they were drawn, and the largest
     Bures deviation of their check inputs if they were drawn checked."""
-    return drawn[-1], _bures_deviation(*drawn) if len(drawn) > 1 else None
+    return drawn[-1], _bures_deviation(*drawn, _group_rows(config)) if len(drawn) > 1 else None
 
 
 def _guess_draw(config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm):
@@ -357,36 +354,30 @@ def _guess_values(config: ExperimentConfig, rows: int) -> int:
 
 def _checked_values(config: ExperimentConfig, rows: int) -> int:
     """``_drawn_values`` with the Bures check inputs pending (one chunk a shard)
-    until checked: input and post-cut rows (2 N R values a row), subsets
-    (M / 2) and shots (1 / 2).  The check holds them and one sub-batch of
+    until checked: input rows (N R values a row), subsets (M / 2) and shots
+    (1 / 2).  The check holds them and one sub-batch (``_group_rows``) of
     ``_bures_row_values`` a shot three times over: under tracemalloc a
-    sub-batch peaks at 1.3 times its values at (N, M, R) = (2, 1, 64), 1.6
-    at (64, 8, 1), 2.1 at (16, 4, 4) and 2.6 at (3, 2, 2).  Pending chunks
+    sub-batch peaks at 1.7 times its values at (N, M, R) = (2, 1, 64), 1.5
+    at (64, 8, 1), 1.9 at (16, 4, 4) and 2.3 at (3, 2, 2).  Pending chunks
     are held while the next is drawn, and twice over while stacked."""
     n, m, r = config.n, config.m, config.r
     pending = _groups(config).step * rows
 
     def held(count: int) -> int:
-        return -(-count * (4 * n * r + m + 1) // 2)
+        return -(-count * (2 * n * r + m + 1) // 2)
 
-    checked = min(pending, _bures_rows(n, m, r))
     return max(
         _drawn_values(config, rows) + held(pending - rows),
-        held(pending) + 3 * checked * _bures_row_values(n, m, r),
+        held(pending) + 3 * min(pending, _group_rows(config)) * _bures_row_values(n, m, r),
         2 * held(pending) if pending > rows else 0,
     )
 
 
 def _bures_row_values(n: int, m: int, r: int) -> int:
-    """Values one shot's Bures check works on: its relabeled input and
-    post-cut rows, (N + M) R, the eigenvectors of its reduced input,
-    N min(N, R), and the M x M square root of its post-cut state."""
+    """Values one shot's Bures check works on: its relabeled input rows
+    and its cut's, (N + M) R, the eigenvectors of its reduced input,
+    N min(N, R), and the M x M square root of its cut's reduced state."""
     return (n + m) * r + n * min(n, r) + m * m
-
-
-def _bures_rows(n: int, m: int, r: int) -> int:
-    """Shots per Bures sub-batch at (N, M, R): BURES_ENTRIES values."""
-    return max(1, BURES_ENTRIES // _bures_row_values(n, m, r))
 
 
 _MODES = {
@@ -473,60 +464,47 @@ def check_run(config: ExperimentConfig, threads: int = 1) -> int:
     """``threads`` as an int, if the run is accepted: a thread count that is
     not an integer of at least 1 (Python or NumPy, named in the error), or a
     working set (``_run_values``) above MEMORY_CAP, raises ``RunRefused``."""
-    try:
-        threads = operator.index(threads)
-    except TypeError:
-        raise RunRefused(f"threads {threads!r} is not an integer") from None
+    threads = _integer(threads, "threads", RunRefused)
     if threads < 1:
         raise RunRefused("need at least one thread")
     check_memory(_run_values(config, threads), "a run")
     return threads
 
 
-def _bures_deviation(
-    states: np.ndarray, posts: np.ndarray, chosen: np.ndarray, shots: np.ndarray
-) -> float:
-    """Largest |shot - Bures fidelity| over stacked (k, N, R) input and post-cut
-    coefficient matrices, whose shots kept the (k, M) subsets ``chosen``.
-
-    The reduced input and post-cut states are compared through the matrix
-    square-root form, one sub-batch of ``_bures_rows(N, M, R)`` shots per call.
-    """
-    step = _bures_rows(states.shape[1], chosen.shape[1], states.shape[2])
+def _bures_deviation(states: np.ndarray, chosen: np.ndarray, shots: np.ndarray, step: int) -> float:
+    """Largest |shot - Bures fidelity| over stacked (k, N, R) input matrices
+    whose shots kept the (k, M) subsets ``chosen``, by the square-root form
+    on their reduced input and cut states, ``step`` shots per sub-batch."""
     return max(
-        _bures_sub_batch(*(part[lo : lo + step] for part in (states, posts, chosen, shots)))
+        _bures_sub_batch(*(part[lo : lo + step] for part in (states, chosen, shots)))
         for lo in range(0, len(states), step)
     )
 
 
-def _bures_sub_batch(
-    states: np.ndarray, posts: np.ndarray, chosen: np.ndarray, shots: np.ndarray
-) -> float:
+def _bures_sub_batch(states: np.ndarray, chosen: np.ndarray, shots: np.ndarray) -> float:
     """``_bures_deviation`` of one sub-batch.
 
-    A post-cut state is zero outside its subset, so its reduced state is
-    taken on the M subset levels only.  Each row's levels are relabeled so
+    Each cut is rebuilt from its input rows at its subset, renormalized as
+    ``povm._project`` renormalizes it (not at all at M = N), so its reduced
+    state lives on the M subset levels.  Each row's levels are relabeled so
     that its subset comes first, in ascending order (as ``full_protocol``
     relabels them onto the channel), which is where ``bures_fidelity``
-    places an M-level sigma.  A post-cut row with any weight outside its
-    subset is refused, since the M-level state would not show it.  The
-    density matrices and their eigenvectors are dropped on return, before
-    the next sub-batch builds its own.
+    places an M-level sigma.  The density matrices and their eigenvectors
+    are dropped on return, before the next sub-batch builds its own.
     """
-    k, n = states.shape[:2]
+    (k, n), m = states.shape[:2], chosen.shape[1]
     rows = np.arange(k)[:, None]
-    kept = posts[rows, chosen]
-    # The subset rows are distinct, so kept holds every nonzero entry of
-    # posts exactly when nothing outside the subsets is nonzero.
-    if np.count_nonzero(kept) != np.count_nonzero(posts):
-        raise ValueError("a post-cut state has weight outside its subset")
     outside = np.ones((k, n), dtype=bool)
     outside[rows, chosen] = False
-    # Subset levels first (False sorts first), each part in ascending order.
-    order = np.argsort(outside, axis=1, kind="stable")
-    rho_cut = partial_trace(kept)
-    rho = partial_trace(states[rows, order])
-    return float(np.max(np.abs(shots - bures_fidelity(rho, rho_cut))))
+    # Subset levels first, then the rest, each part in ascending order.
+    rest = np.broadcast_to(np.arange(n), (k, n))[outside].reshape(k, n - m)
+    relabeled = states[rows, np.concatenate((chosen, rest), axis=1)]
+    relabeled.setflags(write=False)  # a read-only stack is reduced uncopied
+    kept = relabeled[:, :m]
+    if m < n:
+        # Each row's M R weights summed in order, as ``_project`` sums a cut's.
+        kept = kept / np.sqrt(np.square(np.abs(kept)).reshape(k, -1).sum(axis=1))[:, None, None]
+    return float(np.max(np.abs(shots - bures_fidelity(partial_trace(relabeled), partial_trace(kept)))))
 
 
 def _merge(parts) -> tuple[int, float, float, float | None]:
@@ -602,7 +580,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> FidelityEstima
     sits at the identity, so the per-shot fidelity is the entangled one.
     The mixed mode also recomputes every shot through the matrix
     square-root formula on the reduced states, in stacked sub-batches of
-    its group's stack (``_groups``), and reports the worst disagreement.
+    a group's rows (``_group_rows``), and reports the worst disagreement.
     State estimation scores the weight of one guessed basis state of the
     outcome against (1 + 1/M)/(N+1).
     ``check_run`` refuses a bad thread count or working set before any sampling.

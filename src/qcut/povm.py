@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import BipartitePureState, PureState
+from .rng import _integer
 
 ENUMERATION_CAP = 10**6
 # Masks per array of the completeness pass.
@@ -78,6 +79,8 @@ class CutPovm:
     norm_const: int = field(init=False)
 
     def __post_init__(self):
+        for name in ("n", "m"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not 1 <= self.m <= self.n:
             raise ValueError("need 1 <= m <= n")
         object.__setattr__(self, "norm_const", math.comb(self.n - 1, self.m - 1))

@@ -36,13 +36,20 @@ class _Key(ISeedSequence):
         return self.words
 
 
+def _integer(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as a Python int, from a Python or NumPy integer: the one
+    integer rule for seeds, dimensions and counts.  Any other value raises
+    ``error`` by name ("samples 2.5 is not an integer")."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} {value!r} is not an integer") from None
+
+
 def _key_word(value, name: str) -> int:
     """``value`` as a Python int in [0, 2**64), the range of a key word; any
     other value, a non-integer among them, is refused by name."""
-    try:
-        word = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} {value!r} is not an integer") from None
+    word = _integer(value, name)
     if not 0 <= word < 1 << 64:
         raise ValueError(f"{name} {word} outside [0, 2**64)")
     return word

@@ -35,6 +35,12 @@ class TestChannelState:
         with pytest.raises(ValueError):
             make_channel(0)
 
+    def test_non_integer_dimension_is_refused_by_name(self):
+        with pytest.raises(ValueError) as err:
+            make_channel(2.5)
+        assert str(err.value) == "m 2.5 is not an integer"
+        assert type(make_channel(np.int64(3)).m) is int
+
 
 class TestWeylOperators:
     def test_identity_labels(self):

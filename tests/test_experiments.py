@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -59,7 +60,8 @@ CHUNK_PEAK_CASES = {
     + [(64, 64, 1, 3 * experiments.CHUNK)]
     + [(64, 8, 1, rows) for rows in FEW_ROWS],
     "entangled": [(16, 4, 4, rows) for rows in (*FEW_ROWS, experiments.CHUNK)],
-    "mixed": [(32, 8, 2, 3 * experiments._bures_rows(32, 8, 2)), (2, 1, 64, experiments.CHUNK)]
+    "mixed": [(32, 8, 2, 3 * experiments._group_rows(ExperimentConfig(n=32, m=8, r=2, mode="mixed"))),
+              (2, 1, 64, experiments.CHUNK)]
     + [(*dims, rows) for dims in [(64, 8, 1), (16, 4, 4), (8, 3, 8), (2, 1, 64)] for rows in FEW_ROWS],
     "state_estimation": [(n, m, 1, experiments.CHUNK) for n, m in [(64, 8), (64, 63), (5, 2), (2, 1), (1, 1)]]
     + [(64, 8, 1, rows) for rows in FEW_ROWS]
@@ -326,19 +328,23 @@ class TestMonteCarlo:
         assert est.bures_max_deviation is not None
         assert est.bures_max_deviation < 1e-8
 
-    def test_bures_check_refuses_post_cut_weight_outside_the_subset(self):
+    def test_bures_check_sees_a_shot_scored_on_another_subset(self):
+        # The check rebuilds each cut from its input and subset, so a shot
+        # paired with a subset it did not keep shows as a deviation.
         povm, rng = CutPovm(4, 2), stream(830)
         states = sample_states(12, 5, rng).reshape(5, 4, 3)
         outcomes = [sample_outcome(povm, BipartitePureState(4, 3, c.ravel()), rng) for c in states]
-        posts = np.array([outcome.post_state.matrix for outcome in outcomes])
         chosen = np.array([outcome.subset.indices for outcome in outcomes])
         shots = np.array([outcome.shot_fidelity for outcome in outcomes])
-        assert experiments._bures_deviation(states, posts, chosen, shots) < 1e-12
-        # One off-subset entry, weight 1e-6: the M-level reduced state alone
-        # would not see it.
-        posts[2, min(set(range(4)) - set(chosen[2])), 1] = 1e-3
-        with pytest.raises(ValueError, match="outside its subset"):
-            experiments._bures_deviation(states, posts, chosen, shots)
+        assert experiments._bures_deviation(states, chosen, shots, 5) < 1e-12
+        other = next(s for s in [(0, 1), (2, 3), (0, 2)] if s != tuple(chosen[2]))
+        swapped = chosen.copy()
+        swapped[2] = other
+        weight = float(np.sum(np.abs(states[2, list(other)]) ** 2))
+        assert abs(weight - shots[2]) > 1e-3
+        for step in (5, 2, 1):
+            deviation = experiments._bures_deviation(states, swapped, shots, step)
+            assert deviation == pytest.approx(abs(weight - shots[2]), abs=1e-12)
 
     @pytest.mark.parametrize("n,m,r", BETA_LAW_CONFIGS)
     def test_cut_shots_follow_the_size_biased_beta_law(self, n, m, r):
@@ -542,16 +548,16 @@ class TestEstimatorContracts:
 
     def test_bures_check_memory_does_not_grow_with_its_sub_batches(self):
         # Beside its inputs, the check holds one sub-batch at a time.
-        rows = experiments._bures_rows(32, 8, 2)
-        config = ExperimentConfig(n=32, m=8, r=2, mode="mixed", samples=3 * rows, seed=823)
+        config = ExperimentConfig(n=32, m=8, r=2, mode="mixed", seed=823)
+        rows = experiments._group_rows(config)
         inputs = experiments._cut_chunk(config, 3 * rows, stream(823), CutPovm(32, 8), checked=True)
-        experiments._bures_deviation(*(array[:2] for array in inputs))  # first-call allocations
+        experiments._bures_deviation(*(array[:2] for array in inputs), rows)  # first-call allocations
         peaks = []
         for count in (rows, 3 * rows):
             part = [array[:count] for array in inputs]
             tracemalloc.start()
             try:
-                experiments._bures_deviation(*part)
+                experiments._bures_deviation(*part, rows)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -606,7 +612,8 @@ class TestEstimatorContracts:
             for start in range(0, count, experiments.CHUNK):
                 size = min(experiments.CHUNK, count - start)
                 chunks.append(experiments._cut_chunk(config, size, rng, povm, checked=True))
-        oracle = max(experiments._bures_deviation(*inputs) for inputs in chunks)
+        step = experiments._group_rows(config)
+        oracle = max(experiments._bures_deviation(*inputs, step) for inputs in chunks)
         rows, check = [], experiments._bures_deviation
 
         def counted(*inputs):
@@ -798,10 +805,11 @@ class TestEstimatorContracts:
             run_experiment(huge)
         # A shard's memory does not grow with its rows, so no sample count is refused.
         experiments.check_run(ExperimentConfig(n=2, m=1, samples=10**12))
-        # At R = N the Bures check holds the N x N reduced input (36 MiB at
-        # N = 1536) several times over, and is over the cap; the entangled
-        # run holds one 1536 x 1536 row per shard, drawn and cut.
-        wide = ExperimentConfig(n=1536, m=1, r=1536, mode="mixed", samples=16, seed=0)
+        # At R = N the Bures check holds the N x N reduced input (39 MiB at
+        # N = 1600) several times over, and is over the cap (charged 273.5
+        # MiB); the entangled run holds one 1600 x 1600 row per shard, drawn
+        # and cut (117 MiB).
+        wide = ExperimentConfig(n=1600, m=1, r=1600, mode="mixed", samples=16, seed=0)
         with pytest.raises(experiments.RunRefused, match="MiB cap"):
             run_experiment(wide)
         experiments.check_run(dataclasses.replace(wide, mode="entangled"))
@@ -813,6 +821,27 @@ class TestEstimatorContracts:
             ExperimentConfig(n=3, m=2, mode="pure", samples=0, seed=0)
         with pytest.raises(ValueError, match="1 <= m <= n"):
             ExperimentConfig(n=2, m=3, mode="pure", samples=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "field,value", [("n", 3.0), ("m", 2.0), ("r", 2.0), ("samples", 2.5), ("shards", 2.5), ("n", "3")]
+    )
+    def test_non_integer_config_fields_are_refused_by_name(self, field, value):
+        # One sample, where shards = 2.5 used to run and report an estimate.
+        fields = dict(n=3, m=2, r=1, mode="entangled", samples=1, seed=0, shards=16)
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig(**{**fields, field: value})
+        assert str(err.value) == f"{field} {value!r} is not an integer"
+
+    @pytest.mark.parametrize("mode,r", [("mixed", 2), ("state_estimation", 1)])
+    def test_numpy_integer_config_fields_are_stored_as_ints(self, mode, r):
+        fields = dict(n=3, m=2, r=r, samples=300, seed=839, shards=4)
+        config = ExperimentConfig(mode=mode, **{name: np.int64(value) for name, value in fields.items()})
+        assert config == ExperimentConfig(mode=mode, **fields)
+        assert all(type(getattr(config, name)) is int for name in fields)
+        json.dumps(dataclasses.asdict(config))
+        estimate = run_experiment(config)
+        assert estimate == run_experiment(ExperimentConfig(mode=mode, **fields))
+        json.dumps(dataclasses.asdict(estimate))
 
     @pytest.mark.parametrize("mode", ["pure", "state_estimation"])
     def test_modes_without_auxiliary_reject_r(self, mode):

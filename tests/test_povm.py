@@ -45,6 +45,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CutPovm(3, 0)
 
+    def test_non_integer_dimensions_are_refused_by_name(self):
+        for args, message in [((3.0, 2), "n 3.0 is not an integer"), ((3, 2.5), "m 2.5 is not an integer")]:
+            with pytest.raises(ValueError) as err:
+                CutPovm(*args)
+            assert str(err.value) == message
+        povm = CutPovm(np.int64(10), np.int8(4))
+        assert povm == CutPovm(10, 4) and type(povm.n) is type(povm.m) is int
+
     def test_subset_index_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
             SubsetIndex((1, 1))

@@ -419,7 +419,7 @@ def test_stack_with_one_bad_member_raises_that_members_error(stacks, fault, data
 def test_bures_on_the_subset_levels_equals_the_full_route(stacks):
     # The oracle takes each post-cut state on all N levels, with no relabel.
     states, posts, chosen = stacks
-    _, n, r = states.shape
+    n = states.shape[1]
     rho = partial_trace(states)
     full = bures_fidelity_full(rho, partial_trace(posts))
     # sigma on M levels is taken to be supported on rho's first M.
@@ -427,14 +427,12 @@ def test_bures_on_the_subset_levels_equals_the_full_route(stacks):
     np.testing.assert_allclose(
         bures_fidelity(rho, sigma), bures_fidelity_full(rho, embed(sigma, n)), rtol=0, atol=1e-12
     )
-    # The estimator's check on the same outcomes, in one sub-batch and in
-    # sub-batches of two shots: shots equal to the oracle's fidelities
-    # leave no deviation.
-    assert experiments._bures_deviation(states, posts, chosen, full) <= 1e-12
-    with mock.patch.object(experiments, "BURES_ENTRIES", 2 * experiments._bures_row_values(n, chosen.shape[1], r)):
-        assert experiments._bures_deviation(states, posts, chosen, full) <= 1e-12
-        shifted = experiments._bures_deviation(states, posts, chosen, full + 0.5)
-        assert shifted == pytest.approx(0.5, abs=1e-12)
+    # The estimator's check on the same inputs and subsets, in one sub-batch
+    # and in sub-batches of two shots: shots equal to the oracle's
+    # fidelities leave no deviation.
+    assert experiments._bures_deviation(states, chosen, full, len(states)) <= 1e-12
+    assert experiments._bures_deviation(states, chosen, full, 2) <= 1e-12
+    assert experiments._bures_deviation(states, chosen, full + 0.5, 2) == pytest.approx(0.5, abs=1e-12)
 
 
 @given(st.integers(1, 6), st.data())
