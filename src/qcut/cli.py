@@ -65,14 +65,24 @@ def _format_ratio(numerator: int, denominator: int, places: int = _DECIMALS) -> 
         return str((Decimal(numerator) / Decimal(denominator)).quantize(quantum))
 
 
-def _emit(lines, path: str | None):
-    """Write each of ``lines`` to ``path`` (if given) and to stdout as it comes,
-    so a generator of lines is never held whole."""
-    with open(path, "w") if path else contextlib.nullcontext() as handle:
-        for line in lines:
-            if handle:
-                handle.write(line)
-            sys.stdout.write(line)
+def _output(path: str | None):
+    """``--output``'s file, opened to append before any work (so a refused run
+    leaves it as it was), else a null context; failing to open is a usage error."""
+    try:
+        return open(path, "a") if path else contextlib.nullcontext()
+    except OSError as err:
+        raise _UsageError(f"cannot write --output {path}: {err.strerror}") from None
+
+
+def _emit(lines, handle):
+    """Write each of ``lines`` to ``handle`` (if not None), emptied first, and
+    to stdout as it comes, so a generator of lines is never held whole."""
+    if handle:
+        handle.truncate(0)
+    for line in lines:
+        if handle:
+            handle.write(line)
+        sys.stdout.write(line)
 
 
 def cmd_estimate(args) -> int:
@@ -88,34 +98,35 @@ def cmd_estimate(args) -> int:
     )
     if args.check_bures and args.mode != "mixed":
         raise _UsageError("the Bures check needs mode mixed")
-    start = time.perf_counter()
-    estimate = experiments.run_experiment(config, threads=args.threads)
-    elapsed = time.perf_counter() - start
+    with _output(args.output) as handle:
+        start = time.perf_counter()
+        estimate = experiments.run_experiment(config, threads=args.threads)
+        elapsed = time.perf_counter() - start
 
-    estimate_fields = {
-        "mean": _round(estimate.mean),
-        "stderr": _round(estimate.stderr),
-        "samples": estimate.samples,
-        "seed": estimate.seed,
-    }
-    if estimate.bures_max_deviation is not None:
-        estimate_fields["bures_max_deviation"] = estimate.bures_max_deviation
-    record = {
-        "config": {field.name: getattr(config, field.name) for field in fields(config)},
-        "estimate": estimate_fields,
-        "analytic_target": _round(estimate.analytic_target),
-        "z_score": _round(estimate.z_score),
-        "wall_time_seconds": elapsed,
-    }
-    if args.format == "json":
-        text = json.dumps(record, indent=2) + "\n"
-    else:
-        # One CSV row: the record with its nested sections flattened in place.
-        flat = {}
-        for key, value in record.items():
-            flat.update(value if isinstance(value, dict) else {key: value})
-        text = ",".join(flat) + "\n" + ",".join(map(str, flat.values())) + "\n"
-    _emit((text,), args.output)
+        estimate_fields = {
+            "mean": _round(estimate.mean),
+            "stderr": _round(estimate.stderr),
+            "samples": estimate.samples,
+            "seed": estimate.seed,
+        }
+        if estimate.bures_max_deviation is not None:
+            estimate_fields["bures_max_deviation"] = estimate.bures_max_deviation
+        record = {
+            "config": {field.name: getattr(config, field.name) for field in fields(config)},
+            "estimate": estimate_fields,
+            "analytic_target": _round(estimate.analytic_target),
+            "z_score": _round(estimate.z_score),
+            "wall_time_seconds": elapsed,
+        }
+        if args.format == "json":
+            text = json.dumps(record, indent=2) + "\n"
+        else:
+            # One CSV row: the record with its nested sections flattened in place.
+            flat = {}
+            for key, value in record.items():
+                flat.update(value if isinstance(value, dict) else {key: value})
+            text = ",".join(flat) + "\n" + ",".join(map(str, flat.values())) + "\n"
+        _emit((text,), handle)
     return 0 if estimate.z_score is not None and abs(estimate.z_score) < 5.0 else 1
 
 
@@ -220,14 +231,15 @@ def cmd_table(args) -> int:
         raise _UsageError("table --what state-estimation needs --r 1")
     # Each row is written as soon as it is formatted, so memory does not
     # grow with the table's N_max (N_max + 1) / 2 rows.
-    _emit(_table_lines(args.n_max, args.r, args.what), args.output)
+    with _output(args.output) as handle:
+        _emit(_table_lines(args.n_max, args.r, args.what), handle)
     return 0
 
 
 def cmd_teleport_demo(args) -> int:
     _checked(CutPovm, args.n, args.m)
-    # The run holds three n-level states: the input, the cut and the re-embedded one.
-    experiments.check_memory(3 * args.n, "teleport-demo")
+    # The run holds three n-level states, 16 B a level: input, cut, re-embedded.
+    experiments.check_memory(48 * args.n, "teleport-demo")
     rng = _checked(stream, args.seed)
     state = sample_state(args.n, rng)
     run = full_protocol(state, args.m, rng)

@@ -54,9 +54,8 @@ CHUNK = 4096
 # (medians of 40 interleaved rounds, 2-CPU Xeon), which raised the process's
 # peak RSS by 1.8 MB against 0.4 MB.
 GROUP_ENTRIES = 2**14
-# Bytes of complex values a run (its running shards and the per-shard
-# bookkeeping, or a teleport-demo run) may hold at once.  Larger
-# configurations are refused before anything is allocated.
+# Bytes a run (its running groups and per-shard bookkeeping, or a teleport-demo
+# run) may hold at once; a larger one is refused before anything is allocated.
 MEMORY_CAP = 2**28
 # Bytes a run keeps per shard: its size and merge part (about 200 B under
 # tracemalloc).
@@ -289,9 +288,11 @@ class _Mode(NamedTuple):
     target: Callable[[int, int, int], float]  # closed form of (n, m, r)
     draw: Callable  # (config, size, rng, povm) -> a chunk's arrays, a row per shot
     score: Callable  # (config, povm, stacked arrays) -> (shots, Bures deviation or None)
-    values: Callable  # (config, rows) -> complex values' worth of a group's peak, shots aside
     takes_aux: bool  # whether r > 1 is allowed
     row_values: Callable  # (n, m, r) -> a row's values toward GROUP_ENTRIES (``_group_rows``)
+    drawn: Callable  # (config, rows) -> bytes a chunk peaks at while drawn (``_group_bytes``)
+    held: Callable  # (n, m, r) -> bytes a drawn row holds until scored
+    scored: Callable  # (config, rows) -> bytes scoring a stack of rows adds to what they hold
 
 
 def _cut_chunk(config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, checked=False):
@@ -331,46 +332,10 @@ def _guess_score(config: ExperimentConfig, povm: CutPovm, drawn: list):
     return weights[np.arange(len(weights)), chosen[:, 0]], None
 
 
-def _drawn_values(config: ExperimentConfig, rows: int) -> int:
-    """N * R Haar amplitudes a row, held SAMPLER_PEAK times over while drawn,
-    then once beside one shot's cut temporaries, about two rows."""
-    return max(SAMPLER_PEAK * rows, rows + 2) * config.n * config.r
-
-
-def _cut_values(config: ExperimentConfig, rows: int) -> int:
-    """``_drawn_values`` with the pending chunks' shots, 8 B a row, held while
-    the next chunk is drawn and twice over while stacked.  A group holds one
-    chunk a shard pending at most (``_groups``' step)."""
-    pending = _groups(config).step * rows
-    return max(_drawn_values(config, rows) + -(-(pending - rows) // 2), pending if pending > rows else 0)
-
-
-def _guess_values(config: ExperimentConfig, rows: int) -> int:
-    """Pending draws of 2N + 1 doubles a row, twice over while stacked; scoring
-    holds them, the weights and one ranking temporary, about 3N doubles a row,
-    plus N values at any rows: the weight map's exponents, ranking temporaries."""
-    return _groups(config).step * rows * (2 * config.n + 1) + config.n
-
-
-def _checked_values(config: ExperimentConfig, rows: int) -> int:
-    """``_drawn_values`` with the Bures check inputs pending (one chunk a shard)
-    until checked: input rows (N R values a row), subsets (M / 2) and shots
-    (1 / 2).  The check holds them and one sub-batch (``_group_rows``) of
-    ``_bures_row_values`` a shot three times over: under tracemalloc a
-    sub-batch peaks at 1.7 times its values at (N, M, R) = (2, 1, 64), 1.5
-    at (64, 8, 1), 1.9 at (16, 4, 4) and 2.3 at (3, 2, 2).  Pending chunks
-    are held while the next is drawn, and twice over while stacked."""
-    n, m, r = config.n, config.m, config.r
-    pending = _groups(config).step * rows
-
-    def held(count: int) -> int:
-        return -(-count * (2 * n * r + m + 1) // 2)
-
-    return max(
-        _drawn_values(config, rows) + held(pending - rows),
-        held(pending) + 3 * min(pending, _group_rows(config)) * _bures_row_values(n, m, r),
-        2 * held(pending) if pending > rows else 0,
-    )
+def _drawn_bytes(config: ExperimentConfig, rows: int) -> int:
+    """N * R Haar amplitudes of 16 B a row, held SAMPLER_PEAK times over while
+    drawn, then once beside one shot's cut temporaries, about two rows."""
+    return 16 * max(SAMPLER_PEAK * rows, rows + 2) * config.n * config.r
 
 
 def _bures_row_values(n: int, m: int, r: int) -> int:
@@ -381,20 +346,28 @@ def _bures_row_values(n: int, m: int, r: int) -> int:
 
 
 _MODES = {
-    # A cut row holds its 8 B shot from draw to score, twice over while
-    # stacked: one complex value.
-    "pure": _Mode(analytic_entangled, _cut_chunk, _cut_shots, _cut_values, False, lambda n, m, r: 1),
-    "entangled": _Mode(analytic_entangled, _cut_chunk, _cut_shots, _cut_values, True, lambda n, m, r: 1),
-    # A mixed row counts the values its shot's Bures check works on.
+    # A cut row holds its 8 B shot from draw to score.
+    "pure": _Mode(analytic_entangled, _cut_chunk, _cut_shots, False, lambda n, m, r: 1,
+                  _drawn_bytes, lambda n, m, r: 8, lambda config, rows: 0),
+    "entangled": _Mode(analytic_entangled, _cut_chunk, _cut_shots, True, lambda n, m, r: 1,
+                       _drawn_bytes, lambda n, m, r: 8, lambda config, rows: 0),
+    # A mixed row counts the values its shot's Bures check works on, and
+    # holds the check's inputs until checked: its N R amplitudes, M subset
+    # indices and shot.  Scoring charges a sub-batch (``_group_rows``) three
+    # times its values; under tracemalloc one peaks at 1.5-2.3 times them.
     "mixed": _Mode(
-        analytic_entangled, functools.partial(_cut_chunk, checked=True), _cut_shots, _checked_values, True,
-        _bures_row_values,
+        analytic_entangled, functools.partial(_cut_chunk, checked=True), _cut_shots, True, _bures_row_values,
+        _drawn_bytes, lambda n, m, r: 8 * (2 * n * r + m + 1),
+        lambda c, rows: 48 * min(rows, _group_rows(c)) * _bures_row_values(c.n, c.m, c.r),
     ),
-    # A row holds its angle doubles, in a buffer of N (``draw_angles``), and
-    # its N + 1 subset doubles: N + 1 complex values.
+    # A row draws and holds its angle doubles, in a buffer of N
+    # (``draw_angles``), and its N + 1 subset doubles: N + 1 values of 16 B.
+    # Scoring holds them, the weights and a ranking temporary, about 3N
+    # doubles a row, and N values at any rows (exponents, ranking temporaries).
     "state_estimation": _Mode(
-        lambda n, m, r: analytic_state_estimation(n, m), _guess_draw, _guess_score, _guess_values, False,
-        lambda n, m, r: n + 1,
+        lambda n, m, r: analytic_state_estimation(n, m), _guess_draw, _guess_score, False, lambda n, m, r: n + 1,
+        lambda config, rows: 8 * (2 * config.n + 1) * rows, lambda n, m, r: 8 * (2 * n + 1),
+        lambda config, rows: 8 * (2 * config.n + 1) * rows + 16 * config.n,
     ),
 }
 
@@ -422,25 +395,30 @@ class RunRefused(ValueError):
     """A run refused before anything is allocated (``check_run``, ``check_memory``)."""
 
 
-def check_memory(values: int, what: str) -> None:
-    """Refuse a working set of ``values`` complex numbers above MEMORY_CAP."""
-    if 16 * values > MEMORY_CAP:
+def check_memory(nbytes: int, what: str) -> None:
+    """Refuse a working set of ``nbytes`` bytes above MEMORY_CAP."""
+    if nbytes > MEMORY_CAP:
         raise RunRefused(
-            f"{what} would hold {16 * values / 2**20:.0f} MiB at once, "
+            f"{what} would hold {nbytes / 2**20:.0f} MiB at once, "
             f"above the {MEMORY_CAP // 2**20} MiB cap"
         )
 
 
-def _shard_values(config: ExperimentConfig) -> int:
-    """Complex values' worth of memory one group of shards of ``config``
-    (``_groups``) holds at its peak: its largest shard draws one chunk of
-    min(CHUNK, shard rows) rows at a time, its mode's working set
-    (``_Mode.values``, which counts the group's pending chunks) and one 8 B
-    shot value a row, half a complex value.  A group also holds GROUP_BYTES
-    whatever its rows, and PENDING_BYTES a pending chunk, one a shard."""
+def _group_bytes(config: ExperimentConfig) -> int:
+    """Bytes a group of shards (``_groups``) holds at its peak, with a chunk of
+    its largest shard's rows (at most CHUNK) pending a shard: GROUP_BYTES,
+    PENDING_BYTES a pending chunk, an 8 B shot a row, and the largest phase
+    of its mode's bytes (``_Mode``): drawing a chunk beside the other pending
+    ones, scoring the pending stack, or, in a group of several shards,
+    stacking it, the pending chunks twice over."""
+    mode, step = _MODES[config.mode], _groups(config).step
     rows = min(CHUNK, -(-config.samples // config.shards))
-    held = GROUP_BYTES + PENDING_BYTES * _groups(config).step
-    return held // 16 + -(-rows // 2) + _MODES[config.mode].values(config, rows)
+    pending, held = step * rows, mode.held(config.n, config.m, config.r)
+    return GROUP_BYTES + PENDING_BYTES * step + 8 * rows + max(
+        mode.drawn(config, rows) + held * (pending - rows),
+        held * pending + mode.scored(config, pending),
+        2 * held * pending if step > 1 else 0,
+    )
 
 
 def _workers(threads: int, groups: int) -> int:
@@ -449,25 +427,25 @@ def _workers(threads: int, groups: int) -> int:
     return min(threads, os.cpu_count() or 1, groups)
 
 
-def _run_values(config: ExperimentConfig, threads: int = 1) -> int:
-    """Complex values' worth of memory a run of ``config`` on ``threads``
-    threads holds at its peak: the working sets (``_shard_values``) of the
-    groups it runs at once (``_workers``), each shard's SHARD_BYTES and, when
-    a pool runs, each group's FUTURE_BYTES."""
+def _run_bytes(config: ExperimentConfig, threads: int = 1) -> int:
+    """Bytes a run of ``config`` on ``threads`` threads holds at its peak: the
+    working sets (``_group_bytes``) of the groups it runs at once
+    (``_workers``), each shard's SHARD_BYTES and, when a pool runs, each
+    group's FUTURE_BYTES."""
     groups = _groups(config)
     running = _workers(threads, len(groups))
     futures = len(groups) if running > 1 else 0
-    return running * _shard_values(config) + -(-(SHARD_BYTES * groups.stop + FUTURE_BYTES * futures) // 16)
+    return running * _group_bytes(config) + SHARD_BYTES * groups.stop + FUTURE_BYTES * futures
 
 
 def check_run(config: ExperimentConfig, threads: int = 1) -> int:
     """``threads`` as an int, if the run is accepted: a thread count that is
     not an integer of at least 1 (Python or NumPy, named in the error), or a
-    working set (``_run_values``) above MEMORY_CAP, raises ``RunRefused``."""
+    working set (``_run_bytes``) above MEMORY_CAP, raises ``RunRefused``."""
     threads = _integer(threads, "threads", RunRefused)
     if threads < 1:
         raise RunRefused("need at least one thread")
-    check_memory(_run_values(config, threads), "a run")
+    check_memory(_run_bytes(config, threads), "a run")
     return threads
 
 

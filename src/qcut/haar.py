@@ -25,6 +25,7 @@ import operator
 import numpy as np
 
 from .linalg import PureState
+from .rng import _integer
 
 TWO_PI = 2.0 * math.pi
 # Bytes ``sample_states`` holds while it draws, per byte it returns, rounded
@@ -34,11 +35,12 @@ SAMPLER_PEAK = 2
 
 def sample_state(dim: int, rng: np.random.Generator) -> PureState:
     """Draw one Haar-uniform pure state: one row of ``sample_states``."""
-    return PureState._trusted(sample_states(dim, 1, rng).reshape(dim, 1))
+    return PureState._trusted(sample_states(dim, 1, rng).reshape(-1, 1))
 
 
 def _angle_buffer(dim: int, count: int, rng: np.random.Generator):
     """A (count, dim) buffer, and its head: the (count, dim - 1) angle doubles drawn."""
+    dim, count = _integer(dim, "dim"), _integer(count, "count")
     if dim < 1:
         raise ValueError("dimension must be positive")
     if count < 0:
@@ -54,8 +56,8 @@ def draw_angles(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     of ``count`` Haar rows, with their phase doubles drawn next and dropped,
     so the stream ends where ``sample_states`` leaves it.  The angles lead
     a (count, dim) buffer, their ``base``, which ``angle_weights`` fills."""
-    _, angles = _angle_buffer(dim, count, rng)
-    rng.random((count, dim))
+    buffer, angles = _angle_buffer(dim, count, rng)
+    rng.random(buffer.shape)
     return angles
 
 
@@ -102,7 +104,7 @@ def sample_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     shape (see ``SAMPLER_PEAK``), whose leading part first holds the angles.
     """
     scratch, angles = _angle_buffer(dim, count, rng)
-    out = np.empty((count, dim), dtype=complex)
+    out = np.empty(scratch.shape, dtype=complex)
     mags = angle_weights(angles, out.real)
     np.sqrt(mags, out=mags)
     # The phases are drawn next, into the scratch; then the magnitudes wait

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import _integer
+
 NORM_ATOL = 1e-12
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -69,13 +71,14 @@ class BipartitePureState:
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.dim_sys < 1 or self.dim_aux < 1:
+        dim_sys, dim_aux = _integer(self.dim_sys, "dim_sys"), _integer(self.dim_aux, "dim_aux")
+        if dim_sys < 1 or dim_aux < 1:
             raise ValueError("dimensions must be positive")
-        amps = _frozen_complex_array(self.amps, (self.dim_sys * self.dim_aux,))
+        amps = _frozen_complex_array(self.amps, (dim_sys * dim_aux,))
         norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm**2 = {norm2} is not 1 within {NORM_ATOL}")
-        _store(self, amps.reshape(self.dim_sys, self.dim_aux))
+        _store(self, amps.reshape(dim_sys, dim_aux))
 
     @classmethod
     def _trusted(cls, coeffs: np.ndarray):
@@ -98,7 +101,7 @@ class PureState(BipartitePureState):
     """
 
     def __init__(self, dim: int, amps):
-        super().__init__(dim, 1, amps)
+        super().__init__(_integer(dim, "dim"), 1, amps)
 
     @property
     def dim(self) -> int:
@@ -106,6 +109,7 @@ class PureState(BipartitePureState):
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "PureState":
+        dim, index = _integer(dim, "dim"), _integer(index, "index")
         if not 0 <= index < dim:
             raise ValueError("basis index out of range")
         amps = np.zeros(dim, dtype=complex)
@@ -137,6 +141,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
         if self.dim < 1:
             raise ValueError("dimension must be positive")
         shape = np.shape(self.entries)[:-2] + (self.dim, self.dim)
@@ -231,6 +236,8 @@ def partial_trace(state) -> DensityMatrix:
     auxiliary of the transposed coefficients, ``c.swapaxes(-1, -2)``.
     """
     c = np.asarray(state if isinstance(state, np.ndarray) else state.matrix, dtype=complex)
+    if c.ndim < 2:
+        raise ValueError(f"expected (..., N, R) coefficient matrices, got shape {c.shape}")
     return DensityMatrix._reduced(c)
 
 

@@ -235,6 +235,42 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.strip().splitlines()[-1].startswith("qcut: error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["estimate", "--n", "3", "--m", "2", "--mode", "pure", "--samples", "10"], ["table", "--n-max", "3"]],
+        ids=["estimate", "table"],
+    )
+    def test_unwritable_output_is_a_usage_error_before_any_sample(self, capsys, monkeypatch, tmp_path, argv):
+        # It used to end in a traceback with exit 1, the off-target code:
+        # after the whole estimate, or before the table's first row.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled before the output was opened")
+
+        monkeypatch.setattr(experiments, "stream", unreachable)
+        path = tmp_path / "missing" / "report"
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--output", str(path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.strip().splitlines()[-1]
+        assert last == f"qcut: error: cannot write --output {path}: No such file or directory"
+
+    def test_output_is_replaced_only_by_a_report(self, capsys, tmp_path):
+        # The file is opened before the run: a refused run leaves it as it
+        # was, and a report replaces all of a longer file.
+        path = tmp_path / "report.json"
+        path.write_text("x" * 10_000)
+        with pytest.raises(SystemExit) as err:
+            main(["estimate", "--n", "1000000", "--m", "1", "--r", "10000", "--mode", "entangled",
+                  "--samples", "100", "--output", str(path)])
+        assert err.value.code == 2
+        assert path.read_text() == "x" * 10_000
+        capsys.readouterr()
+        code, out = run_cli(capsys, "estimate", "--n", "3", "--m", "2", "--mode", "pure", "--samples", "10",
+                            "--output", str(path))
+        assert code == 0 and path.read_text() == out
+
     def test_invalid_seed_environment_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("QCUT_SEED", "seven")
         with pytest.raises(SystemExit) as err:

@@ -575,7 +575,7 @@ class TestEstimatorContracts:
         assert list(experiments._shard_sizes(config.samples, config.shards)) == list(sizes)
         assert len(experiments._groups(config)) == 1
         self.shard_peak(config, *sizes)  # first-call allocations are not the shard's
-        assert self.shard_peak(config, *sizes) <= 16 * experiments._shard_values(config)
+        assert self.shard_peak(config, *sizes) <= experiments._group_bytes(config)
 
     @pytest.mark.parametrize(
         "n,m,r,samples,groups",
@@ -649,11 +649,17 @@ class TestEstimatorContracts:
             # 4000 shards of one row each in one group, which holds every
             # shard's chunk pending until it scores them as one stack: the
             # run's peak is its per-shard sizes and merge parts and the
-            # pending chunks' objects, at any thread count.
+            # pending chunks' objects, at any thread count.  In both cut
+            # modes the charge's stacking phase binds.
             pytest.param(
                 ExperimentConfig(n=2, m=1, mode="pure", samples=4_000, seed=828, shards=4_000),
                 1,
                 id="cut-one-group",
+            ),
+            pytest.param(
+                ExperimentConfig(n=2, m=1, r=2, mode="entangled", samples=4_000, seed=828, shards=4_000),
+                1,
+                id="entangled-one-group",
             ),
             pytest.param(
                 ExperimentConfig(n=2, m=1, mode="state_estimation", samples=4_000, seed=828, shards=4_000),
@@ -726,7 +732,7 @@ class TestEstimatorContracts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * experiments._run_values(config, threads)
+        assert peak <= experiments._run_bytes(config, threads)
 
     @pytest.mark.parametrize("cpus", [1, 2, 64])
     def test_shard_count_is_charged_before_allocation(self, monkeypatch, cpus):
@@ -771,7 +777,7 @@ class TestEstimatorContracts:
         def unreachable(*args, **kwargs):
             raise AssertionError("reached past the thread check")
 
-        for name in ("_run_values", "stream", "ThreadPoolExecutor"):
+        for name in ("_run_bytes", "stream", "ThreadPoolExecutor"):
             monkeypatch.setattr(experiments, name, unreachable)
         config = ExperimentConfig(n=64, m=8, r=8, mode="entangled", samples=65_536)
         for call in (experiments.check_run, run_experiment):

@@ -65,6 +65,17 @@ class TestSamplers:
         with pytest.raises(ValueError, match="dimension"):
             sample_weights(0, 5, rng)
 
+    def test_non_integer_dimensions_and_counts_are_refused_by_name(self):
+        rng = stream(404)
+        for call, message in [
+            (lambda: sample_state(3.0, rng), "dim 3.0 is not an integer"),
+            (lambda: sample_states(3, 2.0, rng), "count 2.0 is not an integer"),
+            (lambda: sample_weights(2.5, 1, rng), "dim 2.5 is not an integer"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
     def test_mean_weight_is_uniform(self):
         rng = stream(405)
         weights = np.abs(sample_states(4, 100_000, rng)) ** 2
@@ -141,7 +152,7 @@ class TestSamplers:
         for samples in (CHUNK, 3 * CHUNK):
             config = ExperimentConfig(n=dim, m=dim, samples=samples, shards=1)
             charge = SAMPLER_PEAK * out.nbytes + 8 * CHUNK + experiments.GROUP_BYTES + experiments.PENDING_BYTES
-            assert 16 * experiments._shard_values(config) == charge
+            assert experiments._group_bytes(config) == charge
 
 
 class TestWeights:

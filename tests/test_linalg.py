@@ -27,6 +27,29 @@ class TestStateTypes:
         with pytest.raises(ValueError, match="finite"):
             PureState(2, np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DensityMatrix(2.0, np.eye(2) / 2), "dim 2.0 is not an integer"),
+            (lambda: PureState(2.0, [1.0, 0.0]), "dim 2.0 is not an integer"),
+            (lambda: BipartitePureState(2, 1.0, [1.0, 0.0]), "dim_aux 1.0 is not an integer"),
+            (lambda: PureState.basis_state(3.0, 0), "dim 3.0 is not an integer"),
+            (lambda: PureState.basis_state(3, 1.0), "index 1.0 is not an integer"),
+        ],
+        ids=["density", "pure", "bipartite", "basis-dim", "basis-index"],
+    )
+    def test_non_integer_dimensions_are_refused_by_name(self, build, message):
+        # A float dimension used to be kept (DensityMatrix) or to fail deep
+        # in NumPy with a bare TypeError.
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_numpy_integer_dimensions_are_stored_as_ints(self):
+        rho = DensityMatrix(np.int64(2), np.eye(2) / 2)
+        state = PureState.basis_state(np.int8(3), np.int64(1))
+        assert type(rho.dim) is type(state.dim) is type(state.dim_aux) is int
+
     def test_pure_state_is_immutable(self):
         state = PureState.basis_state(3, 1)
         with pytest.raises(ValueError):
@@ -241,6 +264,12 @@ class TestPartialTrace:
             partial_trace(state).entries, from_pure(state).entries, atol=1e-15
         )
         np.testing.assert_allclose(partial_trace(state.matrix.T).entries, [[1.0]], atol=1e-15)
+
+    def test_a_vector_is_refused_with_the_expected_shape(self):
+        with pytest.raises(ValueError) as err:
+            partial_trace(np.ones(3) / np.sqrt(3))
+        assert str(err.value) == "expected (..., N, R) coefficient matrices, got shape (3,)"
+
 
 class TestMatrixSqrt:
     def test_scalar_matrix(self):

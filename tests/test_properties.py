@@ -208,8 +208,7 @@ def test_groups_are_the_count_the_guard_charges(mode, dims, r, samples, shards, 
         running = min(threads, cpus, len(groups))
         futures = len(groups) if running > 1 else 0
         kept = experiments.SHARD_BYTES * len(sizes) + experiments.FUTURE_BYTES * futures
-        charge = running * experiments._shard_values(config) + -(-kept // 16)
-        assert experiments._run_values(config, threads) == charge
+        assert experiments._run_bytes(config, threads) == running * experiments._group_bytes(config) + kept
 
 
 def test_batched_pivot_on_interval_edges_equals_the_single_draws():
