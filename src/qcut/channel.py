@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fidelity import overlap_fidelity
-from .linalg import BipartitePureState
+from .linalg import BipartitePureState, _coefficients
 from .povm import CutPovm, MeasurementOutcome, sample_outcome
 from .rng import _integer
 
@@ -34,9 +34,7 @@ class ChannelState:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _integer(self.m, "m"))
-        if self.m < 1:
-            raise ValueError("channel dimension must be positive")
+        object.__setattr__(self, "m", _integer(self.m, "m", 1))
 
 
 @dataclass(frozen=True)
@@ -47,8 +45,8 @@ class ClassicalMessage:
     b: int
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError("outcome labels must be nonnegative")
+        for name in ("a", "b"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,14 +99,13 @@ def teleport(
     state equals the input up to floating-point round-off for every outcome.
     """
     m = channel.m
-    c = state.matrix
+    c = _coefficients(state)
     if c.shape[0] != m:
         raise ValueError(f"input system dimension {c.shape[0]} != channel m={m}")
 
     if force_outcome is not None:
         a, b = force_outcome
-        if not (0 <= a < m and 0 <= b < m):
-            raise ValueError(f"forced outcome ({a}, {b}) outside [0, {m})")
+        a, b = _integer(a, "a", 0, m - 1), _integer(b, "b", 0, m - 1)
     else:
         if rng is None:
             raise ValueError("need an rng unless the outcome is forced")
@@ -127,7 +124,7 @@ def full_protocol(state, m: int, rng: np.random.Generator) -> ProtocolRun:
     The end-to-end fidelity to the original input equals the cut's
     single-shot fidelity because the teleport step is lossless.
     """
-    outcome = sample_outcome(CutPovm(state.matrix.shape[0], m), state, rng)
+    outcome = sample_outcome(CutPovm(_coefficients(state).shape[0], m), state, rng)
     idx = list(outcome.subset.indices)
     post_c = outcome.post_state.matrix
     build = type(state)._trusted

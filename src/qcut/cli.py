@@ -30,7 +30,7 @@ from .channel import full_protocol
 from .fidelity import overlap_fidelity
 from .haar import sample_state
 from .povm import ENUMERATION_CAP, CutPovm, _max_completeness_deviation
-from .rng import stream
+from .rng import _integer, stream
 
 _DECIMALS = 12
 # Cases of a row that ``verify`` checks in one call: the row's arrays hold
@@ -193,8 +193,8 @@ def _verify_checks(max_n: int, max_r: int, completeness: tuple[np.ndarray, np.nd
 
 
 def cmd_verify(args) -> int:
-    if args.max_n < 2 or args.max_r < 1:
-        raise _UsageError("verify needs --max-n >= 2 and --max-r >= 1")
+    _checked(_integer, args.max_n, "--max-n", 2)
+    _checked(_integer, args.max_r, "--max-r", 1)
     # The composition row, the widest, visits C(max_n + 2, 3) (n, k, m) per r.
     cases = math.comb(args.max_n + 2, 3) * args.max_r
     if cases > ENUMERATION_CAP:
@@ -225,8 +225,8 @@ def _table_lines(n_max: int, r: int, what: str):
 
 
 def cmd_table(args) -> int:
-    if args.n_max < 1 or args.r < 1:
-        raise _UsageError("table needs --n-max >= 1 and --r >= 1")
+    _checked(_integer, args.n_max, "--n-max", 1)
+    _checked(_integer, args.r, "--r", 1)
     if args.what == "state-estimation" and args.r != 1:
         raise _UsageError("table --what state-estimation needs --r 1")
     # Each row is written as soon as it is formatted, so memory does not

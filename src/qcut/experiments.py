@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fidelity import bures_fidelity
-from .haar import SAMPLER_PEAK, _all, _exact, angle_weights, draw_angles, exact_moment_fraction, sample_states
+from .haar import SAMPLER_PEAK, _check_cases, _exact, angle_weights, draw_angles, exact_moment_fraction, sample_states
 from .linalg import BipartitePureState, partial_trace
 from .povm import CutPovm, draw_subsets, rank_subsets, sample_outcome
 from .rng import _integer, check_seed, stream
@@ -90,17 +90,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n", "m", "r", "samples", "shards"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         object.__setattr__(self, "seed", check_seed(self.seed))
         _check_dims(self.n, self.m, self.r)
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {tuple(_MODES)}")
         if self.r != 1 and not _MODES[self.mode].takes_aux:
             raise ValueError(f"mode {self.mode} needs r = 1")
-        if self.samples < 1:
-            raise ValueError("need at least one sample")
-        if self.shards < 1:
-            raise ValueError("need at least one shard")
 
 
 @dataclass(frozen=True)
@@ -144,11 +140,9 @@ def _state_estimation_ratio(n: int, m: int) -> tuple[int, int]:
     return m + 1, m * (n + 1)
 
 
-def _check_dims(n: int, m: int, r: int = 1):
-    if not _all((1 <= m) & (m <= n)):
-        raise ValueError("need 1 <= m <= n")
-    if not _all(r >= 1):
-        raise ValueError("auxiliary dimension must be >= 1")
+def _check_dims(n: int, m: int, r: int = 1) -> tuple:
+    """(n, m, r) within 1 <= m <= n and r >= 1, ints or arrays of cases, by ``haar._check_cases``."""
+    return _check_cases((n, "n", 1, None), (m, "m", 1, n), (r, "r", 1, None))
 
 
 def _float(ratio: tuple[int, int]) -> float:
@@ -209,11 +203,8 @@ def relation_check(n: int, m: int, r: int = 1) -> float:
     The cases are ints, for one residual, or equal-shaped integer arrays,
     for the array of their residuals; every case is checked first.
     """
-    if not _all(n != 1):
-        raise ValueError("relation needs n >= 2")
-    if not _all((1 <= m) & (m < n)):
-        raise ValueError("need 1 <= m < n")
-    _check_dims(n, m, r)
+    n, m, r = _check_dims(n, m, r)
+    _check_cases((n, "n", 2, None), (m, "m", 1, n - 1))
     n, m, r = _exact((n, m, r), 2)
     # Each product takes three of these factors, and the right-hand
     # numerator's two products share the bound: (M-1) + (N-M) = N-1.
@@ -229,10 +220,7 @@ def composition_check(n: int, k: int, m: int, r: int = 1) -> float:
 
     The cases are ints or equal-shaped integer arrays, as in ``relation_check``.
     """
-    if not _all((1 <= m) & (m <= k) & (k <= n)):
-        raise ValueError("need 1 <= m <= k <= n")
-    _check_dims(n, m, r)
-    n, k, m, r = _exact((n, k, m, r), 2)
+    n, k, m, r = _exact(_check_cases((n, "n", 1, None), (k, "k", 1, n), (m, "m", 1, k), (r, "r", 1, None)), 2)
     num, den, outer_num, outer_den, inner_num, inner_den = _exact(
         (*_fidelity_ratio(n, m, r), *_fidelity_ratio(n, k, r), *_fidelity_ratio(k, m, r)), 3
     )
@@ -254,8 +242,7 @@ def exact_entangled_via_moments(n: int, m: int, r: int) -> float:
     The cases are ints or equal-shaped integer arrays, as in
     ``relation_check``; an array of cases takes one moment call per moment.
     """
-    _check_dims(n, m, r)
-    n, m, r = _exact((n, m, r), 2)
+    n, m, r = _exact(_check_dims(n, m, r), 2)
     nr = n * r
     # 1 // x is 1 at x = 1 and 0 beyond, in the dtype of x.  At N = 1 the
     # term has weight N - M = 0, and N*R + 1 amplitudes keep the cross
@@ -442,9 +429,7 @@ def check_run(config: ExperimentConfig, threads: int = 1) -> int:
     """``threads`` as an int, if the run is accepted: a thread count that is
     not an integer of at least 1 (Python or NumPy, named in the error), or a
     working set (``_run_bytes``) above MEMORY_CAP, raises ``RunRefused``."""
-    threads = _integer(threads, "threads", RunRefused)
-    if threads < 1:
-        raise RunRefused("need at least one thread")
+    threads = _integer(threads, "threads", 1, error=RunRefused)
     check_memory(_run_bytes(config, threads), "a run")
     return threads
 

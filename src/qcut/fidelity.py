@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import BipartitePureState, DensityMatrix, _dagger, _sqrt_eigh, matrix_sqrt
+from .linalg import BipartitePureState, DensityMatrix, _coefficients, _dagger, _sqrt_eigh, matrix_sqrt
 
 _CLAMP = 1e-10
 
@@ -29,8 +29,9 @@ def _clamp_unit(value: float) -> float:
 
 def overlap_fidelity(a, b) -> float:
     """Squared overlap of two pure states with equal (N, R) coefficient shapes."""
-    if a.matrix.shape != b.matrix.shape:
-        raise ValueError(f"dimension mismatch: {a.matrix.shape} vs {b.matrix.shape}")
+    ca, cb = _coefficients(a), _coefficients(b)
+    if ca.shape != cb.shape:
+        raise ValueError(f"dimension mismatch: {ca.shape} vs {cb.shape}")
     return _clamp_unit(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
@@ -52,12 +53,12 @@ def bures_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarr
     has the singular values of the r' x M core sqrt(L) V[:M]^dagger
     sqrt(sigma), and only that core is built.
     """
-    m = sigma.dim
-    batch, sigma_batch = rho._eigh[0].shape[:-1], sigma._eigh[0].shape[:-1]
+    roots, vecs = _sqrt_eigh(rho)
+    root_sigma, m = matrix_sqrt(sigma), sigma.dim
+    batch, sigma_batch = roots.shape[:-1], root_sigma.shape[:-2]
     if batch != sigma_batch or m > rho.dim:
         raise ValueError(f"dimension mismatch: {batch} of dim {rho.dim} vs {sigma_batch} of dim {m}")
-    roots, vecs = _sqrt_eigh(rho)
-    core = (roots[..., :, None] * _dagger(vecs[..., :m, :])) @ matrix_sqrt(sigma)
+    core = (roots[..., :, None] * _dagger(vecs[..., :m, :])) @ root_sigma
     singulars = np.linalg.svd(core, compute_uv=False)
     fid = np.square(singulars.sum(axis=-1))
     # Snap round-off just above 1 back to 1, as _clamp_unit does; a squared
@@ -74,7 +75,8 @@ def uhlmann_fidelity(phi0: BipartitePureState, phi1: BipartitePureState) -> floa
     so the maximization is done analytically through singular values.
     Equals the square-root fidelity of the reduced system states.
     """
-    if phi0.matrix.shape != phi1.matrix.shape:
+    c0, c1 = _coefficients(phi0), _coefficients(phi1)
+    if c0.shape != c1.shape:
         raise ValueError("purifications must share both dimensions")
-    cross = phi1.matrix.T @ phi0.matrix.conj()
+    cross = c1.T @ c0.conj()
     return _clamp_unit(float(np.linalg.svd(cross, compute_uv=False).sum()) ** 2)

@@ -20,7 +20,6 @@ Python ints beyond.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -40,11 +39,7 @@ def sample_state(dim: int, rng: np.random.Generator) -> PureState:
 
 def _angle_buffer(dim: int, count: int, rng: np.random.Generator):
     """A (count, dim) buffer, and its head: the (count, dim - 1) angle doubles drawn."""
-    dim, count = _integer(dim, "dim"), _integer(count, "count")
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    dim, count = _integer(dim, "dim", 1), _integer(count, "count", 0)
     buffer = np.empty((count, dim))
     angles = buffer.reshape(-1)[: count * (dim - 1)].reshape(count, dim - 1)
     rng.random(out=angles)
@@ -131,6 +126,30 @@ def _all(cases) -> bool:
     return bool(cases.all()) if isinstance(cases, np.ndarray) else cases
 
 
+def _check_cases(*bounds) -> tuple:
+    """The values of ``bounds``, (value, name, low, high) each, as ``rng._integer`` checks
+    them in order (a ``high`` may be an earlier value): ints as Python ints, equal-shaped
+    arrays of cases as they are.  An array whose dtype is not an integer one is refused by
+    name; the first case out of bounds, or of an object array's non-ints, as its ints."""
+    values = next(zip(*bounds))
+    if not any(isinstance(value, np.ndarray) for value in values):
+        return tuple(_integer(*bound) for bound in bounds)
+    in_bounds = True  # while every case is known to be in bounds, and an int
+    for value, name, low, high in bounds:
+        if not isinstance(value, np.ndarray):
+            in_bounds = in_bounds and low <= _integer(value, name)
+        elif value.dtype.kind not in "iuO":
+            raise ValueError(f"{name} of dtype {value.dtype} is not an integer array")
+        else:  # an object array is in bounds only if it holds Python ints, as ``_exact``'s do
+            ints = value.dtype != object or all(isinstance(case, int) for case in value.flat)
+            in_bounds = in_bounds and ints and low <= value.min(initial=low)
+        in_bounds = in_bounds and (high is None or _all(value <= high))
+    if not in_bounds:
+        for at in range(np.broadcast(*values).size):
+            _check_cases(*(tuple(v.flat[at] if isinstance(v, np.ndarray) else v for v in bound) for bound in bounds))
+    return values
+
+
 def _exact(entries: tuple, factors: int) -> tuple:
     """``entries``, equal-shaped integer arrays or ints, ready for exact
     arithmetic that multiplies at most ``factors`` of them at a time.
@@ -167,13 +186,10 @@ def exact_moment_fraction(dim, exponents: tuple[int, ...]) -> tuple:
     moments on each of its dims: the numerator stays one int and the
     denominator is formed under ``_exact``'s rule, one factor at a time.
     """
-    if not _all(dim >= 1):
-        raise ValueError("dimension must be positive")
-    exps = tuple(map(operator.index, exponents))
+    (dim,) = _check_cases((dim, "dim", 1, None))
+    exps = tuple(_integer(exp, "exponent", 0) for exp in exponents)
     if not _all(dim >= len(exps)):
         raise ValueError("more exponents than dimensions")
-    if min(exps, default=0) < 0:
-        raise ValueError("exponents must be nonnegative")
     if not any(exps):
         raise ValueError("at least one exponent must be positive")
     total = sum(exps)

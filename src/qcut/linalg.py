@@ -71,9 +71,7 @@ class BipartitePureState:
     amps: np.ndarray
 
     def __post_init__(self):
-        dim_sys, dim_aux = _integer(self.dim_sys, "dim_sys"), _integer(self.dim_aux, "dim_aux")
-        if dim_sys < 1 or dim_aux < 1:
-            raise ValueError("dimensions must be positive")
+        dim_sys, dim_aux = _integer(self.dim_sys, "dim_sys", 1), _integer(self.dim_aux, "dim_aux", 1)
         amps = _frozen_complex_array(self.amps, (dim_sys * dim_aux,))
         norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > NORM_ATOL:
@@ -109,11 +107,9 @@ class PureState(BipartitePureState):
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "PureState":
-        dim, index = _integer(dim, "dim"), _integer(index, "index")
-        if not 0 <= index < dim:
-            raise ValueError("basis index out of range")
+        dim = _integer(dim, "dim", 1)
         amps = np.zeros(dim, dtype=complex)
-        amps[index] = 1.0
+        amps[_integer(index, "index", 0, dim - 1)] = 1.0
         return cls(dim, amps)
 
 
@@ -141,9 +137,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
+        object.__setattr__(self, "dim", _integer(self.dim, "dim", 1))
         shape = np.shape(self.entries)[:-2] + (self.dim, self.dim)
         self._settle(_frozen_complex_array(self.entries, shape))
 
@@ -226,6 +220,15 @@ def _check_unit_hermitian(matrix: np.ndarray) -> None:
         raise ValueError(f"trace {complex(off[0])} is not 1 within {TRACE_ATOL}")
 
 
+def _coefficients(state) -> np.ndarray:
+    """The (N, R) coefficient matrix of a pure state (a ``PureState`` is
+    R = 1); anything else, a ``DensityMatrix`` among them, is refused by type."""
+    if not isinstance(state, BipartitePureState):
+        kind = type(state).__name__
+        raise ValueError(f"expected a pure state, got {kind}; a mixed state is cut through its purification")
+    return state.matrix
+
+
 def partial_trace(state) -> DensityMatrix:
     """Trace the auxiliary out of a bipartite pure state: c @ c^dagger.
 
@@ -235,7 +238,7 @@ def partial_trace(state) -> DensityMatrix:
     DensityMatrix.  A trace over the system is the trace over the
     auxiliary of the transposed coefficients, ``c.swapaxes(-1, -2)``.
     """
-    c = np.asarray(state if isinstance(state, np.ndarray) else state.matrix, dtype=complex)
+    c = np.asarray(state if isinstance(state, np.ndarray) else _coefficients(state), dtype=complex)
     if c.ndim < 2:
         raise ValueError(f"expected (..., N, R) coefficient matrices, got shape {c.shape}")
     return DensityMatrix._reduced(c)
@@ -248,6 +251,8 @@ def _noise_floor(dim: int, evals: np.ndarray) -> np.ndarray:
 
 def _sqrt_eigh(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """sqrt(L) and V for the eigenpairs (L, V) rho keeps, floored as ``matrix_sqrt`` says."""
+    if not isinstance(rho, DensityMatrix):
+        raise ValueError(f"expected a DensityMatrix, got {type(rho).__name__}")
     evals, vecs = rho._eigh
     return np.sqrt(np.where(evals < _noise_floor(rho.dim, evals), 0.0, evals)), vecs
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import BipartitePureState, PureState
+from .linalg import BipartitePureState, PureState, _coefficients
 from .rng import _integer
 
 ENUMERATION_CAP = 10**6
@@ -43,11 +43,11 @@ class SubsetIndex:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(map(int, self.indices))
+        idx = tuple(_integer(index, "index", 0) for index in self.indices)
         if not idx:
             raise ValueError("subset must be nonempty")
-        if idx[0] < 0 or list(idx) != sorted(set(idx)):
-            raise ValueError("indices must be nonnegative and strictly increasing")
+        if list(idx) != sorted(set(idx)):
+            raise ValueError("indices must be strictly increasing")
         object.__setattr__(self, "indices", idx)
         _set_array(self, np.array(idx, dtype=np.intp))
 
@@ -79,10 +79,8 @@ class CutPovm:
     norm_const: int = field(init=False)
 
     def __post_init__(self):
-        for name in ("n", "m"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if not 1 <= self.m <= self.n:
-            raise ValueError("need 1 <= m <= n")
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
+        object.__setattr__(self, "m", _integer(self.m, "m", 1, self.n))
         object.__setattr__(self, "norm_const", math.comb(self.n - 1, self.m - 1))
 
 
@@ -157,13 +155,8 @@ def sample_outcome(
     random keys, with the pivot's key forced smallest).  Runs in O(N) per
     draw for any subset count.
     """
-    if not isinstance(state, BipartitePureState):
-        raise ValueError(
-            f"expected a pure state, got {type(state).__name__}; "
-            "a mixed state is cut through its purification"
-        )
     n, m = povm.n, povm.m
-    w = (np.abs(state.matrix) ** 2).sum(axis=1)
+    w = (np.abs(_coefficients(state)) ** 2).sum(axis=1)
     if len(w) != n:
         raise ValueError(f"state dimension {len(w)} != povm n={povm.n}")
     if m == n:

@@ -18,6 +18,7 @@ from numpy.random.bit_generator import ISeedSequence
 # array spares Philox converting the integer 0 word by word.
 _COUNTER = np.zeros(4, dtype=np.uint64)
 _COUNTER.flags.writeable = False
+KEY_WORD_MAX = 2**64 - 1
 
 
 class _Key(ISeedSequence):
@@ -36,33 +37,32 @@ class _Key(ISeedSequence):
         return self.words
 
 
-def _integer(value, name: str, error: type[ValueError] = ValueError) -> int:
-    """``value`` as a Python int, from a Python or NumPy integer: the one
-    integer rule for seeds, dimensions and counts.  Any other value raises
-    ``error`` by name ("samples 2.5 is not an integer")."""
+def _integer(value, name: str, low: int | None = None, high: int | None = None,
+             error: type[ValueError] = ValueError) -> int:
+    """``value`` as a Python int, from a Python or NumPy integer, within the
+    inclusive bounds ``low`` and ``high`` where they are given: the one
+    integer rule for seeds, dimensions, counts, indices and labels.  Any
+    other value raises ``error`` naming it and the bound it breaks
+    ("samples 2.5 is not an integer", "samples 0 is below 1", "m 4 is above 3")."""
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise error(f"{name} {value!r} is not an integer") from None
-
-
-def _key_word(value, name: str) -> int:
-    """``value`` as a Python int in [0, 2**64), the range of a key word; any
-    other value, a non-integer among them, is refused by name."""
-    word = _integer(value, name)
-    if not 0 <= word < 1 << 64:
-        raise ValueError(f"{name} {word} outside [0, 2**64)")
-    return word
+    if low is not None and number < low:
+        raise error(f"{name} {number} is below {low}")
+    if high is not None and number > high:
+        raise error(f"{name} {number} is above {high}")
+    return number
 
 
 def check_seed(seed: int) -> int:
-    """Reject a seed that is not an integer in [0, 2**64), which would
-    alias another seed."""
-    return _key_word(seed, "seed")
+    """Reject a seed that is not an integer in [0, 2**64), the range of a
+    key word, which would alias another seed."""
+    return _integer(seed, "seed", 0, KEY_WORD_MAX)
 
 
 def stream(seed: int, shard: int = 0) -> np.random.Generator:
     """Return an independent generator for the given seed and shard index:
     Philox keyed by (seed, shard), counter 0, with no OS entropy drawn."""
-    key = np.array([check_seed(seed), _key_word(shard, "shard")], dtype=np.uint64)
+    key = np.array([check_seed(seed), _integer(shard, "shard", 0, KEY_WORD_MAX)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_Key(key), counter=_COUNTER))

@@ -3,7 +3,16 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qcut
+from qcut import experiments
+from qcut.channel import ChannelState, ClassicalMessage, teleport
+from qcut.haar import exact_moment_fraction, sample_states
+from qcut.linalg import BipartitePureState, DensityMatrix, PureState
+from qcut.povm import CutPovm, SubsetIndex
+from qcut.rng import stream
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,3 +63,99 @@ def test_every_public_module_name_is_used_in_the_package():
         and not any(name in names for stmt, names in uses.items() if stmt is not own)
     ]
     assert unused == []
+
+
+_INTS = np.array([3, 4])
+_FLOATS = _INTS.astype(float)
+_PSI = PureState.basis_state(2, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # The closed forms and exact routes, on ints and on verify's arrays.
+        (lambda: experiments.analytic_pure(2.5, 1), "n 2.5 is not an integer"),
+        (lambda: experiments.analytic_pure(3, 4), "m 4 is above 3"),
+        (lambda: experiments.analytic_entangled(3, 2, 1.5), "r 1.5 is not an integer"),
+        (lambda: experiments.analytic_entangled(3, 2, 0), "r 0 is below 1"),
+        (lambda: experiments.analytic_state_estimation(4.0, 2), "n 4.0 is not an integer"),
+        (lambda: experiments.horodecki_bound(3.5, 2), "n 3.5 is not an integer"),
+        (lambda: experiments.relation_check(3.0, 2, 1), "n 3.0 is not an integer"),
+        (lambda: experiments.relation_check(3, 3, 1), "m 3 is above 2"),
+        (lambda: experiments.composition_check(3, 2.0, 1, 1), "k 2.0 is not an integer"),
+        (lambda: experiments.composition_check(3, 4, 1, 1), "k 4 is above 3"),
+        (lambda: experiments.exact_pure_via_moments(3.0, 2), "n 3.0 is not an integer"),
+        (lambda: experiments.exact_entangled_via_moments(3, 2, 1.5), "r 1.5 is not an integer"),
+        (lambda: experiments.analytic_pure(_FLOATS, _INTS - 1), "n of dtype float64 is not an integer array"),
+        (lambda: experiments.analytic_entangled(_INTS, _INTS - 1, _FLOATS), "r of dtype float64 is not an integer array"),
+        (lambda: experiments.analytic_entangled(_INTS, _INTS - 1, 1.5), "r 1.5 is not an integer"),
+        (lambda: experiments.analytic_state_estimation(_FLOATS, _INTS - 1), "n of dtype float64 is not an integer array"),
+        (lambda: experiments.horodecki_bound(_INTS, _FLOATS - 1), "m of dtype float64 is not an integer array"),
+        (lambda: experiments.horodecki_bound(_INTS, np.array([2, 5])), "m 5 is above 4"),
+        (lambda: experiments.relation_check(_FLOATS, _INTS - 1, _INTS), "n of dtype float64 is not an integer array"),
+        (lambda: experiments.composition_check(_INTS, _FLOATS, _INTS - 1, _INTS), "k of dtype float64 is not an integer array"),
+        (lambda: experiments.exact_pure_via_moments(_INTS, _INTS > 3), "m of dtype bool is not an integer array"),
+        (lambda: experiments.exact_entangled_via_moments(_INTS, _INTS - 1, _FLOATS), "r of dtype float64 is not an integer array"),
+        (lambda: experiments.exact_entangled_via_moments(_INTS, _INTS - 1, np.array([1, -2])), "r -2 is below 1"),
+        (lambda: exact_moment_fraction(3.0, (2,)), "dim 3.0 is not an integer"),
+        (lambda: exact_moment_fraction(3, (1.5,)), "exponent 1.5 is not an integer"),
+        (lambda: exact_moment_fraction(_FLOATS, (2,)), "dim of dtype float64 is not an integer array"),
+        (lambda: experiments.analytic_pure(_INTS.astype(object) + 0.5, _INTS.astype(object)), "n 3.5 is not an integer"),
+        # Configs, thread counts and seeds.
+        (lambda: experiments.ExperimentConfig(n=3, m=2, samples=0), "samples 0 is below 1"),
+        (lambda: experiments.ExperimentConfig(n=3, m=2, samples=10, shards=0), "shards 0 is below 1"),
+        (lambda: experiments.ExperimentConfig(n=2, m=3, samples=10), "m 3 is above 2"),
+        # A config is one case, so an array of dims is not an integer.
+        (lambda: experiments.ExperimentConfig(n=_INTS, m=2, samples=10), "n array([3, 4]) is not an integer"),
+        (lambda: experiments.check_run(experiments.ExperimentConfig(n=3, m=2), 0), "threads 0 is below 1"),
+        (lambda: stream(-1), "seed -1 is below 0"),
+        (lambda: stream(7, 2**64), f"shard {2**64} is above {2**64 - 1}"),
+        # States, samplers, subsets, the POVM and the channel.
+        (lambda: BipartitePureState(2, 0, []), "dim_aux 0 is below 1"),
+        (lambda: PureState.basis_state(3, 3), "index 3 is above 2"),
+        (lambda: DensityMatrix(0, np.zeros((0, 0))), "dim 0 is below 1"),
+        (lambda: sample_states(3, -1, stream(1)), "count -1 is below 0"),
+        (lambda: SubsetIndex((0, 1.5)), "index 1.5 is not an integer"),
+        (lambda: SubsetIndex(("0", "2")), "index '0' is not an integer"),
+        (lambda: SubsetIndex((-1, 2)), "index -1 is below 0"),
+        (lambda: CutPovm(3, 4), "m 4 is above 3"),
+        (lambda: CutPovm(3, 0), "m 0 is below 1"),
+        (lambda: ChannelState(0), "m 0 is below 1"),
+        (lambda: ClassicalMessage(1.5, 0), "a 1.5 is not an integer"),
+        (lambda: ClassicalMessage(0, -1), "b -1 is below 0"),
+        (lambda: teleport(_PSI, ChannelState(2), force_outcome=(0, 1.5)), "b 1.5 is not an integer"),
+        (lambda: teleport(_PSI, ChannelState(2), force_outcome=(1.0, 0)), "a 1.0 is not an integer"),
+        (lambda: teleport(_PSI, ChannelState(2), force_outcome=(2, 0)), "a 2 is above 1"),
+    ],
+)
+def test_integer_rule_refuses_by_name(call, message):
+    # One rule, rng._integer, refuses every dimension, count, index and label
+    # by its value and the bound it breaks; an array of cases is refused by
+    # its dtype, or at its first case out of bounds as that case's ints.
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_numpy_integers_are_accepted_as_python_ints():
+    subset = SubsetIndex((np.int64(0), np.uint8(2)))
+    assert subset == SubsetIndex((0, 2)) and all(type(index) is int for index in subset.indices)
+    message = ClassicalMessage(np.int64(1), np.int8(0))
+    assert message == ClassicalMessage(1, 0) and type(message.a) is type(message.b) is int
+    state = PureState(3, [0.6, 0.0, 0.8])
+    forced, received = teleport(state, ChannelState(3), force_outcome=(np.int64(2), np.uint16(1)))
+    assert forced == ClassicalMessage(2, 1) and type(forced.a) is type(forced.b) is int
+    np.testing.assert_array_equal(received.matrix, teleport(state, ChannelState(3), force_outcome=(2, 1))[1].matrix)
+    moment = exact_moment_fraction(np.int64(5), (np.int8(2), np.uint64(1)))
+    assert moment == exact_moment_fraction(5, (2, 1)) and all(type(part) is int for part in moment)
+
+
+def test_object_arrays_of_python_ints_are_checked_case_by_case():
+    # Past the int64 range the exact routes hold Python ints in object arrays.
+    n, m = np.array([3, 2**70], dtype=object), np.array([2, 5], dtype=object)
+    assert experiments.analytic_pure(n, m).tolist() == [3 / 4, 6 / (2**70 + 1)]
+    r = np.array([10**8, 2])
+    assert np.array_equal(experiments.exact_entangled_via_moments(_INTS, _INTS - 2, r),
+                          experiments.analytic_entangled(_INTS, _INTS - 2, r))
+    with pytest.raises(ValueError, match="^m 5 is above 4$"):
+        experiments.analytic_pure(np.array([3, 4], dtype=object), m)

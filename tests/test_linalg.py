@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from oracles import from_pure, maximally_mixed, partial_trace_joint
 
-from qcut.channel import full_protocol
+from qcut.channel import full_protocol, make_channel, teleport
+from qcut.fidelity import bures_fidelity, overlap_fidelity, uhlmann_fidelity
 from qcut.haar import sample_states
 from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt, partial_trace
 from qcut.povm import CutPovm, sample_outcome
@@ -132,6 +133,28 @@ class TestStateTypes:
             with pytest.raises(ValueError, match="purification"):
                 sample_outcome(CutPovm(3, 2), rho, rng)
         assert rng.random() == stream(303).random()
+
+    @pytest.mark.parametrize(
+        "call, kind",
+        [
+            (lambda rho, psi: partial_trace(rho), "pure state, got DensityMatrix"),
+            (lambda rho, psi: partial_trace([[1.0, 0.0], [0.0, 0.0]]), "pure state, got list"),
+            (lambda rho, psi: overlap_fidelity(rho, rho), "pure state, got DensityMatrix"),
+            (lambda rho, psi: uhlmann_fidelity(psi, rho), "pure state, got DensityMatrix"),
+            (lambda rho, psi: teleport(rho, make_channel(2), stream(304)), "pure state, got DensityMatrix"),
+            (lambda rho, psi: full_protocol(rho, 1, stream(304)), "pure state, got DensityMatrix"),
+            (lambda rho, psi: bures_fidelity(psi, rho), "DensityMatrix, got PureState"),
+            (lambda rho, psi: bures_fidelity(rho, psi), "DensityMatrix, got PureState"),
+            (lambda rho, psi: matrix_sqrt(psi), "DensityMatrix, got PureState"),
+        ],
+        ids=["partial-trace", "partial-trace-list", "overlap", "uhlmann", "teleport", "full-protocol",
+             "bures-rho", "bures-sigma", "matrix-sqrt"],
+    )
+    def test_a_state_of_the_wrong_kind_is_refused_by_type(self, call, kind):
+        # Each used to end in a bare AttributeError ("matrix", "_eigh").
+        rho, psi = DensityMatrix(2, np.eye(2) / 2), PureState.basis_state(2, 0)
+        with pytest.raises(ValueError, match=f"^expected a {kind}"):
+            call(rho, psi)
 
     @staticmethod
     def reduction_peak(states, read):
