@@ -133,3 +133,14 @@ def full_protocol(state, m: int, rng: np.random.Generator) -> ProtocolRun:
     final_c[idx] = received.matrix
     final = build(final_c)
     return ProtocolRun(outcome, message, final, overlap_fidelity(state, final))
+
+
+def protocol_bytes(n: int, m: int) -> int:
+    """Bytes ``teleport-demo`` holds at its peak: an N-level Haar input, and
+    ``full_protocol`` on it through an M-level channel, with its transcript.
+    48 a system level: the input, its cut and the re-embedded state, or the
+    cut's weights, running sums, keys and ranking beside the input.  160 a
+    channel level: the subset as an array, a tuple and a list of Python ints,
+    the teleport's M-level blocks and phases, and the relabel strings (at most
+    136 B under tracemalloc).  16 KiB for frames and small objects (9.3 kB)."""
+    return 48 * n + 160 * m + 16384

@@ -26,7 +26,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from . import experiments
-from .channel import full_protocol
+from .channel import full_protocol, protocol_bytes
 from .fidelity import overlap_fidelity
 from .haar import sample_state
 from .povm import ENUMERATION_CAP, CutPovm, _max_completeness_deviation
@@ -238,8 +238,7 @@ def cmd_table(args) -> int:
 
 def cmd_teleport_demo(args) -> int:
     _checked(CutPovm, args.n, args.m)
-    # The run holds three n-level states, 16 B a level: input, cut, re-embedded.
-    experiments.check_memory(48 * args.n, "teleport-demo")
+    experiments.check_memory(protocol_bytes(args.n, args.m), "teleport-demo")
     rng = _checked(stream, args.seed)
     state = sample_state(args.n, rng)
     run = full_protocol(state, args.m, rng)

@@ -156,11 +156,9 @@ def _float(ratio: tuple[int, int]) -> float:
 
 
 def analytic_pure(n: int, m: int) -> float:
-    """Average fidelity of the cut protocol on Haar pure states: (M+1)/(N+1).
-
-    The cases may be equal-shaped integer arrays, for an array of fidelities."""
-    _check_dims(n, m)
-    return _float(_fidelity_ratio(n, m, 1))
+    """Average fidelity of the cut protocol on Haar pure states, (M+1)/(N+1):
+    ``analytic_entangled`` at R = 1, on ints or equal-shaped integer arrays."""
+    return analytic_entangled(n, m, 1)
 
 
 def analytic_entangled(n: int, m: int, r: int) -> float:
@@ -332,12 +330,12 @@ def _bures_row_values(n: int, m: int, r: int) -> int:
     return (n + m) * r + n * min(n, r) + m * m
 
 
+# A cut row holds its 8 B shot from draw to score; pure is entangled at R = 1.
+_ENTANGLED = _Mode(analytic_entangled, _cut_chunk, _cut_shots, True, lambda n, m, r: 1,
+                   _drawn_bytes, lambda n, m, r: 8, lambda config, rows: 0)
 _MODES = {
-    # A cut row holds its 8 B shot from draw to score.
-    "pure": _Mode(analytic_entangled, _cut_chunk, _cut_shots, False, lambda n, m, r: 1,
-                  _drawn_bytes, lambda n, m, r: 8, lambda config, rows: 0),
-    "entangled": _Mode(analytic_entangled, _cut_chunk, _cut_shots, True, lambda n, m, r: 1,
-                       _drawn_bytes, lambda n, m, r: 8, lambda config, rows: 0),
+    "pure": _ENTANGLED._replace(takes_aux=False),
+    "entangled": _ENTANGLED,
     # A mixed row counts the values its shot's Bures check works on, and
     # holds the check's inputs until checked: its N R amplitudes, M subset
     # indices and shot.  Scoring charges a sub-batch (``_group_rows``) three
@@ -347,10 +345,10 @@ _MODES = {
         _drawn_bytes, lambda n, m, r: 8 * (2 * n * r + m + 1),
         lambda c, rows: 48 * min(rows, _group_rows(c)) * _bures_row_values(c.n, c.m, c.r),
     ),
-    # A row draws and holds its angle doubles, in a buffer of N
-    # (``draw_angles``), and its N + 1 subset doubles: N + 1 values of 16 B.
-    # Scoring holds them, the weights and a ranking temporary, about 3N
-    # doubles a row, and N values at any rows (exponents, ranking temporaries).
+    # A row draws its N - 1 angle doubles, then N phase doubles that it drops
+    # (``draw_angles``), then its N + 1 subset doubles, and holds 2N of them.
+    # Scoring adds the weights and a ranking temporary, about 2N doubles a
+    # row, and N values at any rows (exponents, ranking temporaries).
     "state_estimation": _Mode(
         lambda n, m, r: analytic_state_estimation(n, m), _guess_draw, _guess_score, False, lambda n, m, r: n + 1,
         lambda config, rows: 8 * (2 * config.n + 1) * rows, lambda n, m, r: 8 * (2 * n + 1),

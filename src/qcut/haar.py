@@ -37,44 +37,28 @@ def sample_state(dim: int, rng: np.random.Generator) -> PureState:
     return PureState._trusted(sample_states(dim, 1, rng).reshape(-1, 1))
 
 
-def _angle_buffer(dim: int, count: int, rng: np.random.Generator):
-    """A (count, dim) buffer, and its head: the (count, dim - 1) angle doubles drawn."""
-    dim, count = _integer(dim, "dim", 1), _integer(count, "count", 0)
-    buffer = np.empty((count, dim))
-    angles = buffer.reshape(-1)[: count * (dim - 1)].reshape(count, dim - 1)
-    rng.random(out=angles)
-    return buffer, angles
-
-
 def draw_angles(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """The draw half of ``sample_weights``: the (count, dim - 1) angle doubles
     of ``count`` Haar rows, with their phase doubles drawn next and dropped,
-    so the stream ends where ``sample_states`` leaves it.  The angles lead
-    a (count, dim) buffer, their ``base``, which ``angle_weights`` fills."""
-    buffer, angles = _angle_buffer(dim, count, rng)
-    rng.random(buffer.shape)
+    so the stream ends where ``sample_states`` leaves it."""
+    dim, count = _integer(dim, "dim", 1), _integer(count, "count", 0)
+    angles = rng.random((count, dim - 1))
+    rng.random((count, dim))
     return angles
 
 
 def angle_weights(angles: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The weight-map half of ``sample_weights``: the (count, dim) weights
-    |c|^2 of (count, dim - 1) angle doubles v, which it overwrites, row by
-    row, into ``out`` (a float array or a complex one's real view), else
-    into the (count, dim) float buffer the angles lead (``draw_angles``),
-    which spares a chunk a fresh array and its page faults, else into a new
-    array.  With u_k = v_k^(1/(N-1-k)) the weights are 1 - u_0, then
-    u_0 ... u_(k-1) * (1 - u_k), and last u_0 ... u_(N-2).  A ufunc whose
-    operands cannot be walked with one stride each stages them through a
-    buffer of up to 8192 values: each call here has at most one float
-    operand of that kind, u's shape or smaller."""
+    |c|^2 of (count, dim - 1) angle doubles v, which it overwrites, in ``out``
+    (a float array or a complex one's real view, apart from the angles) or
+    else in a new array.  With u_k = v_k^(1/(N-1-k)) the weights are 1 - u_0,
+    then u_0 ... u_(k-1) * (1 - u_k), and last u_0 ... u_(N-2).
+    A ufunc whose operands cannot be walked with one stride each stages them
+    through a buffer of up to 8192 values: each call here has at most one
+    float operand of that kind, u's shape or smaller."""
     count, dim = angles.shape[0], angles.shape[1] + 1
-    if out is None:
-        base = angles.base
-        own = base is not None and base.shape == (count, dim) and base.dtype == np.float64
-        out = base if own else np.empty((count, dim))
-    # u overwrites the angles unless the weights will.
-    exps = 1.0 / (dim - 1 - np.arange(dim - 1))
-    u = np.power(angles, exps, out=None if np.may_share_memory(angles, out) else angles)
+    out = np.empty((count, dim)) if out is None else out
+    u = np.power(angles, 1.0 / (dim - 1 - np.arange(dim - 1)), out=angles)
     np.cumprod(u, axis=1, out=out[:, 1:])
     out[:, 0] = 1.0
     np.subtract(1.0, u, out=u)
@@ -98,7 +82,10 @@ def sample_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     the returned complex array the sampler holds one float array of its
     shape (see ``SAMPLER_PEAK``), whose leading part first holds the angles.
     """
-    scratch, angles = _angle_buffer(dim, count, rng)
+    dim, count = _integer(dim, "dim", 1), _integer(count, "count", 0)
+    scratch = np.empty((count, dim))
+    angles = scratch.reshape(-1)[: count * (dim - 1)].reshape(count, dim - 1)
+    rng.random(out=angles)
     out = np.empty(scratch.shape, dtype=complex)
     mags = angle_weights(angles, out.real)
     np.sqrt(mags, out=mags)

@@ -99,7 +99,7 @@ class PureState(BipartitePureState):
     """
 
     def __init__(self, dim: int, amps):
-        super().__init__(_integer(dim, "dim"), 1, amps)
+        super().__init__(_integer(dim, "dim", 1), 1, amps)
 
     @property
     def dim(self) -> int:

@@ -16,7 +16,7 @@ import pytest
 from oracles import table_lines, verify_rows
 
 import qcut.cli
-from qcut import experiments, povm
+from qcut import channel, experiments, povm
 from qcut.cli import main
 
 
@@ -593,6 +593,38 @@ class TestTeleportDemo:
         values = parse_kv(out)
         assert float(values["teleport_fidelity"]) == 1.0
         assert len(ast.literal_eval(values["subset"])) == 1
+
+    @pytest.mark.parametrize(
+        "n,m",
+        [(1, 1), (2, 1), (3, 2), (100, 99), (100, 100), (1000, 999),
+         (10**5, 1), (10**5, 8), (10**5, 10**5 - 1), (10**5, 10**5)],
+    )
+    def test_peak_is_within_the_library_charge(self, n, m):
+        def peak(n, m):
+            tracemalloc.start()
+            try:
+                main(["teleport-demo", "--n", str(n), "--m", str(m), "--seed", "1"])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            peak(4, 2)  # first-call allocations are not the run's
+            assert peak(n, m) <= channel.protocol_bytes(n, m)
+
+    def test_a_run_over_the_cap_is_refused_before_any_draw(self, capsys, monkeypatch):
+        # Its three N-level states fit the cap; its M-level blocks do not.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("drew before the run was charged")
+
+        monkeypatch.setattr(qcut.cli, "stream", unreachable)
+        n = 1_300_000
+        assert 48 * n < experiments.MEMORY_CAP < channel.protocol_bytes(n, n - 1)
+        with pytest.raises(SystemExit) as err:
+            main(["teleport-demo", "--n", str(n), "--m", str(n - 1), "--seed", "1"])
+        assert err.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == "qcut: error: teleport-demo would hold 258 MiB at once, above the 256 MiB cap"
 
 
 # Whole transcripts of teleport-demo and estimate, pinned byte for byte.  An

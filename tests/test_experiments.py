@@ -100,15 +100,21 @@ class TestClosedForms:
             assert analytic_state_estimation(n, n) == pytest.approx(1 / n)
 
     def test_arrays_of_cases_equal_their_one_case_calls(self):
-        # Both forms take int64 while the square of their largest entry, N,
+        # Every form takes int64 while the square of its largest entry, N,
         # is below 2^53: up to N = 94906265.  There N (N + 1), the bound's
-        # denominator and the largest product of either form, passes 2^53 too.
+        # denominator and the largest product of any form, passes 2^53 too.
+        # Past 2^53 an N + 1 floated from int64 is rounded: at N = 2^54 + 1
+        # it is 2^54, and 4 / 2^54 is one ulp above the correctly rounded
+        # 4 / (2^54 + 2).
         top = 94906265
         assert top**2 < 2**53 <= (top + 1) ** 2
         assert top * (top + 1) < 2**53 <= (top + 1) * (top + 2)
         cases = [(n, m) for n in range(1, 8) for m in range(1, n + 1)]
         cases += [(n, m) for n in range(top - 3, top + 4) for m in (1, 2, n // 2, n - 1, n)]
+        cases += [(2**54 + 1, 3)]
+        assert float(Fraction(4, 2**54 + 2)) < 2.0**-52
         for form, exact in (
+            (analytic_pure, lambda n, m: Fraction(m + 1, n + 1)),
             (horodecki_bound, lambda n, m: Fraction(n * m + n, n * (n + 1))),
             (analytic_state_estimation, lambda n, m: Fraction(m + 1, m * (n + 1))),
         ):

@@ -10,7 +10,9 @@ from oracles import point_to_state, sample_point, sample_states_gaussian
 
 from qcut import experiments
 from qcut.experiments import CHUNK, ExperimentConfig
-from qcut.haar import SAMPLER_PEAK, exact_moment_fraction, sample_state, sample_states, sample_weights
+from qcut.haar import (
+    SAMPLER_PEAK, angle_weights, draw_angles, exact_moment_fraction, sample_state, sample_states, sample_weights,
+)
 from qcut.povm import CutPovm, sample_subsets
 from qcut.rng import stream
 
@@ -182,6 +184,26 @@ class TestWeights:
             sample_weights(dim, count, a)
             sample_states(dim, count, b)
             assert a.random() == b.random()
+
+    @pytest.mark.parametrize("dim", [2, 5, 64])
+    def test_the_weight_map_writes_only_into_its_output(self, dim):
+        # Angles that lead a caller's (count, dim) buffer: the map may
+        # overwrite them, but not the buffer's last column, and it returns a
+        # new array unless it is given ``out``.
+        count = 7
+        expected = sample_weights(dim, count, stream(421, dim))
+        buffer = np.full((count, dim), 0.25)
+        angles = buffer[:, : dim - 1]
+        angles[...] = draw_angles(dim, count, stream(421, dim))
+        weights = angle_weights(angles)
+        assert not np.may_share_memory(weights, buffer)
+        assert weights.tobytes() == expected.tobytes()
+        assert (buffer[:, dim - 1] == 0.25).all()
+        out = np.empty((count, dim))
+        angles[...] = draw_angles(dim, count, stream(421, dim))
+        assert angle_weights(angles, out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert (buffer[:, dim - 1] == 0.25).all()
 
     @pytest.mark.parametrize("n,m", [(64, 8), (5, 2), (4, 4), (2, 1)])
     def test_subsets_from_the_weights_equal_those_from_the_amplitudes(self, n, m):

@@ -207,16 +207,19 @@ class TestOneStateClass:
         np.testing.assert_array_equal(state.matrix, BipartitePureState(4, 1, amps).matrix)
 
     @pytest.mark.parametrize(
-        "dim, amps",
-        [(2, [1.0, 1.0]), (2, [np.nan, 0.0]), (0, []), (-1, [1.0]), (2, [1.0, 0.0, 0.0])],
+        "dim, amps, message",
+        [(2, [1.0, 1.0], None), (2, [np.nan, 0.0], None), (0, [], "dim 0 is below 1"),
+         (-1, [1.0], "dim -1 is below 1"), (2, [1.0, 0.0, 0.0], None)],
         ids=["norm", "finite", "zero-dim", "negative-dim", "shape"],
     )
-    def test_bad_input_fails_as_for_the_bipartite_state(self, dim, amps):
+    def test_bad_input_fails_as_for_the_bipartite_state(self, dim, amps, message):
+        # Bad amplitudes fail with the bipartite state's text; a bad dimension
+        # is named as PureState's caller passes it, ``dim``.
         with pytest.raises(ValueError) as bipartite:
             BipartitePureState(dim, 1, np.array(amps))
         with pytest.raises(ValueError) as pure:
             PureState(dim, np.array(amps))
-        assert str(pure.value) == str(bipartite.value)
+        assert str(pure.value) == (message or str(bipartite.value))
 
     def test_sample_outcome_cuts_both_alike(self):
         rng = stream(310)
