@@ -280,27 +280,73 @@ class _Mode(NamedTuple):
     scored: Callable  # (config, rows) -> bytes scoring a stack of rows adds to what they hold
 
 
-def _cut_chunk(config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm, checked=False):
+def _cut_chunk(config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm):
     """Draw ``size`` Haar rows and cut each one through ``sample_outcome``:
-    their shots, after the rest of ``_bures_deviation``'s inputs if
-    ``checked`` (the input rows and their (M,) subsets)."""
+    their shots."""
     n, r = config.n, config.r
     rows = sample_states(n * r, size, rng).reshape(size, n, r)
     shots = np.empty(size)
-    if checked:
-        chosen = np.empty((size, config.m), dtype=np.intp)
     for i, row in enumerate(rows):
-        outcome = sample_outcome(povm, BipartitePureState._trusted(row), rng)
-        shots[i] = outcome.shot_fidelity
-        if checked:
-            chosen[i] = outcome.subset._array
-    return (rows, chosen, shots) if checked else (shots,)
+        shots[i] = sample_outcome(povm, BipartitePureState._trusted(row), rng).shot_fidelity
+    return (shots,)
 
 
 def _cut_shots(config: ExperimentConfig, povm: CutPovm, drawn: list):
-    """The shots of cut chunks, taken as they were drawn, and the largest
-    Bures deviation of their check inputs if they were drawn checked."""
-    return drawn[-1], _bures_deviation(*drawn, _group_rows(config)) if len(drawn) > 1 else None
+    """The shots of cut chunks, taken as they were drawn."""
+    return drawn[0], None
+
+
+def _mixed_draw(config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm):
+    """``size`` Haar rows of N x R amplitudes, then their subset doubles: the
+    doubles that the rows' ``sample_outcome`` calls take, in their order."""
+    n, r = config.n, config.r
+    return sample_states(n * r, size, rng).reshape(size, n, r), draw_subsets(povm, size, rng)
+
+
+def _mixed_score(config: ExperimentConfig, povm: CutPovm, drawn: list):
+    """Cut a stack of rows as ``sample_outcome`` cuts each one, and check the
+    shots by ``_bures_deviation``.
+
+    The rows' weights |c|^2 are summed over R, as ``sample_outcome`` sums
+    them, and each row's subset is ranked (``rank_subsets``).  A shot is
+    ``povm._project``'s: the kept weight of its M R kept amplitudes, the
+    cut renormalized by its root, then the overlap of the row's whole N x R
+    matrix with the cut's, one ``vdot`` a row, which keeps every shot's
+    bits; at M = N it is 1.
+    """
+    rows = drawn.pop(0)
+    weights = np.abs(rows)
+    weights = np.square(weights, out=weights).sum(axis=2)
+    chosen = rank_subsets(povm, weights, drawn.pop(0))
+    del weights
+    shots = np.ones(len(rows))
+    if povm.m < povm.n:
+        at = np.arange(len(rows))[:, None], chosen
+        kept = rows[at]
+        kept /= np.sqrt(np.square(np.abs(kept)).reshape(len(rows), -1).sum(axis=1))[:, None, None]
+        cuts = np.zeros(rows.shape, dtype=complex)
+        cuts[at] = kept
+        del kept
+        shots = np.fromiter((abs(np.vdot(row, cut)) ** 2 for row, cut in zip(rows, cuts)), float, len(rows))
+        del cuts
+    return shots, _bures_deviation(rows, chosen, shots, _group_rows(config))
+
+
+def _mixed_scored(config: ExperimentConfig, rows: int) -> int:
+    """Bytes scoring ``rows`` mixed rows adds to what they hold: their (k, M)
+    subsets and shots, beside the largest of three steps.  Ranking holds
+    the rows' weights beside their |c| stack, then beside the ranking's
+    temporaries, about 2N doubles a row; cutting holds the kept rows twice
+    over (with their weights' temporaries), then the stack of cuts, N R
+    complex values a row; and the Bures check holds one sub-batch
+    (``_group_rows``), three times its values (under tracemalloc one peaks
+    at 1.5-2.3 times them)."""
+    n, m, r = config.n, config.m, config.r
+    return 8 * rows * (m + 1) + max(
+        8 * rows * (max(n * r, 2 * n) + n),
+        16 * rows * (n * r + 2 * m * r),
+        48 * min(rows, _group_rows(config)) * _bures_row_values(n, m, r),
+    )
 
 
 def _guess_draw(config: ExperimentConfig, size: int, rng: np.random.Generator, povm: CutPovm):
@@ -337,13 +383,11 @@ _MODES = {
     "pure": _ENTANGLED._replace(takes_aux=False),
     "entangled": _ENTANGLED,
     # A mixed row counts the values its shot's Bures check works on, and
-    # holds the check's inputs until checked: its N R amplitudes, M subset
-    # indices and shot.  Scoring charges a sub-batch (``_group_rows``) three
-    # times its values; under tracemalloc one peaks at 1.5-2.3 times them.
+    # holds its N R amplitudes and N + 1 subset doubles (``draw_subsets``)
+    # until scored; the sampler's peak, twice the amplitudes, covers both.
     "mixed": _Mode(
-        analytic_entangled, functools.partial(_cut_chunk, checked=True), _cut_shots, True, _bures_row_values,
-        _drawn_bytes, lambda n, m, r: 8 * (2 * n * r + m + 1),
-        lambda c, rows: 48 * min(rows, _group_rows(c)) * _bures_row_values(c.n, c.m, c.r),
+        analytic_entangled, _mixed_draw, _mixed_score, True, _bures_row_values,
+        _drawn_bytes, lambda n, m, r: 8 * (2 * n * r + n + 1), _mixed_scored,
     ),
     # A row draws its N - 1 angle doubles, then N phase doubles that it drops
     # (``draw_angles``), then its N + 1 subset doubles, and holds 2N of them.

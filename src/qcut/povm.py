@@ -170,7 +170,16 @@ def sample_outcome(
         keys[min(pivot, n - 1)] = -1.0
         chosen = np.sort(np.argpartition(keys, m - 1)[:m])
     subset = SubsetIndex._trusted(chosen)
-    probability = float(w[chosen].sum()) / povm.norm_const
+    # The subset weight over C(N-1, M-1), rounded once from the exact ratio.
+    # Below 2^53 C(N-1, M-1) is an exact float, so the float division is
+    # that rounding; above it the float's integer ratio over the integer
+    # is, which never overflows (down to 0.0 below the smallest subnormal).
+    weight = float(w[chosen].sum())
+    if povm.norm_const < 2**53:
+        probability = weight / povm.norm_const
+    else:
+        num, den = weight.as_integer_ratio()
+        probability = num / (den * povm.norm_const)
     project = project_pure if isinstance(state, PureState) else project_bipartite
     post, fidelity = project(povm, subset, state)
     return MeasurementOutcome(subset, probability, post, fidelity)

@@ -627,6 +627,33 @@ class TestTeleportDemo:
         assert last == "qcut: error: teleport-demo would hold 258 MiB at once, above the 256 MiB cap"
 
 
+class TestLargeCuts:
+    # Past N of about 1030 at M = N / 2, C(N-1, M-1) no longer fits a float;
+    # these runs used to end in OverflowError with a traceback.
+    @pytest.mark.parametrize("n,m", [(1040, 520), (2000, 1000)])
+    @pytest.mark.parametrize("mode,r", [("pure", 1), ("entangled", 2), ("mixed", 2)])
+    def test_estimate_completes(self, capsys, n, m, mode, r):
+        argv = ["estimate", "--n", str(n), "--m", str(m), "--r", str(r), "--mode", mode, "--samples", "20", "--seed", "1"]
+        code, out = run_cli(capsys, *argv)
+        record = json.loads(out, parse_constant=reject_constant)
+        assert code == (0 if abs(record["z_score"]) < 5.0 else 1)
+        assert record["estimate"]["samples"] == 20
+        assert 0.0 < record["estimate"]["mean"] < 1.0
+        assert ("bures_max_deviation" in record["estimate"]) == (mode == "mixed")
+        if mode == "mixed":
+            assert record["estimate"]["bures_max_deviation"] < 1e-8
+
+    @pytest.mark.parametrize("n,m", [(1040, 520), (2000, 1000)])
+    def test_teleport_demo_completes(self, capsys, n, m):
+        code, out = run_cli(capsys, "teleport-demo", "--n", str(n), "--m", str(m), "--seed", "1")
+        values = parse_kv(out)
+        assert code == 0
+        assert len(ast.literal_eval(values["subset"])) == m
+        assert float(values["outcome_probability"]) == 0.0  # printed to 12 places
+        for key in ("cut_fidelity", "teleport_fidelity", "end_to_end_fidelity"):
+            assert 0.0 <= float(values[key]) <= 1.0
+
+
 # Whole transcripts of teleport-demo and estimate, pinned byte for byte.  An
 # estimate's wall time is masked as WALL; its Bures deviation, masked as
 # BURES, depends on round-off and is only held below 1e-8.

@@ -41,6 +41,16 @@ def beta_law_chunk(n, m, r):
     return shots
 
 
+def cut_one_by_one(config, size, rng, povm):
+    """The Bures check's inputs for ``size`` Haar rows drawn from ``rng``,
+    each cut through its own ``sample_outcome`` call: the (k, N, R) rows,
+    their (k, M) subsets and their shots."""
+    rows = sample_states(config.n * config.r, size, rng).reshape(size, config.n, config.r)
+    outcomes = [sample_outcome(povm, BipartitePureState(config.n, config.r, row.ravel()), rng) for row in rows]
+    chosen = np.array([outcome.subset.indices for outcome in outcomes], dtype=np.intp).reshape(size, config.m)
+    return rows, chosen, np.array([outcome.shot_fidelity for outcome in outcomes])
+
+
 # (n, m, r, rows) of one-shard runs per mode, whose peak must stay within
 # what the mode's ``values`` charges; ``rows`` may instead be a tuple of the
 # shard sizes of one pooled group.  Every mode runs 1, 8 and 48 rows,
@@ -557,7 +567,7 @@ class TestEstimatorContracts:
         # Beside its inputs, the check holds one sub-batch at a time.
         config = ExperimentConfig(n=32, m=8, r=2, mode="mixed", seed=823)
         rows = experiments._group_rows(config)
-        inputs = experiments._cut_chunk(config, 3 * rows, stream(823), CutPovm(32, 8), checked=True)
+        inputs = cut_one_by_one(config, 3 * rows, stream(823), CutPovm(32, 8))
         experiments._bures_deviation(*(array[:2] for array in inputs), rows)  # first-call allocations
         peaks = []
         for count in (rows, 3 * rows):
@@ -618,7 +628,7 @@ class TestEstimatorContracts:
             rng = stream(config.seed, shard)
             for start in range(0, count, experiments.CHUNK):
                 size = min(experiments.CHUNK, count - start)
-                chunks.append(experiments._cut_chunk(config, size, rng, povm, checked=True))
+                chunks.append(cut_one_by_one(config, size, rng, povm))
         step = experiments._group_rows(config)
         oracle = max(experiments._bures_deviation(*inputs, step) for inputs in chunks)
         rows, check = [], experiments._bures_deviation
@@ -630,6 +640,26 @@ class TestEstimatorContracts:
         monkeypatch.setattr(experiments, "_bures_deviation", counted)
         assert run_experiment(config, threads=2).bures_max_deviation == oracle
         assert sorted(rows) == sorted(checks)
+
+    @pytest.mark.parametrize(
+        "n,m,r,rows", [(3, 2, 2, 64), (16, 4, 4, 64), (64, 8, 1, 64), (2, 1, 64, 64), (4, 4, 3, 8), (1024, 8, 1, 16)]
+    )
+    def test_batched_mixed_rows_are_the_per_shot_cuts(self, monkeypatch, n, m, r, rows):
+        # A mixed chunk is drawn and cut on its stack; each row must keep the
+        # subset and the shot bits of its own ``sample_outcome`` call, which
+        # takes the same doubles from the same stream.  The stack's check
+        # gets those rows, subsets and shots.
+        config = ExperimentConfig(n=n, m=m, r=r, mode="mixed", samples=rows, seed=840)
+        povm, checked = CutPovm(n, m), []
+        monkeypatch.setattr(experiments, "_bures_deviation", lambda *inputs: checked.append(inputs) or 0.0)
+        drawn = list(experiments._mixed_draw(config, rows, stream(840), povm))
+        shots, _ = experiments._mixed_score(config, povm, drawn)
+        states, chosen, oracle = cut_one_by_one(config, rows, stream(840), povm)
+        (check,) = checked
+        assert np.array_equal(check[0], states)
+        assert np.array_equal(check[1], chosen)
+        assert shots.tobytes() == oracle.tobytes()
+        assert check[2] is shots and check[3] == experiments._group_rows(config)
 
     def test_groups_pool_consecutive_shards_by_their_rows(self):
         # The range of each group's first shard steps by as many shards of
@@ -803,8 +833,9 @@ class TestEstimatorContracts:
 
     def test_wide_mixed_runs_are_checked_without_n_by_n_arrays(self):
         # The check holds about N min(N, R) + M^2 values a shot: at R = 1 a
-        # mixed run is charged about what the entangled one is, where one
-        # N x N matrix a shot charged (4096, 8, 1) 2049 MiB.
+        # mixed run is charged within a small factor of the entangled one
+        # (1.3 against 0.9 MiB), where one N x N matrix a shot charged
+        # (4096, 8, 1) 2049 MiB.
         experiments.check_run(ExperimentConfig(n=4096, m=8, r=1, mode="mixed", samples=100))
         config = ExperimentConfig(n=1024, m=8, r=1, mode="mixed", samples=64, seed=836)
         mixed = run_experiment(config)

@@ -264,6 +264,23 @@ class TestSampling:
         for _ in range(50):
             assert sample_outcome(CutPovm(2, 1), state, rng).subset.indices == (0,)
 
+    @pytest.mark.parametrize("n,m", [(3, 2), (64, 8), (64, 32), (1040, 520), (2000, 1000)])
+    def test_outcome_probability_is_rounded_once_from_the_exact_ratio(self, n, m):
+        # W_S / C(N-1, M-1) as one correctly rounded division: the float
+        # division's bits while C(N-1, M-1) < 2^53, and past it (about
+        # 9.2e17 at (64, 32)) the exact ratio's float, which past 2^1024,
+        # where floating C(N-1, M-1) overflows, is a subnormal at
+        # (1040, 520) and 0.0 at (2000, 1000).
+        povm, rng = CutPovm(n, m), stream(512)
+        state = sample_state(n, rng)
+        outcome = sample_outcome(povm, state, rng)
+        weight = float((np.abs(state.matrix) ** 2).sum(axis=1)[list(outcome.subset.indices)].sum())
+        assert outcome.probability == float(Fraction(weight) / povm.norm_const)
+        if povm.norm_const < 2**53:
+            assert outcome.probability == weight / povm.norm_const
+        if povm.norm_const > 2**1024:
+            assert outcome.probability < 2.0**-1022
+
     def test_batched_draw_refuses_bad_weights(self):
         povm = CutPovm(3, 2)
         with pytest.raises(ValueError, match="shape"):
