@@ -195,6 +195,14 @@ def _residual(a: tuple[int, int], b: tuple[int, int]) -> float:
     return _float((abs(a[0] * b[1] - b[0] * a[1]), a[1] * b[1]))
 
 
+def _coherence(n, m, num, den) -> tuple:
+    """q + (1 - q) * num / den as an integer pair, with q = (M-1)/(N-1), the cut's
+    coherence factor, defined here only; N = 1 (no cut) adds 1 to both sides of
+    0 / 0.  Its products take two factors, their sum bounded by (M-1) + (N-M) = N-1."""
+    uncut = 1 // n
+    return (m - 1) * den + (n - m) * num + uncut, (n - 1) * den + uncut
+
+
 def relation_check(n: int, m: int, r: int = 1) -> float:
     """Residual of F(N->M) = (M-1)/(N-1) + (N-M)/(N-1) * F(N->1), exactly.
 
@@ -204,13 +212,10 @@ def relation_check(n: int, m: int, r: int = 1) -> float:
     n, m, r = _check_dims(n, m, r)
     _check_cases((n, "n", 2, None), (m, "m", 1, n - 1))
     n, m, r = _exact((n, m, r), 2)
-    # Each product takes three of these factors, and the right-hand
-    # numerator's two products share the bound: (M-1) + (N-M) = N-1.
     n, m, num, den, one_num, one_den = _exact(
         (n, m, *_fidelity_ratio(n, m, r), *_fidelity_ratio(n, 1, r)), 3
     )
-    rhs = ((m - 1) * one_den + (n - m) * one_num, (n - 1) * one_den)
-    return _residual((num, den), rhs)
+    return _residual((num, den), _coherence(n, m, one_num, one_den))
 
 
 def composition_check(n: int, k: int, m: int, r: int = 1) -> float:
@@ -253,11 +258,7 @@ def exact_entangled_via_moments(n: int, m: int, r: int) -> float:
     )
     num = nr * (fourth_num * cross_den + (r - 1) * cross_num * fourth_den)
     den = fourth_den * cross_den
-    # Each product takes two factors, and (M-1) + (N-M) = N-1 bounds the
-    # numerator's sum.  N = 1 (no cut) adds 1 to both sides of 0 / 0.
-    n, m, num, den = _exact((n, m, num, den), 2)
-    uncut = 1 // n
-    return _float(((m - 1) * den + (n - m) * num + uncut, (n - 1) * den + uncut))
+    return _float(_coherence(*_exact((n, m, num, den), 2)))
 
 
 # --- Monte Carlo estimators ---

@@ -24,7 +24,8 @@ purification, whose cut reduces to the cut of the mixed state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,12 +77,15 @@ class CutPovm:
 
     n: int
     m: int
-    norm_const: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "n", 1))
         object.__setattr__(self, "m", _integer(self.m, "m", 1, self.n))
-        object.__setattr__(self, "norm_const", math.comb(self.n - 1, self.m - 1))
+
+    @cached_property
+    def norm_const(self) -> int:
+        """C(N-1, M-1), computed on its first read and kept by this POVM only."""
+        return math.comb(self.n - 1, self.m - 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import re
+import runpy
 import types
 from pathlib import Path
 
@@ -63,6 +65,20 @@ def test_every_public_module_name_is_used_in_the_package():
         and not any(name in names for stmt, names in uses.items() if stmt is not own)
     ]
     assert unused == []
+
+
+def test_every_benchmark_hook_resolves_to_a_callable():
+    # perfbench's tracer wraps the (module, attribute) pairs of its HOOKS
+    # table; a name renamed or removed here fails in seconds, not first in
+    # the traced benchmark run.  run_path reads the table without importing
+    # perfbench or writing its bytecode.
+    hooks = runpy.run_path(str(ROOT / "perfbench" / "spans.py"))["HOOKS"]
+    unresolved = [
+        f"{module}.{attribute}"
+        for module, attribute, *_ in hooks
+        if not callable(getattr(importlib.import_module(module), attribute, None))
+    ]
+    assert hooks and unresolved == []
 
 
 _INTS = np.array([3, 4])

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import itertools
 import json
+import math
 from fractions import Fraction
 import os
 import re
@@ -373,6 +374,20 @@ def scale_moments(monkeypatch, factor=1 + Fraction(1, 10**9)):
     )
 
 
+def scale_coherence(monkeypatch, factor=1 + Fraction(1, 10**9)):
+    """Replace q = (M-1)/(N-1) by q * factor in ``experiments._coherence``,
+    whose value q + (1 - q) x then moves by (factor - 1) q (1 - x), kept as
+    an integer pair, element by element for arrays of cases."""
+    coherence = experiments._coherence
+
+    def scaled(n, m, num, den):
+        q = Fraction(m - 1, max(n - 1, 1))
+        value = Fraction(*coherence(n, m, num, den)) + (factor - 1) * q * (1 - Fraction(num, den))
+        return value.numerator, value.denominator
+
+    monkeypatch.setattr(experiments, "_coherence", np.frompyfunc(scaled, 4, 2))
+
+
 def failed_rows(out):
     return {line.split()[0] for line in out.splitlines()[:-1] if "FAIL at" in line}
 
@@ -412,6 +427,16 @@ class TestVerify:
         assert failed_rows(out) == {"pure_moments", "entangled_moments"}
         assert_failures_match_the_oracle(out)
 
+    def test_scaled_coherence_fails_exactly_the_rows_that_take_it(self, capsys, monkeypatch):
+        # q has one definition: the relation route and both moment routes take
+        # it, and the composition, horodecki and completeness rows do not.
+        scale_coherence(monkeypatch)
+        code, out = run_cli(capsys, "verify")
+        assert code == 1
+        assert failed_rows(out) == {"relation", "pure_moments", "entangled_moments"}
+        passed = {line.split()[0] for line in out.splitlines()[:-1] if line.endswith(" PASS")}
+        assert passed == {"composition", "horodecki", "completeness"}
+
     @pytest.mark.parametrize("perturb", [None, shift_closed_form], ids=["closed-form", "shifted"])
     def test_closed_form_rows_memory_does_not_grow_with_the_cases(self, monkeypatch, perturb):
         # The four closed-form rows hold one block of cases at a time, the
@@ -446,7 +471,7 @@ class TestVerify:
         if perturb is None:
             assert all(row[2] == 0.0 for row in rows)
 
-    @pytest.mark.parametrize("perturb", [shift_closed_form, scale_moments])
+    @pytest.mark.parametrize("perturb", [shift_closed_form, scale_moments, scale_coherence])
     def test_no_state_survives_a_call(self, capsys, monkeypatch, perturb):
         # Pass, fail under the perturbation, pass again once it is undone:
         # a value kept from an earlier call would hide one of the two changes.
@@ -626,12 +651,33 @@ class TestTeleportDemo:
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert last == "qcut: error: teleport-demo would hold 258 MiB at once, above the 256 MiB cap"
 
+    def test_a_run_over_the_cap_at_half_the_levels_is_refused_before_the_binomial(self, capsys, monkeypatch):
+        # At M = N / 2, C(N - 1, M - 1) took most of a minute to compute
+        # before the charge refused this run; the charge now comes first.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("computed C(N-1, M-1) before the run was charged")
+
+        monkeypatch.setattr(math, "comb", unreachable)
+        with pytest.raises(SystemExit) as err:
+            main(["teleport-demo", "--n", "2200000", "--m", "1100000", "--seed", "1"])
+        assert err.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == "qcut: error: teleport-demo would hold 269 MiB at once, above the 256 MiB cap"
+
+    def test_the_binomial_is_computed_once_after_the_charge(self, capsys, monkeypatch):
+        events, comb, charge = [], math.comb, experiments.check_memory
+        monkeypatch.setattr(math, "comb", lambda *args: events.append(args) or comb(*args))
+        monkeypatch.setattr(experiments, "check_memory", lambda *args: events.append("charged") or charge(*args))
+        code, _ = run_cli(capsys, "teleport-demo", "--n", "96", "--m", "48", "--seed", "1")
+        assert code == 0
+        assert events == ["charged", (95, 47)]
+
 
 class TestLargeCuts:
     # Past N of about 1030 at M = N / 2, C(N-1, M-1) no longer fits a float;
     # these runs used to end in OverflowError with a traceback.
     @pytest.mark.parametrize("n,m", [(1040, 520), (2000, 1000)])
-    @pytest.mark.parametrize("mode,r", [("pure", 1), ("entangled", 2), ("mixed", 2)])
+    @pytest.mark.parametrize("mode,r", [("pure", 1), ("entangled", 2), ("mixed", 2), ("state-estimation", 1)])
     def test_estimate_completes(self, capsys, n, m, mode, r):
         argv = ["estimate", "--n", str(n), "--m", str(m), "--r", str(r), "--mode", mode, "--samples", "20", "--seed", "1"]
         code, out = run_cli(capsys, *argv)
@@ -652,6 +698,50 @@ class TestLargeCuts:
         assert float(values["outcome_probability"]) == 0.0  # printed to 12 places
         for key in ("cut_fidelity", "teleport_fidelity", "end_to_end_fidelity"):
             assert 0.0 <= float(values[key]) <= 1.0
+
+    # The edge of the (N, M) range: one level kept, all but one, all of them,
+    # and half of N = 10^5, where C(N - 1, M - 1) has about 30,100 digits.
+    EDGES = [(2000, 1), (2000, 1999), (2000, 2000)]
+
+    @pytest.mark.parametrize(
+        "n,m,mode,r,samples",
+        [(n, m, mode, r, 20) for n, m in EDGES for mode, r in [("pure", 1), ("entangled", 2), ("state-estimation", 1)]]
+        + [(10**5, 5 * 10**4, "pure", 1, 2), (10**5, 5 * 10**4, "state-estimation", 1, 2)],
+    )
+    def test_estimate_at_the_edge_ends_with_its_report(self, capsys, n, m, mode, r, samples):
+        argv = ["estimate", "--n", str(n), "--m", str(m), "--r", str(r), "--mode", mode, "--samples", str(samples)]
+        code, out = run_cli(capsys, *argv, "--seed", "1")
+        record = json.loads(out, parse_constant=reject_constant)
+        z = record["z_score"]
+        assert code == (0 if z is not None and abs(z) < 5.0 else 1)
+        assert record["estimate"]["samples"] == samples
+        assert 0.0 < record["estimate"]["mean"] <= 1.0
+        if m == n and mode != "state-estimation":
+            assert record["estimate"]["mean"] == 1.0 and z == 0.0
+
+    def test_mixed_at_half_of_a_wide_input_is_refused_before_any_draw(self, capsys, monkeypatch):
+        # The Bures check of one shot holds its 5 * 10^4 x 5 * 10^4 root.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("drew before the run was charged")
+
+        monkeypatch.setattr(experiments, "stream", unreachable)
+        with pytest.raises(SystemExit) as err:
+            main(["estimate", "--n", "100000", "--m", "50000", "--mode", "mixed", "--samples", "20", "--seed", "1"])
+        assert err.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == "qcut: error: a run would hold 114458 MiB at once, above the 256 MiB cap"
+
+    @pytest.mark.parametrize("n,m", EDGES + [(10**5, 5 * 10**4)])
+    def test_teleport_demo_at_the_edge_completes(self, capsys, n, m):
+        code, out = run_cli(capsys, "teleport-demo", "--n", str(n), "--m", str(m), "--seed", "1")
+        values = parse_kv(out)
+        assert code == 0
+        assert len(ast.literal_eval(values["subset"])) == m
+        for key in ("outcome_probability", "cut_fidelity", "teleport_fidelity", "end_to_end_fidelity"):
+            assert 0.0 <= float(values[key]) <= 1.0
+        assert float(values["teleport_fidelity"]) == pytest.approx(1.0, abs=1e-12)
+        if m == n:
+            assert float(values["outcome_probability"]) == float(values["end_to_end_fidelity"]) == 1.0
 
 
 # Whole transcripts of teleport-demo and estimate, pinned byte for byte.  An

@@ -843,6 +843,29 @@ class TestEstimatorContracts:
         assert (mixed.mean, mixed.stderr) == (entangled.mean, entangled.stderr)
         assert mixed.bures_max_deviation < 1e-8
 
+    @pytest.mark.parametrize(
+        "n,m,r,mode,samples,computed",
+        [
+            (10**5, 5 * 10**4, 1, "state_estimation", 20, False),  # 16 groups
+            (2000, 1000, 2, "mixed", 20, False),  # 16 groups
+            (3, 2, 1, "pure", 4112, True),  # 2 groups
+            (2000, 1000, 2, "entangled", 20, True),  # 1 group
+        ],
+    )
+    def test_binomial_is_computed_only_where_a_probability_is_reported(
+        self, monkeypatch, n, m, r, mode, samples, computed
+    ):
+        # C(N-1, M-1) normalizes the outcome probability, which the estimator
+        # never reads: the batched modes compute none, and the per-shot
+        # ``sample_outcome`` of a cut mode computes it on its group's POVM,
+        # at most once a group.  At (10^5, 5 * 10^4) one binomial took 0.2 s.
+        calls, comb = [], math.comb
+        monkeypatch.setattr(math, "comb", lambda *args: calls.append(args) or comb(*args))
+        config = ExperimentConfig(n=n, m=m, r=r, mode=mode, samples=samples, seed=838)
+        run_experiment(config)
+        assert set(calls) == ({(n - 1, m - 1)} if computed else set())
+        assert len(calls) <= len(experiments._groups(config))
+
     def test_oversized_working_set_is_refused_before_allocation(self):
         huge = ExperimentConfig(n=10**6, m=1, r=10**4, mode="entangled", samples=100, seed=0)
         with pytest.raises(experiments.RunRefused, match="MiB cap"):

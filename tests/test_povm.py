@@ -39,6 +39,23 @@ class TestConstruction:
         assert CutPovm(10, 4).norm_const == math.comb(9, 3)
         assert CutPovm(5, 5).norm_const == 1
 
+    def test_normalization_constant_is_computed_on_first_read(self, monkeypatch):
+        # Building a POVM computes no binomial, even where C(N-1, M-1) would
+        # take seconds; each POVM computes its own once, and no other keeps it.
+        calls, comb = [], math.comb
+
+        def counted(n, k):
+            calls.append((n, k))
+            assert n < 10**6, "computed a binomial that nothing read"
+            return comb(n, k)
+
+        monkeypatch.setattr(math, "comb", counted)
+        assert CutPovm(10**7, 5 * 10**6) == CutPovm(10**7, 5 * 10**6)
+        assert calls == []
+        povm = CutPovm(10, 4)
+        assert povm.norm_const == povm.norm_const == CutPovm(10, 4).norm_const == 84
+        assert calls == [(9, 3), (9, 3)]
+
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             CutPovm(3, 4)
