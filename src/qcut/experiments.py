@@ -366,8 +366,16 @@ def _guess_score(config: ExperimentConfig, povm: CutPovm, drawn: list):
 
 def _drawn_bytes(config: ExperimentConfig, rows: int) -> int:
     """N * R Haar amplitudes of 16 B a row, held SAMPLER_PEAK times over while
-    drawn, then once beside one shot's cut temporaries, about two rows."""
+    drawn, then once beside about two rows of temporaries."""
     return 16 * max(SAMPLER_PEAK * rows, rows + 2) * config.n * config.r
+
+
+def _cut_drawn_bytes(config: ExperimentConfig, rows: int) -> int:
+    """``_drawn_bytes`` of a cut chunk, whose two rows of temporaries are one
+    shot's cut, beside that shot's subset: 56 + 32 R B a kept level, for its
+    index, its Python int in the subset's tuple, and its kept rows twice over."""
+    n, m, r = config.n, config.m, config.r
+    return max(16 * SAMPLER_PEAK * rows * n * r, 16 * (rows + 2) * n * r + (56 + 32 * r) * m)
 
 
 def _bures_row_values(n: int, m: int, r: int) -> int:
@@ -379,7 +387,7 @@ def _bures_row_values(n: int, m: int, r: int) -> int:
 
 # A cut row holds its 8 B shot from draw to score; pure is entangled at R = 1.
 _ENTANGLED = _Mode(analytic_entangled, _cut_chunk, _cut_shots, True, lambda n, m, r: 1,
-                   _drawn_bytes, lambda n, m, r: 8, lambda config, rows: 0)
+                   _cut_drawn_bytes, lambda n, m, r: 8, lambda config, rows: 0)
 _MODES = {
     "pure": _ENTANGLED._replace(takes_aux=False),
     "entangled": _ENTANGLED,

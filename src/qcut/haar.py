@@ -128,7 +128,7 @@ def _check_cases(*bounds) -> tuple:
         elif value.dtype.kind not in "iuO":
             raise ValueError(f"{name} of dtype {value.dtype} is not an integer array")
         else:  # an object array is in bounds only if it holds Python ints, as ``_exact``'s do
-            ints = value.dtype != object or all(isinstance(case, int) for case in value.flat)
+            ints = value.dtype != object or all(type(case) is int for case in value.flat)
             in_bounds = in_bounds and ints and low <= value.min(initial=low)
         in_bounds = in_bounds and (high is None or _all(value <= high))
     if not in_bounds:

@@ -90,19 +90,27 @@ class CutPovm:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementOutcome:
-    """One sampled cut: the subset, its probability, the post-measurement
-    state, and the single-shot fidelity of that state to the input."""
+    """One sampled cut: its POVM, the subset, the subset weight W_S, the
+    post-measurement state, and its single-shot fidelity to the input."""
 
+    povm: CutPovm
     subset: SubsetIndex
-    probability: float
+    weight: float
     post_state: BipartitePureState
     shot_fidelity: float
 
     def __post_init__(self):
-        if not -1e-12 <= self.probability <= 1.0 + 1e-12:
-            raise ValueError(f"probability {self.probability} outside [0, 1]")
+        if not -1e-12 <= self.weight <= 1.0 + 1e-12:
+            raise ValueError(f"subset weight {self.weight} outside [0, 1]")
         if not -1e-12 <= self.shot_fidelity <= 1.0 + 1e-12:
             raise ValueError(f"shot fidelity {self.shot_fidelity} outside [0, 1]")
+
+    @property
+    def probability(self) -> float:
+        """W_S / C(N-1, M-1), rounded once from the exact ratio: a subnormal
+        or 0.0 past the float range.  Reading it computes ``povm.norm_const``."""
+        num, den = self.weight.as_integer_ratio()
+        return num / (den * self.povm.norm_const)
 
 
 def _validate_subset(povm: CutPovm, subset: SubsetIndex) -> np.ndarray:
@@ -149,7 +157,7 @@ def project_bipartite(
 def sample_outcome(
     povm: CutPovm, state: BipartitePureState, rng: np.random.Generator
 ) -> MeasurementOutcome:
-    """Draw one measurement outcome with its exact Born probability.
+    """Draw one measurement outcome, whose probability is computed on read.
 
     ``state`` is a pure state with an (N, R) coefficient matrix (a
     ``PureState`` is R = 1); a mixed state enters as its purification, and
@@ -174,19 +182,9 @@ def sample_outcome(
         keys[min(pivot, n - 1)] = -1.0
         chosen = np.sort(np.argpartition(keys, m - 1)[:m])
     subset = SubsetIndex._trusted(chosen)
-    # The subset weight over C(N-1, M-1), rounded once from the exact ratio.
-    # Below 2^53 C(N-1, M-1) is an exact float, so the float division is
-    # that rounding; above it the float's integer ratio over the integer
-    # is, which never overflows (down to 0.0 below the smallest subnormal).
-    weight = float(w[chosen].sum())
-    if povm.norm_const < 2**53:
-        probability = weight / povm.norm_const
-    else:
-        num, den = weight.as_integer_ratio()
-        probability = num / (den * povm.norm_const)
     project = project_pure if isinstance(state, PureState) else project_bipartite
     post, fidelity = project(povm, subset, state)
-    return MeasurementOutcome(subset, probability, post, fidelity)
+    return MeasurementOutcome(povm, subset, float(w[chosen].sum()), post, fidelity)
 
 
 def sample_subsets(povm: CutPovm, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:

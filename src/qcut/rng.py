@@ -42,12 +42,14 @@ def _integer(value, name: str, low: int | None = None, high: int | None = None,
     """``value`` as a Python int, from a Python or NumPy integer, within the
     inclusive bounds ``low`` and ``high`` where they are given: the one
     integer rule for seeds, dimensions, counts, indices and labels.  Any
-    other value raises ``error`` naming it and the bound it breaks
+    other value, a bool too, raises ``error`` naming it and the bound it breaks
     ("samples 2.5 is not an integer", "samples 0 is below 1", "m 4 is above 3")."""
     try:
         number = operator.index(value)
     except TypeError:
-        raise error(f"{name} {value!r} is not an integer") from None
+        number = None
+    if number is None or isinstance(value, bool):  # operator.index(True) is 1
+        raise error(f"{name} {value!r} is not an integer")
     if low is not None and number < low:
         raise error(f"{name} {number} is below {low}")
     if high is not None and number > high:

@@ -9,8 +9,10 @@ that the shipped one shortcuts, so the tests can hold the two together:
   joint density matrix by einsum;
 - povm: subset enumeration (the per-(N, M) index counts of the
   completeness pass), dense elements and Born probabilities (the
-  exact law of the pivot sampler), and the cut of a density matrix (the
-  trace-then-cut side of the cut's commutation with the partial trace);
+  exact law of the pivot sampler), the moments of one state's shots by
+  enumeration and their mean in closed form, and the cut of a density
+  matrix (the trace-then-cut side of the cut's commutation with the
+  partial trace);
 - fidelity: the purification routes of the mixed-state fidelity, and the
   Bures fidelity on all N levels;
 - channel: the resource state, the dense Weyl operators and the
@@ -117,16 +119,40 @@ def element_matrix(povm, subset):
     return mat
 
 
+def level_weights(state):
+    """p_i, the weight of system level i: sum_k |c_ik|^2 of a pure or
+    bipartite state's coefficient matrix, or a density matrix's diagonal."""
+    if isinstance(state, DensityMatrix):
+        return np.real(np.diagonal(state.entries))
+    return (np.abs(state.matrix) ** 2).sum(axis=1)
+
+
 def outcome_probability(povm, subset, state):
     """Born probability of one element, (1/norm_const) * sum of subset weights,
     for a pure, bipartite (system marginal) or density-matrix input."""
-    if isinstance(state, DensityMatrix):
-        weights = np.real(np.diagonal(state.entries))
-    else:
-        weights = (np.abs(state.matrix) ** 2).sum(axis=1)
+    weights = level_weights(state)
     if len(weights) != povm.n:
         raise ValueError(f"state dimension {len(weights)} != povm n={povm.n}")
     return float(weights[_validate_subset(povm, subset)].sum() / povm.norm_const)
+
+
+def shot_moment(state, m, k):
+    """E[f^k | state] of one N -> M cut, by enumeration: each M-subset S is
+    drawn with probability W_S / C(N-1, M-1) and scores f = W_S, its summed
+    level weights, so the moment is sum_S W_S^(k+1) / C(N-1, M-1)."""
+    weights = level_weights(state)
+    n = len(weights)
+    total = sum(float(weights[list(s)].sum()) ** (k + 1) for s in itertools.combinations(range(n), m))
+    return total / math.comb(n - 1, m - 1)
+
+
+def conditional_fidelity(state, m):
+    """E[f | state] in closed form, q + (1 - q) * sum_i p_i^2: averaged over its
+    outcomes the cut is q * id + (1 - q) * (full dephasing), with
+    q = (M-1)/(N-1) from ``experiments._coherence``."""
+    weights = level_weights(state)
+    num, den = experiments._coherence(len(weights), m, float(np.sum(weights**2)), 1.0)
+    return num / den
 
 
 def apply_cut_density(povm, subset, rho):

@@ -142,6 +142,19 @@ _PSI = PureState.basis_state(2, 0)
         (lambda: teleport(_PSI, ChannelState(2), force_outcome=(0, 1.5)), "b 1.5 is not an integer"),
         (lambda: teleport(_PSI, ChannelState(2), force_outcome=(1.0, 0)), "a 1.0 is not an integer"),
         (lambda: teleport(_PSI, ChannelState(2), force_outcome=(2, 0)), "a 2 is above 1"),
+        # A bool, though operator.index(True) is 1: as np.True_ and a bool
+        # array were, in every place above (analytic_pure(3, True) was 0.5).
+        (lambda: experiments.analytic_pure(3, True), "m True is not an integer"),
+        (lambda: experiments.analytic_pure(3, np.True_), "m np.True_ is not an integer"),
+        (lambda: experiments.analytic_pure(_INTS, True), "m True is not an integer"),
+        (lambda: experiments.analytic_pure(_INTS.astype(object), np.array([2, True], dtype=object)), "m True is not an integer"),
+        (lambda: CutPovm(True, True), "n True is not an integer"),
+        (lambda: experiments.ExperimentConfig(n=3, m=True, samples=True, seed=False), "m True is not an integer"),
+        (lambda: experiments.ExperimentConfig(n=3, m=2, samples=10, seed=False), "seed False is not an integer"),
+        (lambda: stream(True), "seed True is not an integer"),
+        (lambda: PureState.basis_state(2, True), "index True is not an integer"),
+        (lambda: SubsetIndex((False, True)), "index False is not an integer"),
+        (lambda: ClassicalMessage(True, 0), "a True is not an integer"),
     ],
 )
 def test_integer_rule_refuses_by_name(call, message):

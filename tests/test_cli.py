@@ -700,17 +700,29 @@ class TestLargeCuts:
             assert 0.0 <= float(values[key]) <= 1.0
 
     # The edge of the (N, M) range: one level kept, all but one, all of them,
-    # and half of N = 10^5, where C(N - 1, M - 1) has about 30,100 digits.
+    # at N = 2000 and 10^5, and half of N = 10^5, where C(N - 1, M - 1) has
+    # about 30,100 digits.
     EDGES = [(2000, 1), (2000, 1999), (2000, 2000)]
+    WIDE_EDGES = [(10**5, 1), (10**5, 10**5 - 1), (10**5, 10**5)]
+    MODES = [("pure", 1), ("entangled", 2), ("state-estimation", 1)]
 
     @pytest.mark.parametrize(
         "n,m,mode,r,samples",
-        [(n, m, mode, r, 20) for n, m in EDGES for mode, r in [("pure", 1), ("entangled", 2), ("state-estimation", 1)]]
-        + [(10**5, 5 * 10**4, "pure", 1, 2), (10**5, 5 * 10**4, "state-estimation", 1, 2)],
+        [(n, m, mode, r, 20) for (n, m), (mode, r) in itertools.product(EDGES, [*MODES, ("mixed", 2)])]
+        + [(n, m, mode, r, 2) for (n, m), (mode, r) in itertools.product([*WIDE_EDGES, (10**5, 5 * 10**4)], MODES)]
+        + [(10**5, 1, "mixed", 2, 2)],
     )
-    def test_estimate_at_the_edge_ends_with_its_report(self, capsys, n, m, mode, r, samples):
+    def test_estimate_at_the_edge_ends_with_its_report(self, capsys, monkeypatch, n, m, mode, r, samples):
+        # A mixed run, whose Bures check holds M x M roots, may instead be
+        # refused as a usage error before any draw.
+        draws, stream = [], experiments.stream
+        monkeypatch.setattr(experiments, "stream", lambda *args: draws.append(args) or stream(*args))
         argv = ["estimate", "--n", str(n), "--m", str(m), "--r", str(r), "--mode", mode, "--samples", str(samples)]
-        code, out = run_cli(capsys, *argv, "--seed", "1")
+        try:
+            code, out = run_cli(capsys, *argv, "--seed", "1")
+        except SystemExit as err:
+            assert (mode, err.code, draws) == ("mixed", 2, [])
+            return
         record = json.loads(out, parse_constant=reject_constant)
         z = record["z_score"]
         assert code == (0 if z is not None and abs(z) < 5.0 else 1)
@@ -731,7 +743,7 @@ class TestLargeCuts:
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert last == "qcut: error: a run would hold 114458 MiB at once, above the 256 MiB cap"
 
-    @pytest.mark.parametrize("n,m", EDGES + [(10**5, 5 * 10**4)])
+    @pytest.mark.parametrize("n,m", EDGES + WIDE_EDGES + [(10**5, 5 * 10**4)])
     def test_teleport_demo_at_the_edge_completes(self, capsys, n, m):
         code, out = run_cli(capsys, "teleport-demo", "--n", str(n), "--m", str(m), "--seed", "1")
         values = parse_kv(out)

@@ -34,8 +34,8 @@ BETA_LAW_CONFIGS = [(3, 2, 1), (4, 2, 3), (16, 4, 4), (64, 8, 1)]
 
 @functools.cache
 def beta_law_chunk(n, m, r):
-    """The shots of one CHUNK-row mixed ``_cut_chunk`` at seed 7."""
-    config = ExperimentConfig(n=n, m=m, r=r, mode="mixed", samples=experiments.CHUNK, seed=7)
+    """The shots of one CHUNK-row entangled ``_cut_chunk`` at seed 7."""
+    config = ExperimentConfig(n=n, m=m, r=r, mode="entangled", samples=experiments.CHUNK, seed=7)
     (shots,) = experiments._cut_chunk(config, experiments.CHUNK, stream(7), CutPovm(n, m))
     shots.setflags(write=False)
     return shots
@@ -52,8 +52,9 @@ def cut_one_by_one(config, size, rng, povm):
 
 
 # (n, m, r, rows) of one-shard runs per mode, whose peak must stay within
-# what the mode's ``values`` charges; ``rows`` may instead be a tuple of the
-# shard sizes of one pooled group.  Every mode runs 1, 8 and 48 rows,
+# what ``_group_bytes`` charges from the mode's ``drawn``, ``held`` and
+# ``scored`` declarations; ``rows`` may instead be a tuple of the shard
+# sizes of one pooled group.  Every mode runs 1, 8 and 48 rows,
 # where a group's fixed cost weighs most.  Pure: also the sampler's
 # dimensions, and a shard of three chunks, which holds one at a time (m = n
 # keeps its shots cheap).  Mixed: also a one-chunk shard of three Bures
@@ -367,8 +368,8 @@ class TestMonteCarlo:
     def test_cut_shots_follow_the_size_biased_beta_law(self, n, m, r):
         # A Haar row's subset weight W_S is Beta(MR, (N-M)R); the cut keeps
         # S with probability proportional to W_S and scores f = W_S, so f is
-        # the size-biased Beta(MR+1, (N-M)R).  One chunk of the shots the
-        # Bures check verifies.
+        # the size-biased Beta(MR+1, (N-M)R).  One chunk of an entangled
+        # run's shots.
         shots = beta_law_chunk(n, m, r)
         assert stats.kstest(shots, stats.beta(m * r + 1, (n - m) * r).cdf).pvalue > 1e-3
 
@@ -708,6 +709,18 @@ class TestEstimatorContracts:
                 1,
                 id="bures-one-group",
             ),
+            # The edge of the (N, M) range: one level kept of 10^5, and all
+            # but one of 2000 at R = 2; four one-row shards in one group.
+            pytest.param(
+                ExperimentConfig(n=10**5, m=1, mode="pure", samples=4, seed=839),
+                1,
+                id="edge-pure",
+            ),
+            pytest.param(
+                ExperimentConfig(n=2000, m=1999, r=2, mode="entangled", samples=4, seed=839),
+                1,
+                id="edge-entangled",
+            ),
             # 1000 one-row shards at N = 8192, each a group of its own (a
             # group holds one row there): with threads, each queues a future.
             pytest.param(
@@ -844,27 +857,23 @@ class TestEstimatorContracts:
         assert mixed.bures_max_deviation < 1e-8
 
     @pytest.mark.parametrize(
-        "n,m,r,mode,samples,computed",
+        "n,m,r,mode,samples",
         [
-            (10**5, 5 * 10**4, 1, "state_estimation", 20, False),  # 16 groups
-            (2000, 1000, 2, "mixed", 20, False),  # 16 groups
-            (3, 2, 1, "pure", 4112, True),  # 2 groups
-            (2000, 1000, 2, "entangled", 20, True),  # 1 group
+            (10**5, 5 * 10**4, 1, "state_estimation", 20),  # 16 groups
+            (2000, 1000, 2, "mixed", 20),  # 16 groups
+            (3, 2, 1, "pure", 4112),  # 2 groups
+            (2000, 1000, 2, "entangled", 20),  # 1 group
         ],
     )
-    def test_binomial_is_computed_only_where_a_probability_is_reported(
-        self, monkeypatch, n, m, r, mode, samples, computed
-    ):
+    def test_binomial_is_computed_only_where_a_probability_is_reported(self, monkeypatch, n, m, r, mode, samples):
         # C(N-1, M-1) normalizes the outcome probability, which the estimator
-        # never reads: the batched modes compute none, and the per-shot
-        # ``sample_outcome`` of a cut mode computes it on its group's POVM,
-        # at most once a group.  At (10^5, 5 * 10^4) one binomial took 0.2 s.
+        # never reads: no mode computes it, the per-shot ``sample_outcome``
+        # of pure and entangled included.  At (10^5, 5 * 10^4) one binomial
+        # took 0.2 s, and at (2 * 10^6, 10^6) 44 s.
         calls, comb = [], math.comb
         monkeypatch.setattr(math, "comb", lambda *args: calls.append(args) or comb(*args))
-        config = ExperimentConfig(n=n, m=m, r=r, mode=mode, samples=samples, seed=838)
-        run_experiment(config)
-        assert set(calls) == ({(n - 1, m - 1)} if computed else set())
-        assert len(calls) <= len(experiments._groups(config))
+        run_experiment(ExperimentConfig(n=n, m=m, r=r, mode=mode, samples=samples, seed=838))
+        assert calls == []
 
     def test_oversized_working_set_is_refused_before_allocation(self):
         huge = ExperimentConfig(n=10**6, m=1, r=10**4, mode="entangled", samples=100, seed=0)

@@ -8,10 +8,13 @@ import pytest
 from oracles import (
     apply_cut_density,
     completeness_deviation,
+    conditional_fidelity,
     element_matrix,
     from_pure,
     maximally_mixed,
     outcome_probability,
+    purify,
+    shot_moment,
     subsets,
 )
 
@@ -31,6 +34,26 @@ from qcut.rng import stream
 
 def uniform_state(dim):
     return PureState(dim, np.full(dim, 1 / math.sqrt(dim), dtype=complex))
+
+
+def uneven_state(weights, r=1):
+    """A fixed state whose level i weighs weights[i], spread over r auxiliary
+    columns with unequal shares and phases."""
+    shares = np.arange(1, r + 1) / (r * (r + 1) / 2)
+    phases = np.exp(1j * np.add.outer(np.arange(len(weights)), np.arange(r)))
+    c = np.sqrt(np.outer(weights, shares)) * phases
+    return BipartitePureState(len(weights), r, c.ravel())
+
+
+# (state, m): one level holding most of the weight, a light level 0, an
+# entangled input, and the purification of a mixed state whose diagonal is
+# uneven and whose coherences are not zero.
+UNEVEN = [
+    (uneven_state([0.7, 0.2, 0.1]), 1),
+    (uneven_state([0.05, 0.5, 0.15, 0.3]), 2),
+    (uneven_state([0.4, 0.05, 0.25, 0.1, 0.2], r=2), 3),
+    (purify(partial_trace(uneven_state([0.1, 0.45, 0.3, 0.15], r=3))), 2),
+]
 
 
 class TestConstruction:
@@ -310,6 +333,38 @@ class TestSampling:
         chosen = sample_subsets(CutPovm(3, 3), np.ones((2, 3)), rng)
         assert chosen.tolist() == [[0, 1, 2], [0, 1, 2]]
         assert rng.random() == stream(511).random()
+
+
+class TestConditionalLaw:
+    # Averaged over its outcomes the cut is q * id + (1 - q) * (full
+    # dephasing), q = (M-1)/(N-1), so the mean shot on one state with level
+    # weights p_i is q + (1 - q) * sum_i p_i^2.
+
+    def test_closed_form_is_the_enumerated_mean(self):
+        rng = stream(513)
+        for n in range(1, 9):
+            for m in range(1, n + 1):
+                for r in range(1, 4):
+                    state = BipartitePureState(n, r, sample_states(n * r, 1, rng)[0])
+                    assert abs(conditional_fidelity(state, m) - shot_moment(state, m, 1)) < 1e-12
+        # A mixed state through a purification: the same law with p_i = rho_ii.
+        rho = partial_trace(BipartitePureState(6, 2, sample_states(12, 1, rng)[0]))
+        purified = purify(rho)
+        for m in range(1, 7):
+            assert abs(conditional_fidelity(purified, m) - shot_moment(purified, m, 1)) < 1e-12
+            assert abs(conditional_fidelity(rho, m) - conditional_fidelity(purified, m)) < 1e-12
+
+    def test_shots_of_uneven_states_follow_their_exact_law(self):
+        # One state's shots against its own exact mean and variance: a pivot
+        # drawn from the wrong law for one level moves this mean by that
+        # level's weights, where a Haar average spreads it over all inputs.
+        shots, rng = 12_000, stream(514)
+        for state, m in UNEVEN:
+            povm = CutPovm(state.matrix.shape[0], m)
+            fs = np.array([sample_outcome(povm, state, rng).shot_fidelity for _ in range(shots)])
+            mean = shot_moment(state, m, 1)
+            z = (fs.mean() - mean) / math.sqrt((shot_moment(state, m, 2) - mean**2) / shots)
+            assert abs(z) < 5.0, (povm, z)
 
 
 class TestCompleteness:
