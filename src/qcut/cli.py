@@ -140,12 +140,17 @@ def _expand(heads: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _case_blocks(heads: np.ndarray, max_r: int):
     """Every case head + (r,), r = 1 .. max_r innermost, in sweep order, as
     (len(head) + 1, count) int64 arrays of at most CASE_BLOCK cases; with
-    max_r = 0, the heads alone."""
-    inner = max(max_r, 1)
+    max_r = 0, the heads alone.  A block repeats each head of its run once per r it holds."""
+    inner, cols = max(max_r, 1), heads.T
     count = len(heads) * inner
     for start in range(0, count, CASE_BLOCK):
-        head, r = np.divmod(np.arange(start, min(start + CASE_BLOCK, count)), inner)
-        yield np.vstack((heads[head].T, r + 1)) if max_r else heads[head].T
+        stop = min(start + CASE_BLOCK, count)
+        (first, skip), (last, end) = divmod(start, inner), divmod(stop - 1, inner)
+        reps = np.full(last + 1 - first, inner)
+        reps[0] -= skip
+        reps[-1] -= inner - 1 - end
+        block = np.repeat(cols[:, first : last + 1], reps, axis=1)
+        yield np.concatenate((block, (np.arange(start, stop) % inner + 1)[None])) if max_r else block
 
 
 def _first_worst(check, heads: np.ndarray, max_r: int):
@@ -181,7 +186,7 @@ def _verify_checks(max_n: int, max_r: int, completeness: tuple[np.ndarray, np.nd
     pairs = _expand(dims[:, None], dims)
     pure, entangled = experiments.analytic_pure, experiments.analytic_entangled
     rows = (
-        ("relation", 1e-14, experiments.relation_check, _expand(dims[:, None], dims - 1), max_r),
+        ("relation", 1e-14, experiments.relation_check, pairs[pairs[:, 1] < pairs[:, 0]], max_r),
         ("composition", 1e-14, experiments.composition_check, _expand(pairs, pairs[:, 1]), max_r),
         ("pure_moments", 1e-13, _gap(experiments.exact_pure_via_moments, pure), pairs, 0),
         ("entangled_moments", 1e-13, _gap(experiments.exact_entangled_via_moments, entangled), pairs, max_r),

@@ -140,9 +140,10 @@ def _state_estimation_ratio(n: int, m: int) -> tuple[int, int]:
     return m + 1, m * (n + 1)
 
 
-def _check_dims(n: int, m: int, r: int = 1) -> tuple:
-    """(n, m, r) within 1 <= m <= n and r >= 1, ints or arrays of cases, by ``haar._check_cases``."""
-    return _check_cases((n, "n", 1, None), (m, "m", 1, n), (r, "r", 1, None))
+def _check_dims(n: int, m: int, r: int = 1, *more) -> tuple:
+    """(n, m, r) within 1 <= m <= n and r >= 1, then within the bounds ``more``,
+    ints or arrays of cases, by one ``haar._check_cases``."""
+    return _check_cases((n, "n", 1, None), (m, "m", 1, n), (r, "r", 1, None), *more)[:3]
 
 
 def _float(ratio: tuple[int, int]) -> float:
@@ -150,7 +151,7 @@ def _float(ratio: tuple[int, int]) -> float:
     from ``_exact`` (a float64 array)."""
     numerator, denominator = ratio
     value = numerator / denominator
-    if isinstance(value, np.ndarray) and value.dtype == object:
+    if isinstance(value, np.ndarray) and value.dtype.kind == "O":
         return value.astype(float)  # the Python floats of int / int
     return value
 
@@ -209,9 +210,7 @@ def relation_check(n: int, m: int, r: int = 1) -> float:
     The cases are ints, for one residual, or equal-shaped integer arrays,
     for the array of their residuals; every case is checked first.
     """
-    n, m, r = _check_dims(n, m, r)
-    _check_cases((n, "n", 2, None), (m, "m", 1, n - 1))
-    n, m, r = _exact((n, m, r), 2)
+    n, m, r = _exact(_check_dims(n, m, r, (n, "n", 2, None), (m, "m", 1, n, 1)), 2)
     n, m, num, den, one_num, one_den = _exact(
         (n, m, *_fidelity_ratio(n, m, r), *_fidelity_ratio(n, 1, r)), 3
     )

@@ -110,27 +110,28 @@ _NUMPY = (np.ndarray, np.generic)
 
 def _all(cases) -> bool:
     """Whether a condition holds: a bool, or a bool array that holds it case by case."""
-    return bool(cases.all()) if isinstance(cases, np.ndarray) else cases
+    return bool(np.logical_and.reduce(cases, axis=None)) if isinstance(cases, np.ndarray) else cases
 
 
 def _check_cases(*bounds) -> tuple:
     """The values of ``bounds``, (value, name, low, high) each, as ``rng._integer`` checks
-    them in order (a ``high`` may be an earlier value): ints as Python ints, equal-shaped
-    arrays of cases as they are.  An array whose dtype is not an integer one is refused by
-    name; the first case out of bounds, or of an object array's non-ints, as its ints."""
+    them in order (a ``high`` may be an earlier value, and a fifth entry lowers it by that
+    much once the bounds before it hold): ints as Python ints, equal-shaped arrays of cases
+    as they are.  An array whose dtype is not an integer one is refused by name; the first
+    case out of bounds, or of an object array's non-ints, as its ints."""
     values = next(zip(*bounds))
     if not any(isinstance(value, np.ndarray) for value in values):
-        return tuple(_integer(*bound) for bound in bounds)
+        return tuple(_integer(v, name, low, high - less[0] if less else high) for v, name, low, high, *less in bounds)
     in_bounds = True  # while every case is known to be in bounds, and an int
-    for value, name, low, high in bounds:
+    for value, name, low, high, *less in bounds:
         if not isinstance(value, np.ndarray):
             in_bounds = in_bounds and low <= _integer(value, name)
         elif value.dtype.kind not in "iuO":
             raise ValueError(f"{name} of dtype {value.dtype} is not an integer array")
         else:  # an object array is in bounds only if it holds Python ints, as ``_exact``'s do
-            ints = value.dtype != object or all(type(case) is int for case in value.flat)
-            in_bounds = in_bounds and ints and low <= value.min(initial=low)
-        in_bounds = in_bounds and (high is None or _all(value <= high))
+            ints = value.dtype.kind != "O" or all(type(case) is int for case in value.flat)
+            in_bounds = in_bounds and ints and low <= np.minimum.reduce(value, initial=low)
+        in_bounds = in_bounds and (high is None or _all(value <= (high - less[0] if less else high)))
     if not in_bounds:
         for at in range(np.broadcast(*values).size):
             _check_cases(*(tuple(v.flat[at] if isinstance(v, np.ndarray) else v for v in bound) for bound in bounds))
@@ -146,18 +147,20 @@ def _exact(entries: tuple, factors: int) -> tuple:
     shares their bound, is an exact double.  Otherwise they become Python
     ints (object arrays), which never overflow.  Ints stay as they are;
     NumPy scalars, which arithmetic on 0-d arrays returns, count as arrays.
+    One bound serves every array: the extremes of their flattened join, as
+    Python ints, so that no absolute value overflows.
     """
-    if not any(isinstance(entry, _NUMPY) for entry in entries):
+    arrays = [entry for entry in entries if isinstance(entry, _NUMPY)]
+    if not arrays:
         return entries
-    top = max(
-        int(np.max(abs(entry))) if isinstance(entry, _NUMPY) else abs(entry)
-        for entry in entries
-    )
+    joined = np.concatenate(arrays, axis=None)
+    ints = [abs(entry) for entry in entries if not isinstance(entry, _NUMPY)]
+    top = max(int(np.maximum.reduce(joined)), -int(np.minimum.reduce(joined)), *ints)
     dtype = np.int64 if top**factors < EXACT_INT else object
-    return tuple(
+    return tuple([
         entry.astype(dtype, copy=False) if isinstance(entry, _NUMPY) else entry
         for entry in entries
-    )
+    ])
 
 
 def exact_moment_fraction(dim, exponents: tuple[int, ...]) -> tuple:
@@ -180,5 +183,5 @@ def exact_moment_fraction(dim, exponents: tuple[int, ...]) -> tuple:
     if not any(exps):
         raise ValueError("at least one exponent must be positive")
     total = sum(exps)
-    (top,) = _exact((dim - 1 + total,), total)
-    return math.prod(map(math.factorial, exps)), math.prod(top - k for k in range(total))
+    (top,) = _exact((dim + (total - 1),), total)
+    return math.prod(map(math.factorial, exps)), math.prod((top - k for k in range(1, total)), start=top)

@@ -232,10 +232,10 @@ def rank_subsets(povm: CutPovm, weights: np.ndarray, draws: np.ndarray) -> np.nd
 
 
 def _mask_chunks(stop: int):
-    """The bitmasks 1, 2, ..., stop - 1 in ascending int64 arrays of at most
-    ``MASK_CHUNK`` masks each: every nonempty subset of range(N), for
-    stop = 2^N, with bit j standing for index j."""
-    for start in range(1, stop, MASK_CHUNK):
+    """The bitmasks 0, 1, ..., stop - 1 in ascending int64 arrays of at most
+    ``MASK_CHUNK`` masks each: every subset of range(N), for stop = 2^N,
+    with bit j standing for index j (mask 0, the empty subset, holds none)."""
+    for start in range(0, stop, MASK_CHUNK):
         yield np.arange(start, min(start + MASK_CHUNK, stop), dtype=np.int64)
 
 
@@ -245,9 +245,11 @@ def _subset_counts(max_n: int) -> np.ndarray:
 
     The subsets of range(N) are exactly the masks below 2^N, those of bit
     length at most N.  Each chunk is histogrammed by (bit length, size),
-    with one ``bincount`` per index over the masks that hold it; a running
-    sum over the bit length then gives each N's counts.  A chunk holds a
-    few arrays of ``MASK_CHUNK`` values, whatever max_n is.
+    with one ``bincount`` per index j over the masks that hold it: the upper
+    half of each period of 2^(j+1) masks, a strided view of the chunk's whole
+    periods beside the partial ones at its edges.  A running sum over the bit
+    length then gives each N's counts.  A chunk holds a few arrays of
+    ``MASK_CHUNK`` values, whatever max_n is.
     """
     width = max_n + 1
     hist = np.zeros((max_n, width * width), dtype=np.int64)
@@ -255,8 +257,14 @@ def _subset_counts(max_n: int) -> np.ndarray:
         # A mask below 2^53 is an exact double, and frexp's exponent is its
         # bit length.
         keys = np.frexp(masks)[1].astype(np.int64) * width + np.bitwise_count(masks)
+        start = int(masks[0])  # the masks are consecutive: the i-th is start + i
         for j in range(max_n):
-            hist[j] += np.bincount(keys[(masks >> j) & 1 == 1], minlength=width * width)
+            run, period = 1 << j, 2 << j
+            first = -start % period  # the chunk's first period edge, and its last
+            last = first + max(len(keys) - first, 0) // period * period
+            whole = keys[first:last].reshape(-1, period)[:, run:]
+            held = np.concatenate((keys[max(first - run, 0) : first], whole, keys[last + run :]), axis=None)
+            hist[j] += np.bincount(held, minlength=width * width)
     return np.cumsum(hist.reshape(max_n, width, width), axis=1).transpose(1, 2, 0)
 
 
@@ -279,4 +287,4 @@ def _max_completeness_deviation(max_n: int) -> tuple[np.ndarray, np.ndarray]:
     norms = np.array([[math.comb(n - 1, m - 1) if n and m else 0 for m in sizes] for n in sizes])
     held = np.arange(max_n) < np.arange(max_n + 1)[:, None, None]  # j in range(N)
     off = np.abs(_subset_counts(max_n) - norms[:, :, None])
-    return np.where(held, off, 0).max(axis=2), norms
+    return off.max(axis=2, where=held, initial=0), norms

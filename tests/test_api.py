@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qcut
+import qcut.cli
 from qcut import experiments
 from qcut.channel import ChannelState, ClassicalMessage, teleport
 from qcut.haar import exact_moment_fraction, sample_states
@@ -79,6 +80,37 @@ def test_every_benchmark_hook_resolves_to_a_callable():
         if not callable(getattr(importlib.import_module(module), attribute, None))
     ]
     assert hooks and unresolved == []
+
+
+# The hooked names that ``qcut verify`` reaches: the tracer can time a row
+# only while the row's route is called through its module attribute.
+VERIFY_HOOKS = {
+    "qcut.cli.main",
+    "qcut.cli._max_completeness_deviation",
+    "qcut.experiments.relation_check",
+    "qcut.experiments.composition_check",
+    "qcut.experiments.exact_pure_via_moments",
+    "qcut.experiments.exact_entangled_via_moments",
+    "qcut.experiments.horodecki_bound",
+    "qcut.experiments.exact_moment_fraction",
+}
+
+
+def test_verify_calls_every_hook_it_reaches(capsys):
+    # perfbench's tracer, read by run_path (nothing under perfbench/ is
+    # written), wraps its hooks around one default verify and removes them.
+    # A route that verify came to reach past its module attribute would
+    # record no call, which the traced benchmark run also refuses.
+    spans = runpy.run_path(str(ROOT / "perfbench" / "spans.py"))
+    tracer = spans["Tracer"]()
+    tracer.install()
+    try:
+        code = qcut.cli.main(["verify"])
+    finally:
+        tracer.remove()
+    assert code == 0 and capsys.readouterr().out.endswith("verify: PASS\n")
+    assert {span.hook for span in tracer.spans} == VERIFY_HOOKS
+    assert {f"{module}.{attribute}" for module, attribute, *_ in spans["HOOKS"]} >= VERIFY_HOOKS
 
 
 _INTS = np.array([3, 4])

@@ -536,10 +536,12 @@ class TestVerify:
     def test_a_pass_that_skips_one_mask_fails_at_its_subset(self, capsys, monkeypatch, skipped):
         # Mask `skipped` is the subset of its set bits: it first counts at
         # N = its bit length, M = its size, and a lost subset there is the
-        # sweep's first worst deviation, 1 / C(N-1, M-1).
+        # sweep's first worst deviation, 1 / C(N-1, M-1).  The pass reads
+        # the i-th mask of a chunk as its first plus i, so the skipped mask
+        # is replaced by mask 0, which holds no index, in its place.
         chunks = povm._mask_chunks
         monkeypatch.setattr(
-            povm, "_mask_chunks", lambda stop: (masks[masks != skipped] for masks in chunks(stop))
+            povm, "_mask_chunks", lambda stop: (np.where(masks == skipped, 0, masks) for masks in chunks(stop))
         )
         code, out = run_cli(capsys, "verify", "--max-n", "6", "--max-r", "1")
         assert code == 1

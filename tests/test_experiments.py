@@ -216,6 +216,10 @@ class TestRelationAndComposition:
             relation_check(np.array([3, 1]), np.array([1, 1]), np.array([1, 1]))
         with pytest.raises(ValueError, match="^m 3 is above 2$"):
             relation_check(np.array([3, 3]), np.array([1, 3]), np.array([1, 1]))
+        # Its n >= 2 and M < N are checked with the rest, in one pass: the
+        # first bad case is named, not the first to break 1 <= M <= N.
+        with pytest.raises(ValueError, match="^n 1 is below 2$"):
+            relation_check(np.array([1, 0]), np.array([1, 1]), np.array([1, 1]))
 
     def test_composition_sweep(self):
         worst = max(

@@ -32,7 +32,7 @@ from qcut import cli, experiments
 from qcut.channel import ChannelState, teleport
 from qcut.fidelity import bures_fidelity
 from qcut.experiments import ExperimentConfig, run_experiment
-from qcut.haar import angle_weights, draw_angles, exact_moment_fraction, sample_states, sample_weights
+from qcut.haar import _exact, angle_weights, draw_angles, exact_moment_fraction, sample_states, sample_weights
 from qcut.linalg import BipartitePureState, DensityMatrix, PureState, matrix_sqrt, partial_trace
 from qcut.povm import (
     CutPovm,
@@ -448,13 +448,23 @@ def test_cut_povm_is_complete(n, data):
 
 
 @given(st.integers(1, 10), st.integers(1, 2**10))
+@example(10, 1)
+@example(10, 2)
+@example(10, 64)
+@example(10, 2**10)  # one period of index 9 per chunk
+@example(7, 2**7)  # one chunk of every mask
+@example(3, 2**10)  # one chunk, shorter than MASK_CHUNK
 def test_completeness_pass_counts_every_subset(max_n, chunk):
     # Chunks of any size, so that a chunk boundary falls anywhere in a
-    # bit length's masks.
+    # bit length's masks and in an index's run of masks; power-of-two
+    # chunks are aligned, so each starts on a period of every index below
+    # their size.
     with mock.patch("qcut.povm.MASK_CHUNK", chunk):
         counts = _subset_counts(max_n)
         worst, norms = _max_completeness_deviation(max_n)
     assert counts.shape == (max_n + 1, max_n + 1, max_n)
+    # Mask 0, the empty subset, holds no index: no size-0 count, nor any count at N = 0.
+    assert not counts[:, 0].any() and not counts[0].any()
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
             assert counts[n, m, :n].tolist() == index_counts(n, m)
@@ -543,6 +553,26 @@ def test_closed_form_rows_match_the_case_by_case_sweep(name, perturbed, max_n, m
     assert rows == {name: expected[name] for name in rows}
 
 
+@given(st.integers(0, 12), st.integers(1, 3), st.integers(0, 40), st.integers(1, 64), st.data())
+@example(2, 3, 1000, 7, None)  # a head's r run spans many blocks
+@example(5, 2, 0, 2, None)  # the heads alone
+def test_case_blocks_are_the_divmod_layout(count, width, max_r, block, data):
+    # Case i of the sweep is head i // R with r = i % R + 1 (R = max(max_r, 1)),
+    # r innermost; the blocks cut that sequence every CASE_BLOCK cases.
+    heads = np.arange(count * width, dtype=np.int64).reshape(count, width)
+    if data:  # drawn heads, in place of the examples' 0, 1, 2, ...
+        row = st.lists(st.integers(-(2**40), 2**40), min_size=width, max_size=width)
+        heads = np.array(data.draw(st.lists(row, min_size=count, max_size=count)), dtype=np.int64).reshape(count, width)
+    inner = max(max_r, 1)
+    cases = [tuple(heads[i // inner].tolist()) + ((i % inner + 1,) if max_r else ()) for i in range(count * inner)]
+    with mock.patch.object(cli, "CASE_BLOCK", block):
+        blocks = list(cli._case_blocks(heads, max_r))
+    sizes = [len(cases[start : start + block]) for start in range(0, len(cases), block)]
+    assert [b.shape for b in blocks] == [(width + (max_r > 0), size) for size in sizes]
+    assert all(b.dtype == np.int64 for b in blocks)
+    assert [tuple(case) for b in blocks for case in b.T.tolist()] == cases
+
+
 @st.composite
 def moment_specs(draw, max_dim=80, max_exponent=4):
     # A dim and the exponents of its leading 1..N amplitudes; the rest are 0.
@@ -571,3 +601,91 @@ def test_moment_equals_dirichlet_factorial_formula(spec, extra):
     dims = np.array([n] + [len(exps) + d for d in extra])
     num, den = exact_moment_fraction(dims, exps)
     assert [Fraction(num, d) for d in den.tolist()] == [dirichlet_moment(d, exps) for d in dims.tolist()]
+
+
+def int64_edge(factors):
+    """The largest t with t ** factors below 2^53."""
+    t = round(2 ** (53 / factors))
+    while t**factors >= 2**53:
+        t -= 1
+    while (t + 1) ** factors < 2**53:
+        t += 1
+    return t
+
+
+# The kinds of entry ``_exact`` takes, each with the range its values fit.
+ENTRY_KINDS = {
+    "int": (None, None),
+    "int64 scalar": (-(2**63), 2**63 - 1),
+    "uint64 scalar": (0, 2**64 - 1),
+    "0-d int64": (-(2**63), 2**63 - 1),
+    "int64": (-(2**63), 2**63 - 1),
+    "uint64": (0, 2**64 - 1),
+    "int32": (-(2**31), 2**31 - 1),
+    "object": (None, None),
+}
+
+
+def make_entry(kind, values, shape):
+    """An entry of ``kind`` holding ``values`` (one, for the scalar kinds)."""
+    if kind == "int":
+        return values[0]
+    if kind.endswith("scalar"):
+        return np.dtype(kind.split()[0]).type(values[0])
+    if kind == "0-d int64":
+        return np.array(values[0], dtype=np.int64)
+    return np.array(values[: math.prod(shape)], dtype=np.dtype(kind)).reshape(shape)
+
+
+@st.composite
+def exact_entries(draw):
+    """(entries, factors) for ``haar._exact``: a mix of the entry kinds,
+    whose values cluster about the int64 switch for ``factors`` (the
+    largest |entry| below or past it, of either sign) or reach each kind's
+    extremes and beyond int64."""
+    factors = draw(st.integers(1, 4))
+    edge = int64_edge(factors)
+    values = st.integers(-edge - 2, edge + 2) | st.sampled_from([0, 2**63 - 1, -(2**63), 2**64 - 1, 2**70, -(2**70)])
+    shape = draw(st.sampled_from([(1,), (3,), (2, 3)]))
+    entries = []
+    for kind in draw(st.lists(st.sampled_from(list(ENTRY_KINDS)), min_size=1, max_size=6)):
+        low, high = ENTRY_KINDS[kind]
+        drawn = draw(st.lists(values, min_size=6, max_size=6))
+        fitted = [v if low is None else min(max(v, low), high) for v in drawn]
+        entries.append(make_entry(kind, fitted, shape))
+    return tuple(entries), factors
+
+
+def exact_case(factors, top):
+    """An int64 array holding ``top`` beside an int and a 0-d array."""
+    return (np.array([1, top, 2]), 3, np.array(-1)), factors
+
+
+@given(exact_entries())
+@example(exact_case(1, 2**53 - 1))
+@example(exact_case(1, 2**53))
+@example(exact_case(3, int64_edge(3)))
+@example(exact_case(3, int64_edge(3) + 1))
+@example(exact_case(2, -int64_edge(2) - 1))
+@example(((np.array([-(2**63)]),), 3))  # |entry| is 2^63, past int64, not its wrapped abs
+@example(((np.array([2**64 - 1], dtype=np.uint64), np.array([-5])), 1))
+@example(((5, np.uint64(int64_edge(4))), 4))
+@example(((5, 2**70), 1))  # ints only: returned as they are
+def test_exact_picks_int64_exactly_below_the_switch(case):
+    entries, factors = case
+    result = _exact(entries, factors)
+    if not any(isinstance(entry, (np.ndarray, np.generic)) for entry in entries):
+        assert result is entries
+        return
+    as_ints = [np.asarray(entry, dtype=object).ravel().tolist() for entry in entries]
+    top = max(abs(int(value)) for values in as_ints for value in values)
+    expected = np.dtype(np.int64) if top**factors < 2**53 else np.dtype(object)
+    assert len(result) == len(entries)
+    for entry, out, values in zip(entries, result, as_ints):
+        if not isinstance(entry, (np.ndarray, np.generic)):
+            assert out is entry
+            continue
+        # A NumPy scalar cast to object is a Python int.
+        assert (out.dtype if isinstance(out, (np.ndarray, np.generic)) else np.dtype(object)) == expected
+        assert np.shape(out) == np.shape(entry)
+        assert [int(v) for v in np.asarray(out, dtype=object).ravel().tolist()] == values
